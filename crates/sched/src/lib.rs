@@ -12,8 +12,8 @@
 //!   [`ServeError::TenantOverLimit`](ffdl_serve::ServeError::TenantOverLimit),
 //!   and a full queue with a tenant-tagged `QueueFull`;
 //! - its own **model slot** bound to a named model in `ffdl-registry` —
-//!   the same Arc'd zero-copy hot-swap design as `ffdl-serve`, one slot
-//!   per tenant, so swap, quarantine and auto-rollback are tenant-local;
+//!   one [`ffdl_serve::supervise::ModelSlot`] per tenant, so swap,
+//!   quarantine and auto-rollback are tenant-local;
 //! - an **autoscaled worker pool** shared across tenants: a controller
 //!   grows the pool under backlog and shrinks it after sustained
 //!   idleness, between batches, recording every decision.

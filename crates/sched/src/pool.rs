@@ -17,10 +17,13 @@
 //!      each: per-tenant engine cache, cloned from that tenant's slot
 //! ```
 //!
-//! Every tenant owns a **model slot** — the same Arc'd zero-copy
-//! hot-swap design as `ffdl-serve`'s single slot, one per tenant — so
+//! Every tenant owns a [`ModelSlot`] of the supervised worker core
+//! ([`ffdl_serve::supervise`], DESIGN.md "Supervised worker core"), so
 //! swap, quarantine and auto-rollback are tenant-local: a NaN model in
-//! tenant A rolls back A's slot and never touches B's engines.
+//! tenant A rolls back A's slot and never touches B's engines. What
+//! this module adds is what is tenant-specific: admission (token
+//! bucket, brownout shed latch), WDRR dispatch, the autoscaler and the
+//! brownout ladder with its circuit breakers.
 //!
 //! # Autoscaling
 //!
@@ -37,21 +40,18 @@ use crate::tenant::{TenantSpec, TokenBucket};
 use crate::wdrr::{Dispatcher, Popped, PushRefused, QueuedRequest};
 use ffdl_brownout::{BrownoutConfig, Ladder, LevelController, Sample, Step};
 use ffdl_core::full_registry;
-use ffdl_deploy::{DeployError, InferenceEngine, NonFiniteStage};
-use ffdl_nn::{clone_network, LayerRegistry, Network};
+use ffdl_deploy::InferenceEngine;
+use ffdl_nn::LayerRegistry;
 use ffdl_registry::{BreakerConfig, BreakerState, CircuitBreaker, ModelStore};
-use ffdl_serve::{
-    FailureKind, RunCounts, ServeError, ServeFailure, ServeReport, ServeResponse,
+use ffdl_serve::supervise::{
+    run_supervised, Adopted, HealthAction, ModelSlot, Supervised, Worker, WorkerPool,
 };
-use ffdl_telemetry::{Registry, RegistrySnapshot};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use ffdl_serve::{FailureKind, RunCounts, ServeError, ServeFailure, ServeReport};
+use ffdl_telemetry::Registry;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Model generations retained per tenant for rollback.
-const HISTORY_DEPTH: usize = 8;
 
 /// How long an idle worker waits in one pop before re-checking
 /// retirement and shutdown.
@@ -190,20 +190,6 @@ pub struct ScaleEvent {
     pub workers: usize,
 }
 
-/// One retained generation of a tenant's model.
-struct GenRecord {
-    server_gen: u64,
-    registry_gen: Option<u64>,
-    /// The originally-published registry generation these weights
-    /// descend from. Rollback republishes old weights under a *new*
-    /// registry generation; lineage maps such records back to the
-    /// ladder rung (or initial publish) they carry, so the brownout
-    /// controller can tell which rung a rolled-back tenant landed on.
-    lineage: Option<u64>,
-    network: Arc<Network>,
-    quarantined: bool,
-}
-
 /// One brownout ladder transition, timestamped relative to scheduler
 /// start.
 #[derive(Debug, Clone, Copy)]
@@ -228,23 +214,12 @@ pub struct BrownoutStat {
     pub final_level: usize,
 }
 
-struct TenantSupervision {
-    history: Vec<GenRecord>,
-    error_gen: u64,
-    error_count: u32,
-    quarantines: u64,
-    auto_rollbacks: u64,
-}
-
-/// Per-tenant model slot: the same Arc + generation-counter hot-swap
-/// design as `ffdl-serve`'s pool, instantiated once per tenant.
+/// One tenant: its model slot plus the tenant-specific admission,
+/// brownout and circuit-breaker state around it.
 struct TenantSlot {
     name: Arc<str>,
-    /// Registry model name this tenant is bound to.
-    model: String,
-    network: Mutex<Arc<Network>>,
-    generation: AtomicU64,
-    supervision: Mutex<TenantSupervision>,
+    /// The tenant's model, bound to its named model in the registry.
+    model: ModelSlot,
     /// Responses served for this tenant (live counter for fairness
     /// observation while the run is in flight).
     served: AtomicU64,
@@ -275,50 +250,11 @@ struct TenantSlot {
 }
 
 impl TenantSlot {
-    fn install(
-        &self,
-        sup: &mut TenantSupervision,
-        network: Arc<Network>,
-        registry_gen: Option<u64>,
-        lineage: Option<u64>,
-    ) -> u64 {
-        {
-            let mut slot = self.network.lock().expect("tenant slot poisoned");
-            *slot = Arc::clone(&network);
-        }
-        let generation = self.generation.fetch_add(1, Ordering::Release) + 1;
-        sup.history.push(GenRecord {
-            server_gen: generation,
-            registry_gen,
-            lineage,
-            network,
-            quarantined: false,
-        });
-        if sup.history.len() > HISTORY_DEPTH {
-            sup.history.remove(0);
-        }
-        generation
-    }
-
-    fn shared(&self) -> Arc<Network> {
-        Arc::clone(&self.network.lock().expect("tenant slot poisoned"))
-    }
-
-    /// Lineage (originally-published registry generation) of the given
-    /// server generation, if still retained.
-    fn lineage_of(&self, server_gen: u64) -> Option<u64> {
-        let sup = self.supervision.lock().expect("tenant supervision poisoned");
-        sup.history
-            .iter()
-            .find(|r| r.server_gen == server_gen)
-            .and_then(|r| r.lineage)
-    }
-
     /// Records a quarantine trip against the breaker of the rung the
     /// quarantined generation descends from (no-op for non-rung
     /// generations).
     fn record_breaker_trip(&self, server_gen: u64, now: Instant) {
-        let Some(lineage) = self.lineage_of(server_gen) else {
+        let Some(lineage) = self.model.lineage_of(server_gen) else {
             return;
         };
         let mut breakers = self.breakers.lock().expect("breakers poisoned");
@@ -328,81 +264,10 @@ impl TenantSlot {
     }
 }
 
-/// Counts a tenant's non-finite-logits failures and, at the threshold,
-/// quarantines the guilty generation and rolls *that tenant* back —
-/// preferring the durable registry path (republish through
-/// [`ModelStore::rollback`]), falling back to the retained in-memory
-/// clone. Other tenants' slots and engines are untouched.
-fn handle_unhealthy_tenant(
-    slot: &TenantSlot,
-    store: &ModelStore,
-    layers: &LayerRegistry,
-    generation: u64,
-    failed: u32,
-    threshold: u32,
-) -> bool {
-    if threshold == 0 {
-        return false;
-    }
-    let mut sup = slot.supervision.lock().expect("tenant supervision poisoned");
-    if sup.error_gen != generation {
-        sup.error_gen = generation;
-        sup.error_count = 0;
-    }
-    sup.error_count = sup.error_count.saturating_add(failed);
-    if sup.error_count < threshold {
-        return false;
-    }
-    if slot.generation.load(Ordering::Acquire) != generation {
-        return false; // stale failures from an already-replaced generation
-    }
-    let Some(record) = sup.history.iter_mut().find(|r| r.server_gen == generation) else {
-        return false;
-    };
-    if record.quarantined {
-        return false;
-    }
-    record.quarantined = true;
-    sup.quarantines += 1;
-    sup.error_count = 0;
-    let Some(target) = sup.history.iter().rposition(|r| !r.quarantined) else {
-        return true; // nothing healthy left: keep failing typed
-    };
-    let registry_target = sup.history[target].registry_gen;
-    // The rollback republishes old weights under a fresh registry
-    // generation: carry the target's lineage forward so the brownout
-    // controller still knows which ladder rung these weights are.
-    let lineage = sup.history[target].lineage;
-    let mut new_registry_gen = registry_target;
-    let network = registry_target
-        .and_then(|reg_gen| {
-            store
-                .rollback(&slot.model, Some(reg_gen))
-                .and_then(|v| store.load(&slot.model, Some(v.generation), layers))
-                .map(|(network, version)| {
-                    new_registry_gen = Some(version.generation);
-                    Arc::new(network)
-                })
-                .ok()
-        })
-        .unwrap_or_else(|| Arc::clone(&sup.history[target].network));
-    slot.install(&mut sup, network, new_registry_gen, lineage);
-    sup.auto_rollbacks += 1;
-    true
-}
-
-struct WorkerOutput {
-    telemetry: RegistrySnapshot,
-    responses: Vec<ServeResponse>,
-    failures: Vec<ServeFailure>,
-}
-
 /// State shared by workers, the controller and the front end.
 struct Core {
     dispatcher: Dispatcher,
     slots: Vec<TenantSlot>,
-    store: ModelStore,
-    layers: Arc<LayerRegistry>,
     max_batch: usize,
     check_finite: bool,
     unhealthy_threshold: u32,
@@ -412,60 +277,36 @@ struct Core {
     /// `live > target`.
     target: AtomicUsize,
     peak: AtomicUsize,
-    restarts: AtomicU64,
     closed: AtomicBool,
-    outputs: Mutex<Vec<WorkerOutput>>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    first_error: Mutex<Option<ServeError>>,
+    pool: WorkerPool,
     scale_events: Mutex<Vec<ScaleEvent>>,
     scale_ups: AtomicU64,
     scale_downs: AtomicU64,
     started: Instant,
 }
 
-fn record_error(core: &Core, e: ServeError) {
-    core.first_error
-        .lock()
-        .expect("error slot poisoned")
-        .get_or_insert(e);
+fn spawn_worker(core: &Arc<Core>, index: usize) {
+    let shared = Arc::clone(core);
+    core.pool.spawn(index, move |worker| worker_loop(&shared, worker));
 }
 
-fn spawn_worker(core: &Arc<Core>, worker: usize) {
-    let core_for_worker = Arc::clone(core);
-    let handle = thread::spawn(move || {
-        let output = worker_loop(&core_for_worker, worker);
-        core_for_worker
-            .outputs
-            .lock()
-            .expect("outputs poisoned")
-            .push(output);
-    });
-    core.handles.lock().expect("handles poisoned").push(handle);
-}
-
-fn worker_loop(core: &Core, worker: usize) -> WorkerOutput {
-    let telemetry = Registry::new();
-    let batches = telemetry.counter("ffdl.sched.batches");
-    let requests = telemetry.counter("ffdl.sched.requests");
-    let restarts_counter = telemetry.counter("ffdl.sched.worker_restarts");
-    let expired_counter = telemetry.counter("ffdl.sched.expired");
-    let unhealthy_counter = telemetry.counter("ffdl.sched.unhealthy_batches");
-    let quarantine_counter = telemetry.counter("ffdl.sched.quarantines");
-    let rollback_counter = telemetry.counter("ffdl.sched.auto_rollbacks");
-    let batch_size_hist = telemetry.histogram("ffdl.sched.batch_size");
+fn worker_loop(core: &Core, worker: &mut Worker) -> Result<(), ServeError> {
+    let batches = worker.telemetry.counter("ffdl.sched.batches");
+    let requests = worker.telemetry.counter("ffdl.sched.requests");
+    let unhealthy_counter = worker.telemetry.counter("ffdl.sched.unhealthy_batches");
+    let quarantine_counter = worker.telemetry.counter("ffdl.sched.quarantines");
+    let rollback_counter = worker.telemetry.counter("ffdl.sched.auto_rollbacks");
+    let batch_size_hist = worker.telemetry.histogram("ffdl.sched.batch_size");
     // Per-tenant labels: one served counter per tenant name, so a
     // snapshot shows exactly which tenants this worker served.
     let served_counters: Vec<_> = core
         .slots
         .iter()
-        .map(|s| telemetry.counter(&format!("ffdl.sched.tenant.{}.served", s.name)))
+        .map(|s| worker.telemetry.counter(&format!("ffdl.sched.tenant.{}.served", s.name)))
         .collect();
-    // Engine cache: one lazily-built engine per tenant, keyed by the
-    // generation it was cloned from.
-    let mut engines: Vec<Option<(u64, InferenceEngine)>> =
-        core.slots.iter().map(|_| None).collect();
-    let mut responses: Vec<ServeResponse> = Vec::new();
-    let mut failures: Vec<ServeFailure> = Vec::new();
+    // Engine cache: one lazily-adopted engine per tenant.
+    let mut engines: Vec<Adopted<InferenceEngine>> =
+        core.slots.iter().map(|_| Adopted::empty()).collect();
     'serve: loop {
         // Retirement: while the pool is over target, workers peel off
         // one CAS at a time — the one that wins the decrement exits.
@@ -482,203 +323,96 @@ fn worker_loop(core: &Core, worker: usize) -> WorkerOutput {
                 break 'serve;
             }
         }
-        let (tenant, batch, queue_expired) = match core.dispatcher.pop(core.max_batch, IDLE_WAIT) {
-            Popped::Closed => break,
-            Popped::Idle => continue,
-            Popped::Batch(t, batch, queue_expired) => (t, batch, queue_expired),
-        };
+        let (tenant, mut batch, mut queue_expired) =
+            match core.dispatcher.pop(core.max_batch, IDLE_WAIT) {
+                Popped::Closed => break,
+                Popped::Idle => continue,
+                Popped::Batch(t, batch, queue_expired) => (t, batch, queue_expired),
+            };
         let slot = &core.slots[tenant];
+        let name = Some(&slot.name);
         let telemetry_on = ffdl_telemetry::enabled();
-        // Deadline shedding at dequeue, typed per tenant. The
-        // dispatcher already drained dead requests from the queue front
-        // (without charging the tenant's deficit); re-check the live
-        // batch here in case a deadline lapsed between queueing and
-        // dispatch.
-        let now = Instant::now();
-        let (batch, mut expired): (Vec<_>, Vec<_>) = batch
-            .into_iter()
-            .partition(|r: &QueuedRequest| r.deadline.is_none_or(|d| now < d));
-        expired.extend(queue_expired);
-        let current = slot.generation.load(Ordering::Acquire);
-        if !expired.is_empty() {
-            if telemetry_on {
-                expired_counter.add(expired.len() as u64);
-            }
-            // Expired requests are SLO misses by definition: feed the
-            // brownout pressure signal.
-            slot.slo_misses.fetch_add(expired.len() as u64, Ordering::Relaxed);
-            failures.extend(expired.iter().map(|r| ServeFailure {
-                id: r.id,
-                kind: FailureKind::DeadlineExceeded,
-                generation: current,
-                tenant: Some(Arc::clone(&slot.name)),
-            }));
-        }
-        if batch.is_empty() {
-            continue;
-        }
         // Per-tenant engine adoption: rebuild only when this tenant's
         // generation moved (or first use on this worker). Other
         // tenants' swaps never invalidate this engine.
-        let stale = !matches!(&engines[tenant], Some((gen, _)) if *gen == current);
-        if stale {
-            let fresh = match clone_network(&slot.shared(), &core.layers) {
-                Ok(n) => n,
-                Err(e) => {
-                    record_error(core, e.into());
-                    break;
-                }
-            };
-            let mut engine = InferenceEngine::new(fresh);
+        let (generation, engine) = engines[tenant].refresh(&slot.model, |network| {
+            let mut engine = InferenceEngine::new(network);
             engine.set_finite_check(core.check_finite);
-            engines[tenant] = Some((current, engine));
-        }
-        // Second expiry check immediately before predict: the engine
-        // rebuild above can take long enough for deadlines to lapse,
-        // and a request that is already dead must never have a
-        // response computed for it.
+            engine
+        })?;
+        // Deadline shedding, typed per tenant, immediately before
+        // predict: the dispatcher already drained dead requests from
+        // the queue front (without charging the tenant's deficit), and
+        // the engine rebuild above can take long enough for more
+        // deadlines to lapse. Expired requests are SLO misses by
+        // definition: feed the brownout pressure signal.
         let now = Instant::now();
-        let (batch, expired): (Vec<_>, Vec<_>) = batch
-            .into_iter()
-            .partition(|r: &QueuedRequest| r.deadline.is_none_or(|d| now < d));
-        if !expired.is_empty() {
-            if telemetry_on {
-                expired_counter.add(expired.len() as u64);
-            }
-            slot.slo_misses.fetch_add(expired.len() as u64, Ordering::Relaxed);
-            failures.extend(expired.iter().map(|r| ServeFailure {
-                id: r.id,
-                kind: FailureKind::DeadlineExceeded,
-                generation: current,
-                tenant: Some(Arc::clone(&slot.name)),
-            }));
+        let expired = worker.split_expired(&mut queue_expired, now, generation, name)
+            + worker.split_expired(&mut batch, now, generation, name);
+        if expired > 0 {
+            slot.slo_misses.fetch_add(expired as u64, Ordering::Relaxed);
         }
         if batch.is_empty() {
             continue;
         }
-        let (_, engine) = engines[tenant].as_mut().expect("engine just built");
         if telemetry_on {
             batches.inc();
             requests.add(batch.len() as u64);
             batch_size_hist.record(batch.len() as u64);
         }
         let refs: Vec<&ffdl_tensor::Tensor> = batch.iter().map(|r| &r.features).collect();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(spike) = ffdl_fault::latency_spike() {
-                thread::sleep(spike);
-            }
-            ffdl_fault::maybe_panic("sched.worker.batch");
-            engine.predict_batch(&refs)
-        }));
-        let predictions = match outcome {
-            Ok(Ok(predictions)) => predictions,
-            Ok(Err(DeployError::NonFinite {
-                stage: NonFiniteStage::Logits,
-                ..
-            })) => {
-                if telemetry_on {
-                    unhealthy_counter.inc();
+        match run_supervised("sched.worker.batch", || engine.predict_batch(&refs)) {
+            Supervised::Served(predictions) => {
+                let done = Instant::now();
+                // SLO accounting for the brownout controller: a
+                // response that completed past its deadline is a miss
+                // even though it was served.
+                let misses = batch.iter().filter(|r| r.expired(done)).count() as u64;
+                let hits = batch.iter().filter(|r| r.deadline.is_some()).count() as u64 - misses;
+                if hits > 0 {
+                    slot.slo_hits.fetch_add(hits, Ordering::Relaxed);
                 }
-                failures.extend(batch.iter().map(|r| ServeFailure {
-                    id: r.id,
-                    kind: FailureKind::UnhealthyModel,
-                    generation: current,
-                    tenant: Some(Arc::clone(&slot.name)),
-                }));
-                let tripped = handle_unhealthy_tenant(
-                    slot,
-                    &core.store,
-                    &core.layers,
-                    current,
+                if misses > 0 {
+                    slot.slo_misses.fetch_add(misses, Ordering::Relaxed);
+                }
+                for (request, prediction) in batch.iter().zip(predictions) {
+                    worker.respond(request, prediction, done, batch.len(), generation, name);
+                }
+                slot.served.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                if telemetry_on {
+                    served_counters[tenant].add(batch.len() as u64);
+                }
+            }
+            Supervised::Unhealthy => {
+                worker.fail_all(&batch, FailureKind::UnhealthyModel, generation, name);
+                let action = slot.model.report_unhealthy(
+                    generation,
                     batch.len() as u32,
                     core.unhealthy_threshold,
                 );
-                if tripped {
+                if action != HealthAction::None {
                     // Quarantine counts against the circuit breaker of
                     // the ladder rung the guilty weights descend from.
-                    slot.record_breaker_trip(current, Instant::now());
-                    if telemetry_on {
+                    slot.record_breaker_trip(generation, Instant::now());
+                }
+                if telemetry_on {
+                    unhealthy_counter.inc();
+                    if action != HealthAction::None {
                         quarantine_counter.inc();
+                    }
+                    if action == HealthAction::RolledBack {
                         rollback_counter.inc();
                     }
                 }
-                continue;
             }
-            Ok(Err(e)) => {
-                record_error(core, e.into());
-                break;
+            Supervised::Fatal(e) => return Err(e.into()),
+            Supervised::Panicked => {
+                worker.panicked(&batch, generation, name);
+                engines[tenant].invalidate(); // rebuild from the slot next time
             }
-            Err(_panic) => {
-                core.restarts.fetch_add(1, Ordering::Relaxed);
-                restarts_counter.inc();
-                failures.extend(batch.iter().map(|r| ServeFailure {
-                    id: r.id,
-                    kind: FailureKind::WorkerPanic,
-                    generation: current,
-                    tenant: Some(Arc::clone(&slot.name)),
-                }));
-                engines[tenant] = None; // rebuild from the slot next time
-                continue;
-            }
-        };
-        let done = Instant::now();
-        let batch_size = batch.len();
-        // SLO accounting for the brownout controller: a response that
-        // completed past its deadline is a miss even though it was
-        // served.
-        let (hits, misses) = batch.iter().fold((0u64, 0u64), |(h, m), r| {
-            match r.deadline {
-                Some(d) if done > d => (h, m + 1),
-                Some(_) => (h + 1, m),
-                None => (h, m),
-            }
-        });
-        if hits > 0 {
-            slot.slo_hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if misses > 0 {
-            slot.slo_misses.fetch_add(misses, Ordering::Relaxed);
-        }
-        for (request, prediction) in batch.iter().zip(predictions) {
-            responses.push(ServeResponse {
-                id: request.id,
-                prediction,
-                latency_us: done.duration_since(request.enqueued).as_secs_f64() * 1e6,
-                worker,
-                batch_size,
-                generation: current,
-                tenant: Some(Arc::clone(&slot.name)),
-            });
-        }
-        slot.served.fetch_add(batch_size as u64, Ordering::Relaxed);
-        if telemetry_on {
-            served_counters[tenant].add(batch_size as u64);
         }
     }
-    WorkerOutput {
-        telemetry: telemetry.snapshot(),
-        responses,
-        failures,
-    }
-}
-
-/// Loads a registry generation into a tenant's slot — the shared hot
-/// swap path for the public API and the brownout controller. `lineage`
-/// tags the record with the originally-published generation it
-/// descends from (defaults to the loaded generation itself).
-fn swap_tenant_core(
-    core: &Core,
-    tenant: usize,
-    registry_generation: Option<u64>,
-    lineage: Option<u64>,
-) -> Result<u64, ServeError> {
-    let slot = &core.slots[tenant];
-    let (network, version) = core
-        .store
-        .load(&slot.model, registry_generation, &core.layers)?;
-    let lineage = lineage.or(Some(version.generation));
-    let mut sup = slot.supervision.lock().expect("tenant supervision poisoned");
-    Ok(slot.install(&mut sup, Arc::new(network), Some(version.generation), lineage))
+    Ok(())
 }
 
 /// Mirrors a controller level change into the slot's lock-free state
@@ -722,8 +456,8 @@ fn brownout_tick(core: &Core, controllers: &mut [Option<LevelController>]) {
         // Re-sync after worker-side quarantine + rollback: the slot can
         // move without the controller's involvement, and the new
         // record's lineage says which rung the tenant landed on.
-        let current = slot.generation.load(Ordering::Acquire);
-        if let Some(actual) = slot.lineage_of(current).and_then(|g| ladder.level_of(g)) {
+        let current = slot.model.generation();
+        if let Some(actual) = slot.model.lineage_of(current).and_then(|g| ladder.level_of(g)) {
             if actual != ctl.level() {
                 ctl.set_level(actual);
                 record_level_event(core, tenant, actual);
@@ -752,7 +486,7 @@ fn brownout_tick(core: &Core, controllers: &mut [Option<LevelController>]) {
         };
         if let Some(level) = target {
             let rung_gen = ladder.rung(level).expect("level in range").registry_generation;
-            if swap_tenant_core(core, tenant, Some(rung_gen), Some(rung_gen)).is_ok() {
+            if slot.model.swap_bound(Some(rung_gen), Some(rung_gen)).is_ok() {
                 ctl.set_level(level);
                 record_level_event(core, tenant, level);
             }
@@ -792,16 +526,12 @@ fn run_breaker_probes(core: &Core, tenant: usize, now: Instant) {
             return;
         }
     }
-    let healthy = core
-        .store
-        .load(&slot.model, Some(rung_gen), &core.layers)
-        .ok()
-        .and_then(|(network, _)| {
-            let mut engine = InferenceEngine::new(network);
-            engine.set_finite_check(true);
-            catch_unwind(AssertUnwindSafe(|| engine.predict_batch(&[&sample]))).ok()
-        })
-        .is_some_and(|outcome| outcome.is_ok());
+    let healthy = slot.model.load_bound(Some(rung_gen)).is_ok_and(|(network, _)| {
+        let mut engine = InferenceEngine::new(network);
+        engine.set_finite_check(true);
+        let probe = run_supervised("sched.breaker.probe", || engine.predict_batch(&[&sample]));
+        matches!(probe, Supervised::Served(_))
+    });
     let mut breakers = slot.breakers.lock().expect("breakers poisoned");
     if let Some((_, b)) = breakers.iter_mut().find(|(g, _)| *g == rung_gen) {
         if healthy {
@@ -865,23 +595,23 @@ impl Scheduler {
     ) -> Result<Self, ServeError> {
         config.validate(specs)?;
         let layers = Arc::new(layers);
+        let registry = Registry::new();
         let mut slots = Vec::with_capacity(specs.len());
         for spec in specs {
             // Brownout tenants start on rung 0 of their ladder (full
             // precision); every deeper rung must already be published —
             // fail fast here rather than mid-degradation.
             let ladder = if config.brownout.is_some() { spec.ladder.clone() } else { None };
-            let (network, version) = match &ladder {
-                Some(ladder) => {
-                    for rung in ladder.rungs().iter().skip(1) {
-                        store.load(&spec.model, Some(rung.registry_generation), &layers)?;
-                    }
-                    let rung0 = ladder.rung(0).expect("ladder has >= 2 rungs");
-                    store.load(&spec.model, Some(rung0.registry_generation), &layers)?
+            if let Some(ladder) = &ladder {
+                for rung in ladder.rungs().iter().skip(1) {
+                    store.load(&spec.model, Some(rung.registry_generation), &layers)?;
                 }
-                None => store.load(&spec.model, None, &layers)?,
-            };
-            let shared = Arc::new(network);
+            }
+            let first = ladder
+                .as_ref()
+                .map(|l| l.rung(0).expect("ladder has >= 2 rungs").registry_generation);
+            let model =
+                ModelSlot::from_store(store, &spec.model, first, Arc::clone(&layers), &registry)?;
             let breakers = ladder
                 .as_ref()
                 .map(|l| {
@@ -895,22 +625,7 @@ impl Scheduler {
                 .unwrap_or_default();
             slots.push(TenantSlot {
                 name: Arc::from(spec.name.as_str()),
-                model: spec.model.clone(),
-                network: Mutex::new(Arc::clone(&shared)),
-                generation: AtomicU64::new(1),
-                supervision: Mutex::new(TenantSupervision {
-                    history: vec![GenRecord {
-                        server_gen: 1,
-                        registry_gen: Some(version.generation),
-                        lineage: Some(version.generation),
-                        network: shared,
-                        quarantined: false,
-                    }],
-                    error_gen: 1,
-                    error_count: 0,
-                    quarantines: 0,
-                    auto_rollbacks: 0,
-                }),
+                model,
                 served: AtomicU64::new(0),
                 bucket: spec.rate_limit.map(|r| Mutex::new(TokenBucket::new(r))),
                 ladder,
@@ -928,19 +643,14 @@ impl Scheduler {
         let core = Arc::new(Core {
             dispatcher: Dispatcher::new(specs, config.quantum),
             slots,
-            store: store.clone(),
-            layers,
             max_batch: config.max_batch,
             check_finite: config.check_finite,
             unhealthy_threshold: config.unhealthy_threshold,
             live: AtomicUsize::new(config.min_workers),
             target: AtomicUsize::new(config.min_workers),
             peak: AtomicUsize::new(config.min_workers),
-            restarts: AtomicU64::new(0),
             closed: AtomicBool::new(false),
-            outputs: Mutex::new(Vec::new()),
-            handles: Mutex::new(Vec::new()),
-            first_error: Mutex::new(None),
+            pool: WorkerPool::new("sched"),
             scale_events: Mutex::new(Vec::new()),
             scale_ups: AtomicU64::new(0),
             scale_downs: AtomicU64::new(0),
@@ -950,7 +660,6 @@ impl Scheduler {
             spawn_worker(&core, worker);
         }
 
-        let registry = Registry::new();
         let workers_gauge = registry.gauge("ffdl.sched.workers");
         let scale_up_counter = registry.counter("ffdl.sched.scale_ups");
         let scale_down_counter = registry.counter("ffdl.sched.scale_downs");
@@ -1070,7 +779,7 @@ impl Scheduler {
             .push(ServeFailure {
                 id,
                 kind,
-                generation: slot.generation.load(Ordering::Acquire),
+                generation: slot.model.generation(),
                 tenant: Some(Arc::clone(&slot.name)),
             });
         if ffdl_telemetry::enabled() {
@@ -1182,7 +891,7 @@ impl Scheduler {
         tenant: usize,
         registry_generation: Option<u64>,
     ) -> Result<u64, ServeError> {
-        swap_tenant_core(&self.core, tenant, registry_generation, None)
+        self.core.slots[tenant].model.swap_bound(registry_generation, None)
     }
 
     /// One tenant's current brownout ladder level (0 = full precision;
@@ -1219,14 +928,8 @@ impl Scheduler {
     /// oldest first. Lineage maps rollback-republished generations back
     /// to the originally-published generation (ladder rung) they carry.
     pub fn tenant_history(&self, tenant: usize) -> Vec<(u64, Option<u64>, Option<u64>)> {
-        let sup = self.core.slots[tenant]
-            .supervision
-            .lock()
-            .expect("tenant supervision poisoned");
-        sup.history
-            .iter()
-            .map(|r| (r.server_gen, r.registry_gen, r.lineage))
-            .collect()
+        let history = self.core.slots[tenant].model.history();
+        history.iter().map(|r| (r.0, r.1, r.2)).collect()
     }
 
     /// Responses served for one tenant so far (live, lock-free).
@@ -1251,29 +954,18 @@ impl Scheduler {
 
     /// One tenant's current slot generation.
     pub fn tenant_generation(&self, tenant: usize) -> u64 {
-        self.core.slots[tenant].generation.load(Ordering::Acquire)
+        self.core.slots[tenant].model.generation()
     }
 
     /// Slot generations quarantined for one tenant so far.
     pub fn tenant_quarantined_generations(&self, tenant: usize) -> Vec<u64> {
-        let sup = self.core.slots[tenant]
-            .supervision
-            .lock()
-            .expect("tenant supervision poisoned");
-        sup.history
-            .iter()
-            .filter(|r| r.quarantined)
-            .map(|r| r.server_gen)
-            .collect()
+        let history = self.core.slots[tenant].model.history();
+        history.iter().filter(|r| r.3).map(|r| r.0).collect()
     }
 
     /// Auto-rollbacks performed for one tenant so far.
     pub fn tenant_auto_rollbacks(&self, tenant: usize) -> u64 {
-        self.core.slots[tenant]
-            .supervision
-            .lock()
-            .expect("tenant supervision poisoned")
-            .auto_rollbacks
+        self.core.slots[tenant].model.health_counts().1
     }
 
     /// Closes admission, drains every tenant queue, joins the pool and
@@ -1291,34 +983,12 @@ impl Scheduler {
             let _ = controller.join();
         }
         self.core.dispatcher.close();
-        loop {
-            let handle = self.core.handles.lock().expect("handles poisoned").pop();
-            match handle {
-                Some(h) => {
-                    if h.join().is_err() {
-                        record_error(
-                            &self.core,
-                            ServeError::worker_panic("worker died outside batch supervision"),
-                        );
-                    }
-                }
-                None => break,
-            }
-        }
+        let mut joined = self.core.pool.join(self.registry.snapshot())?;
         let wall = self.core.started.elapsed();
-        let mut telemetry = self.registry.snapshot();
-        let mut responses = Vec::new();
         let mut failures = std::mem::take(
             &mut *self.admission_failures.lock().expect("admission failures poisoned"),
         );
-        for output in self.core.outputs.lock().expect("outputs poisoned").drain(..) {
-            telemetry.merge(&output.telemetry);
-            responses.extend(output.responses);
-            failures.extend(output.failures);
-        }
-        if let Some(e) = self.core.first_error.lock().expect("error slot poisoned").take() {
-            return Err(e);
-        }
+        failures.append(&mut joined.failures);
         let queue_full = failures
             .iter()
             .filter(|f| f.kind == FailureKind::Shed)
@@ -1336,12 +1006,12 @@ impl Scheduler {
             .filter(|f| matches!(f.kind, FailureKind::Brownout { .. }))
             .count() as u64;
         let (quarantines, auto_rollbacks) = self.core.slots.iter().fold((0, 0), |acc, s| {
-            let sup = s.supervision.lock().expect("tenant supervision poisoned");
-            (acc.0 + sup.quarantines, acc.1 + sup.auto_rollbacks)
+            let (quarantines, auto_rollbacks) = s.model.health_counts();
+            (acc.0 + quarantines, acc.1 + auto_rollbacks)
         });
         let counts = RunCounts {
             queue_full_rejections: queue_full,
-            worker_restarts: self.core.restarts.load(Ordering::Relaxed),
+            worker_restarts: self.core.pool.restarts(),
             shed: queue_full + over_limit,
             expired,
             brownout,
@@ -1351,18 +1021,18 @@ impl Scheduler {
                 .core
                 .slots
                 .iter()
-                .map(|s| s.generation.load(Ordering::Acquire))
+                .map(|s| s.model.generation())
                 .max()
                 .unwrap_or(1),
         };
         let peak = self.core.peak.load(Ordering::Acquire);
         let serve = ServeReport::from_parts(
-            responses,
+            joined.responses,
             failures,
             peak,
             wall,
             counts,
-            telemetry,
+            joined.telemetry,
             self.config.deadline,
         );
         let brownout = self

@@ -18,18 +18,14 @@
 //!    proportion to their weights, independent of arrival order.
 
 use crate::tenant::TenantSpec;
+#[allow(unused_imports)] // the inline tests build requests through `super::*`
 use ffdl_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// A request parked in a tenant queue.
-pub(crate) struct QueuedRequest {
-    pub id: u64,
-    pub features: Tensor,
-    pub enqueued: Instant,
-    pub deadline: Option<Instant>,
-}
+/// A request parked in a tenant queue: the worker core's request type.
+pub(crate) use ffdl_serve::supervise::Request as QueuedRequest;
 
 /// Why a push was refused.
 pub(crate) enum PushRefused {

@@ -34,6 +34,12 @@
 //!   [`ServeReport::responses`] or [`ServeReport::failures`] — nothing
 //!   is dropped silently.
 //!
+//! The parts of that list that are not dispatch — the hot-swappable
+//! model slot, batch supervision, quarantine and rollback, the
+//! per-worker ledger and the worker lifecycle — live in [`supervise`],
+//! the worker core this crate shares with `ffdl-sched` and
+//! `ffdl-stream`.
+//!
 //! Served predictions are bit-identical to single-sample
 //! [`ffdl_deploy::InferenceEngine::predict`] calls, and the report's
 //! responses are ordered by request id — so results are deterministic
@@ -65,6 +71,7 @@ mod error;
 mod pool;
 mod queue;
 mod stats;
+pub mod supervise;
 
 pub use error::ServeError;
 pub use pool::{

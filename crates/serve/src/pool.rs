@@ -1,40 +1,21 @@
-//! Worker pool and server front-end.
+//! Worker pool and server front-end: a single FIFO queue with dynamic
+//! batching in front of the [supervised worker core](crate::supervise).
 //!
-//! [`Server::start`] spawns `workers` OS threads, each owning an
-//! [`InferenceEngine`] around its *own clone* of the network (wire-format
-//! round-trip via [`ffdl_nn::clone_network`]) — workers never share
-//! mutable model state, so there is no lock on the hot path. Each worker
-//! loops on [`BoundedQueue::pop_batch`], runs one coalesced
-//! [`InferenceEngine::predict_batch`] forward pass per batch, and records
-//! a [`ServeResponse`] per request into a **per-worker buffer** (merged
-//! only at [`Server::finish`] — the hot path takes no shared results
-//! lock). Closing the queue is the shutdown signal: workers drain what
-//! is left and exit.
+//! [`Server::start`] spawns `workers` OS threads over one
+//! [`BoundedQueue`]. Each worker loops on [`BoundedQueue::pop_batch`],
+//! runs one coalesced [`InferenceEngine::predict_batch`] forward pass
+//! per batch on its *own clone* of the network, and records a
+//! [`ServeResponse`] or a typed [`ServeFailure`] per request into its
+//! private ledger. Closing the queue is the shutdown signal: workers
+//! drain what is left and exit.
 //!
-//! # Live model hot-swap
-//!
-//! The pool serves **versioned** models: the server holds the current
-//! model as an `Arc<Network>` in a shared slot next to a monotonic
-//! generation counter, and [`Server::swap_model`] exchanges the `Arc`
-//! and bumps the counter — an O(1) pointer swap, no
-//! serialize/deserialize on the swap path — without pausing admission.
-//! Workers check the counter **between batches** (one `Acquire` load on
-//! the hot path) and, on a bump, take an `Arc` clone of the slot and
-//! structurally clone it via [`ffdl_nn::clone_network`] (parameter
-//! buffers stay shared copy-on-write; only per-layer scratch is fresh) —
-//! in-flight batches finish on the old model, the queue is never
-//! drained, and no request is dropped or rejected because of a swap.
-//! Every [`ServeResponse`] carries the generation that actually served
-//! it, so callers can attribute each prediction to a model version.
-//!
-//! # Worker supervision
-//!
-//! Batch execution runs under `catch_unwind`: a panicking forward pass
-//! (a poisoned model version, a bug in a custom layer) cannot kill the
-//! pool. The worker counts the restart (`ffdl.serve.worker_restarts`),
-//! records every request of the lost batch as a typed
-//! [`ServeFailure`], rebuilds its engine from the current model slot,
-//! and keeps serving.
+//! Everything that is not dispatch — the generation-tagged
+//! [`ModelSlot`] behind [`Server::swap_model`] /
+//! [`Server::swap_from_store`], engine adoption between batches,
+//! `catch_unwind` batch supervision, numerical-health quarantine and
+//! auto-rollback, the per-worker ledger and the join/merge at
+//! [`Server::finish`] — is the shared core; see [`crate::supervise`]
+//! and DESIGN.md "Supervised worker core".
 //!
 //! # Deadlines
 //!
@@ -45,43 +26,23 @@
 //! [`Server::submit`] converts a full queue into a bounded wait that
 //! gives up at the same deadline (`ffdl.serve.shed`) instead of failing
 //! fast with [`ServeError::QueueFull`].
-//!
-//! # Numerical health and auto-rollback
-//!
-//! With [`HealthConfig::check_finite`] on, every worker engine scans its
-//! logits; a NaN/Inf batch fails typed ([`FailureKind::UnhealthyModel`],
-//! carrying the generation). When
-//! [`HealthConfig::unhealthy_threshold`] such request failures
-//! accumulate against the *current* generation, the pool quarantines
-//! that generation and rolls back to the last healthy one — through
-//! [`ffdl-registry`](ffdl_registry) (republishing the old bytes as a
-//! new, checksummed generation) when the server was swapped via
-//! [`Server::swap_from_store`], or from a retained in-memory clone
-//! otherwise. The hot-swap machinery runs in reverse: workers adopt the
-//! rollback between batches like any other swap.
 
 use crate::error::ServeError;
 use crate::queue::{BoundedQueue, PushError};
 use crate::stats::{RunCounts, ServeReport};
+use crate::supervise::{
+    duration_ns, run_supervised, Adopted, HealthAction, ModelSlot, Request, Supervised, WorkerPool,
+};
 use ffdl_core::full_registry;
-use ffdl_deploy::{DeployError, InferenceEngine, NonFiniteStage, Prediction};
-use ffdl_nn::{clone_network, LayerRegistry, Network};
+use ffdl_deploy::{InferenceEngine, Prediction};
+use ffdl_nn::{LayerRegistry, Network};
 use ffdl_registry::ModelStore;
-use ffdl_telemetry::{Registry, RegistrySnapshot, SpanTimer};
+use ffdl_telemetry::{Registry, SpanTimer};
 use ffdl_tensor::Tensor;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
-
-/// Model generations retained for rollback (the active one included).
-const HISTORY_DEPTH: usize = 8;
-
-/// Saturating nanoseconds of a [`Duration`] for histogram recording.
-fn duration_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
 
 /// Configuration for a serving run.
 #[derive(Debug, Clone)]
@@ -161,14 +122,6 @@ impl ServeConfig {
         }
         Ok(())
     }
-}
-
-/// A request waiting in the queue.
-struct QueuedRequest {
-    id: u64,
-    features: Tensor,
-    enqueued: Instant,
-    deadline: Option<Instant>,
 }
 
 /// Why a request failed (the report-side mirror of the typed
@@ -280,185 +233,6 @@ pub struct ServeResponse {
     pub tenant: Option<Arc<str>>,
 }
 
-/// One retained model generation: enough to attribute failures and to
-/// roll back without the registry.
-struct GenRecord {
-    /// Server-side generation number (what responses/failures carry).
-    server_gen: u64,
-    /// The registry generation this model was loaded from, when it came
-    /// through [`Server::swap_from_store`].
-    registry_gen: Option<u64>,
-    /// Shared handle for registry-less rollback (bounded by
-    /// [`HISTORY_DEPTH`]); the same `Arc` the slot held while this
-    /// generation was active, so retention costs one pointer.
-    network: Arc<Network>,
-    /// Declared numerically unhealthy; never a rollback target.
-    quarantined: bool,
-}
-
-/// Health-supervision state, guarded by one mutex off the hot path
-/// (workers touch it only when a batch fails its finiteness check).
-struct Supervision {
-    /// Retained generations, ascending; the last entry is active.
-    history: Vec<GenRecord>,
-    /// The store/name the server was last swapped from — the durable
-    /// rollback path.
-    binding: Option<(ModelStore, String)>,
-    /// Generation the current error streak counts against.
-    error_gen: u64,
-    /// Unhealthy request failures recorded against `error_gen`.
-    error_count: u32,
-    /// Generations quarantined so far.
-    quarantines: u64,
-    /// Automatic rollbacks performed so far.
-    auto_rollbacks: u64,
-}
-
-/// The shared model state workers re-clone from after a swap.
-struct ModelSlot {
-    /// The current model, shared immutably. Swaps exchange the `Arc`
-    /// (O(1)); workers `Arc::clone` it under the lock and structurally
-    /// clone outside, so the critical section is two pointer bumps.
-    network: Mutex<Arc<Network>>,
-    /// Monotonic model generation; workers compare against their local
-    /// copy between batches.
-    generation: AtomicU64,
-    /// Rollback history and unhealthy-error accounting.
-    supervision: Mutex<Supervision>,
-}
-
-impl ModelSlot {
-    /// Installs `network` as the next generation: the shared slot's
-    /// `Arc` is exchanged, the generation counter is bumped (`Release`,
-    /// pairing with the workers' `Acquire` loads), and a history record
-    /// sharing the same `Arc` is pushed. The caller holds the
-    /// supervision lock, so swaps and rollbacks serialize.
-    fn install(&self, sup: &mut Supervision, network: Arc<Network>, registry_gen: Option<u64>) -> u64 {
-        {
-            let mut slot = self.network.lock().expect("model slot poisoned");
-            *slot = Arc::clone(&network);
-        }
-        let generation = self.generation.fetch_add(1, Ordering::Release) + 1;
-        sup.history.push(GenRecord {
-            server_gen: generation,
-            registry_gen,
-            network,
-            quarantined: false,
-        });
-        if sup.history.len() > HISTORY_DEPTH {
-            sup.history.remove(0);
-        }
-        generation
-    }
-
-    /// An `Arc` handle to the current slot contents (two pointer bumps
-    /// under the lock).
-    fn shared(&self) -> Arc<Network> {
-        Arc::clone(&self.network.lock().expect("model slot poisoned"))
-    }
-}
-
-/// What a worker's unhealthy-batch report triggered.
-struct HealthAction {
-    quarantined: bool,
-    rolled_back: bool,
-}
-
-/// Worker-side health accounting: counts non-finite-logits request
-/// failures per generation and, at the threshold, quarantines the
-/// generation and rolls the pool back to the last healthy one.
-///
-/// The registry path is preferred — [`ModelStore::rollback`]
-/// republishes the healthy generation's bytes as a new checksummed
-/// registry generation, so recovery is durable and bit-identical to the
-/// original publish. When the server has no store binding (plain
-/// [`Server::swap_model`]) or the registry path fails (e.g. the store
-/// itself is corrupted), the retained in-memory clone is used instead.
-fn handle_unhealthy(
-    model: &ModelSlot,
-    layers: &LayerRegistry,
-    generation: u64,
-    failed: u32,
-    threshold: u32,
-) -> Result<HealthAction, ServeError> {
-    let nothing = HealthAction {
-        quarantined: false,
-        rolled_back: false,
-    };
-    if threshold == 0 {
-        return Ok(nothing);
-    }
-    let mut sup = model.supervision.lock().expect("supervision lock poisoned");
-    if sup.error_gen != generation {
-        sup.error_gen = generation;
-        sup.error_count = 0;
-    }
-    sup.error_count = sup.error_count.saturating_add(failed);
-    if sup.error_count < threshold {
-        return Ok(nothing);
-    }
-    // Trip only while the erroring generation is still current: stale
-    // failures from an already-replaced generation (in-flight batches
-    // finish on the old model) must not punish its successor.
-    if model.generation.load(Ordering::Acquire) != generation {
-        return Ok(nothing);
-    }
-    let Some(record) = sup.history.iter_mut().find(|r| r.server_gen == generation) else {
-        return Ok(nothing);
-    };
-    if record.quarantined {
-        return Ok(nothing); // another worker already tripped it
-    }
-    record.quarantined = true;
-    sup.quarantines += 1;
-    sup.error_count = 0;
-    let Some(target) = sup.history.iter().rposition(|r| !r.quarantined) else {
-        // No healthy generation left: keep serving (every unhealthy
-        // batch keeps failing typed) rather than go dark.
-        return Ok(HealthAction {
-            quarantined: true,
-            rolled_back: false,
-        });
-    };
-    let registry_target = sup.history[target].registry_gen;
-    let binding = sup.binding.clone();
-    let mut new_registry_gen = registry_target;
-    let network = match (binding, registry_target) {
-        (Some((store, name)), Some(reg_gen)) => store
-            .rollback(&name, Some(reg_gen))
-            .and_then(|v| store.load(&name, Some(v.generation), layers))
-            .map(|(network, version)| {
-                new_registry_gen = Some(version.generation);
-                Arc::new(network)
-            })
-            .ok(),
-        _ => None,
-    };
-    let network = match network {
-        Some(n) => n,
-        // Registry path unavailable or failed: the retained shared
-        // handle is the recovery source (still the exact network that
-        // served the healthy generation) — rollback is an Arc clone.
-        None => Arc::clone(&sup.history[target].network),
-    };
-    model.install(&mut sup, network, new_registry_gen);
-    sup.auto_rollbacks += 1;
-    Ok(HealthAction {
-        quarantined: true,
-        rolled_back: true,
-    })
-}
-
-/// What a worker thread hands back when it is joined: its per-thread
-/// telemetry plus the responses and failures it recorded. Buffers are
-/// per-worker and merged only at [`Server::finish`], so the hot path
-/// never contends on a shared results lock.
-struct WorkerOutput {
-    telemetry: RegistrySnapshot,
-    responses: Vec<ServeResponse>,
-    failures: Vec<ServeFailure>,
-}
-
 /// A running serving instance: bounded queue + worker pool.
 ///
 /// Telemetry: the server owns one [`Registry`] for admission-side
@@ -468,18 +242,16 @@ struct WorkerOutput {
 /// thread owns a private registry for hot-path metrics (batch size,
 /// queue wait, inference time, worker restarts) — workers never share a
 /// metric cache line, and the per-thread registries are merged into one
-/// [`RegistrySnapshot`] at [`Server::finish`]. All recording is gated on
+/// snapshot at [`Server::finish`]. All recording is gated on
 /// [`ffdl_telemetry::enabled`], so a server with telemetry off pays one
 /// relaxed bool load per operation.
 pub struct Server {
-    queue: Arc<BoundedQueue<QueuedRequest>>,
+    queue: Arc<BoundedQueue<Request>>,
     recorded: Arc<AtomicU64>,
-    handles: Vec<JoinHandle<Result<WorkerOutput, ServeError>>>,
+    pool: WorkerPool,
     rejections: AtomicU64,
     shed: AtomicU64,
-    restarts: Arc<AtomicU64>,
     model: Arc<ModelSlot>,
-    layers: Arc<LayerRegistry>,
     workers: usize,
     deadline: Option<Duration>,
     tenant: Option<Arc<str>>,
@@ -489,13 +261,14 @@ pub struct Server {
     shed_counter: Arc<ffdl_telemetry::Counter>,
     depth_gauge: Arc<ffdl_telemetry::Gauge>,
     generation_gauge: Arc<ffdl_telemetry::Gauge>,
-    swap_hist: Arc<ffdl_telemetry::Histogram>,
 }
 
 impl Server {
-    /// Clones the network once per worker and starts the pool, resolving
-    /// layer types through [`ffdl_core::full_registry`] (every built-in
-    /// and block-circulant layer).
+    /// Validates the network (one structural clone into the model slot)
+    /// and starts the pool; each worker clones its own engine from the
+    /// slot before its first batch. Resolves layer types through
+    /// [`ffdl_core::full_registry`] (every built-in and block-circulant
+    /// layer).
     ///
     /// # Errors
     ///
@@ -520,237 +293,6 @@ impl Server {
         layers: LayerRegistry,
     ) -> Result<Self, ServeError> {
         config.validate()?;
-        let layers = Arc::new(layers);
-        let check_finite = config.health.check_finite;
-        let unhealthy_threshold = config.health.unhealthy_threshold;
-        // Clone up front so a bad model is reported before any thread
-        // spawns: one structural clone per worker, plus one shared
-        // `Arc` serving as both the slot contents and the rollback
-        // record for generation 1.
-        let mut engines = Vec::with_capacity(config.workers);
-        for _ in 0..config.workers {
-            let mut engine = InferenceEngine::new(clone_network(network, &layers)?);
-            engine.set_finite_check(check_finite);
-            engines.push(engine);
-        }
-        let shared = Arc::new(clone_network(network, &layers)?);
-        let model = Arc::new(ModelSlot {
-            network: Mutex::new(Arc::clone(&shared)),
-            generation: AtomicU64::new(1),
-            supervision: Mutex::new(Supervision {
-                history: vec![GenRecord {
-                    server_gen: 1,
-                    registry_gen: None,
-                    network: shared,
-                    quarantined: false,
-                }],
-                binding: None,
-                error_gen: 1,
-                error_count: 0,
-                quarantines: 0,
-                auto_rollbacks: 0,
-            }),
-        });
-
-        let queue = Arc::new(BoundedQueue::<QueuedRequest>::new(config.queue_depth));
-        let recorded = Arc::new(AtomicU64::new(0));
-        let restarts = Arc::new(AtomicU64::new(0));
-        let max_batch = config.max_batch;
-        let max_wait = config.max_wait;
-        let tenant: Option<Arc<str>> = config.tenant.as_deref().map(Arc::from);
-        let handles = engines
-            .into_iter()
-            .enumerate()
-            .map(|(worker, mut engine)| {
-                let queue = Arc::clone(&queue);
-                let recorded = Arc::clone(&recorded);
-                let model = Arc::clone(&model);
-                let layers = Arc::clone(&layers);
-                let restarts = Arc::clone(&restarts);
-                let tenant = tenant.clone();
-                thread::spawn(move || -> Result<WorkerOutput, ServeError> {
-                    // Per-thread registry: handles are registered once
-                    // here, recorded lock-free in the loop, and merged
-                    // into the report at finish() — no cross-worker
-                    // metric contention on the hot path.
-                    let telemetry = Registry::new();
-                    let batches = telemetry.counter("ffdl.serve.batches");
-                    let requests = telemetry.counter("ffdl.serve.requests");
-                    let restarts_counter = telemetry.counter("ffdl.serve.worker_restarts");
-                    let expired_counter = telemetry.counter("ffdl.serve.expired");
-                    let unhealthy_counter = telemetry.counter("ffdl.serve.unhealthy_batches");
-                    let quarantine_counter = telemetry.counter("ffdl.serve.quarantines");
-                    let rollback_counter = telemetry.counter("ffdl.serve.auto_rollbacks");
-                    let batch_size_hist = telemetry.histogram("ffdl.serve.batch_size");
-                    let queue_wait_hist = telemetry.histogram("ffdl.serve.queue_wait_ns");
-                    let infer_hist = telemetry.histogram("ffdl.serve.infer_ns");
-                    let depth_hist = telemetry.histogram("ffdl.serve.queue_depth_at_pop");
-                    // The engines handed to workers were cloned at
-                    // generation 1; starting from a fresh counter load
-                    // instead would mislabel responses if a swap lands
-                    // before this thread first runs.
-                    let mut local_gen = 1u64;
-                    // Per-worker sinks, merged at finish(): the hot
-                    // path records without taking any shared lock.
-                    let mut responses: Vec<ServeResponse> = Vec::new();
-                    let mut local_failures: Vec<ServeFailure> = Vec::new();
-                    loop {
-                        // Hot-swap check, between batches only: one
-                        // Acquire load when nothing changed; on a bump,
-                        // take the slot's Arc (two pointer bumps under
-                        // the lock) and structurally clone outside it —
-                        // parameter buffers stay shared, only scratch
-                        // state is rebuilt. The queue keeps filling
-                        // while we clone — nothing is drained.
-                        let current = model.generation.load(Ordering::Acquire);
-                        if current != local_gen {
-                            let shared = model.shared();
-                            let fresh = clone_network(&shared, &layers)?;
-                            engine = InferenceEngine::new(fresh);
-                            engine.set_finite_check(check_finite);
-                            local_gen = current;
-                        }
-                        let batch = queue.pop_batch(max_batch, max_wait);
-                        if batch.is_empty() {
-                            // Closed and drained.
-                            return Ok(WorkerOutput {
-                                telemetry: telemetry.snapshot(),
-                                responses,
-                                failures: local_failures,
-                            });
-                        }
-                        let telemetry_on = ffdl_telemetry::enabled();
-                        // Deadline shedding at dequeue: an expired
-                        // request already missed its deadline — serving
-                        // it would waste a batch slot on an answer
-                        // nobody is waiting for. Each shed request is a
-                        // typed failure, never a silent drop.
-                        let now = Instant::now();
-                        let (batch, expired): (Vec<_>, Vec<_>) = batch
-                            .into_iter()
-                            .partition(|r: &QueuedRequest| r.deadline.is_none_or(|d| now < d));
-                        if !expired.is_empty() {
-                            if telemetry_on {
-                                expired_counter.add(expired.len() as u64);
-                            }
-                            local_failures.extend(expired.iter().map(|r| ServeFailure {
-                                id: r.id,
-                                kind: FailureKind::DeadlineExceeded,
-                                generation: local_gen,
-                                tenant: tenant.clone(),
-                            }));
-                        }
-                        if batch.is_empty() {
-                            continue;
-                        }
-                        if telemetry_on {
-                            let received = Instant::now();
-                            batches.inc();
-                            requests.add(batch.len() as u64);
-                            batch_size_hist.record(batch.len() as u64);
-                            depth_hist.record(queue.len() as u64);
-                            for request in &batch {
-                                queue_wait_hist.record(duration_ns(
-                                    received.duration_since(request.enqueued),
-                                ));
-                            }
-                        }
-                        let refs: Vec<&Tensor> =
-                            batch.iter().map(|r: &QueuedRequest| &r.features).collect();
-                        let span = SpanTimer::start_if(telemetry_on, &infer_hist);
-                        // Supervision: a panic inside the forward pass
-                        // (poisoned weights, a buggy custom layer) must
-                        // not take the worker — and with it the pool —
-                        // down. The engine may be left in an arbitrary
-                        // state after a panic, so it is rebuilt from the
-                        // model slot before the next batch. The fault
-                        // hooks are inert one-branch checks unless a
-                        // chaos campaign is armed.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            if let Some(spike) = ffdl_fault::latency_spike() {
-                                thread::sleep(spike);
-                            }
-                            ffdl_fault::maybe_panic("serve.worker.batch");
-                            engine.predict_batch(&refs)
-                        }));
-                        drop(span);
-                        let predictions = match outcome {
-                            Ok(Ok(predictions)) => predictions,
-                            Ok(Err(DeployError::NonFinite {
-                                stage: NonFiniteStage::Logits,
-                                ..
-                            })) => {
-                                // The model — not the requests — is bad:
-                                // the whole batch fails typed, carrying
-                                // the guilty generation, and the health
-                                // supervisor decides whether to
-                                // quarantine and roll back.
-                                if telemetry_on {
-                                    unhealthy_counter.inc();
-                                }
-                                local_failures.extend(batch.iter().map(|r| ServeFailure {
-                                    id: r.id,
-                                    kind: FailureKind::UnhealthyModel,
-                                    generation: local_gen,
-                                    tenant: tenant.clone(),
-                                }));
-                                let action = handle_unhealthy(
-                                    &model,
-                                    &layers,
-                                    local_gen,
-                                    batch.len() as u32,
-                                    unhealthy_threshold,
-                                )?;
-                                if telemetry_on {
-                                    if action.quarantined {
-                                        quarantine_counter.inc();
-                                    }
-                                    if action.rolled_back {
-                                        rollback_counter.inc();
-                                    }
-                                }
-                                continue; // re-clone check picks up a rollback
-                            }
-                            Ok(Err(e)) => return Err(e.into()),
-                            Err(_panic) => {
-                                restarts.fetch_add(1, Ordering::Relaxed);
-                                restarts_counter.inc();
-                                local_failures.extend(batch.iter().map(|r| ServeFailure {
-                                    id: r.id,
-                                    kind: FailureKind::WorkerPanic,
-                                    generation: local_gen,
-                                    tenant: tenant.clone(),
-                                }));
-                                let shared = model.shared();
-                                let fresh = clone_network(&shared, &layers)?;
-                                engine = InferenceEngine::new(fresh);
-                                engine.set_finite_check(check_finite);
-                                local_gen = model.generation.load(Ordering::Acquire);
-                                continue; // the panicking batch is lost (but accounted)
-                            }
-                        };
-                        let done = Instant::now();
-                        let batch_size = batch.len();
-                        for (request, prediction) in batch.iter().zip(predictions) {
-                            responses.push(ServeResponse {
-                                id: request.id,
-                                prediction,
-                                latency_us: done
-                                    .duration_since(request.enqueued)
-                                    .as_secs_f64()
-                                    * 1e6,
-                                worker,
-                                batch_size,
-                                generation: local_gen,
-                                tenant: tenant.clone(),
-                            });
-                        }
-                        recorded.fetch_add(batch_size as u64, Ordering::Relaxed);
-                    }
-                })
-            })
-            .collect();
-
         // Admission-side metrics live on the server's own registry and
         // are registered eagerly so the names appear in every snapshot,
         // even at zero.
@@ -759,17 +301,125 @@ impl Server {
         let shed_counter = registry.counter("ffdl.serve.shed");
         let depth_gauge = registry.gauge("ffdl.serve.queue_depth");
         let generation_gauge = registry.gauge("ffdl.serve.model_generation");
-        let swap_hist = registry.histogram("ffdl.registry.swap_ns");
         generation_gauge.set(1);
+        // Building the slot clones the network once, so a bad model is
+        // reported before any thread spawns.
+        let model = Arc::new(ModelSlot::new(network, Arc::new(layers), &registry)?);
+        let check_finite = config.health.check_finite;
+        let unhealthy_threshold = config.health.unhealthy_threshold;
+
+        let queue = Arc::new(BoundedQueue::<Request>::new(config.queue_depth));
+        let recorded = Arc::new(AtomicU64::new(0));
+        let max_batch = config.max_batch;
+        let max_wait = config.max_wait;
+        let tenant: Option<Arc<str>> = config.tenant.as_deref().map(Arc::from);
+        let pool = WorkerPool::new("serve");
+        for index in 0..config.workers {
+            let queue = Arc::clone(&queue);
+            let recorded = Arc::clone(&recorded);
+            let model = Arc::clone(&model);
+            let tenant = tenant.clone();
+            pool.spawn(index, move |worker| {
+                // Handles are registered once here and recorded
+                // lock-free in the loop.
+                let batches = worker.telemetry.counter("ffdl.serve.batches");
+                let requests = worker.telemetry.counter("ffdl.serve.requests");
+                let unhealthy_counter = worker.telemetry.counter("ffdl.serve.unhealthy_batches");
+                let quarantine_counter = worker.telemetry.counter("ffdl.serve.quarantines");
+                let rollback_counter = worker.telemetry.counter("ffdl.serve.auto_rollbacks");
+                let batch_size_hist = worker.telemetry.histogram("ffdl.serve.batch_size");
+                let queue_wait_hist = worker.telemetry.histogram("ffdl.serve.queue_wait_ns");
+                let infer_hist = worker.telemetry.histogram("ffdl.serve.infer_ns");
+                let depth_hist = worker.telemetry.histogram("ffdl.serve.queue_depth_at_pop");
+                let tenant = tenant.as_ref();
+                let mut adopted = Adopted::empty();
+                loop {
+                    // Hot-swap check, between batches only. The queue
+                    // keeps filling while a new engine is cloned.
+                    let (generation, engine) = adopted.refresh(&model, |network| {
+                        let mut engine = InferenceEngine::new(network);
+                        engine.set_finite_check(check_finite);
+                        engine
+                    })?;
+                    let mut batch = queue.pop_batch(max_batch, max_wait);
+                    if batch.is_empty() {
+                        return Ok(()); // closed and drained
+                    }
+                    let telemetry_on = ffdl_telemetry::enabled();
+                    worker.split_expired(&mut batch, Instant::now(), generation, tenant);
+                    if batch.is_empty() {
+                        continue;
+                    }
+                    if telemetry_on {
+                        let received = Instant::now();
+                        batches.inc();
+                        requests.add(batch.len() as u64);
+                        batch_size_hist.record(batch.len() as u64);
+                        depth_hist.record(queue.len() as u64);
+                        for request in &batch {
+                            queue_wait_hist
+                                .record(duration_ns(received.duration_since(request.enqueued)));
+                        }
+                    }
+                    let refs: Vec<&Tensor> = batch.iter().map(|r| &r.features).collect();
+                    let span = SpanTimer::start_if(telemetry_on, &infer_hist);
+                    let outcome =
+                        run_supervised("serve.worker.batch", || engine.predict_batch(&refs));
+                    drop(span);
+                    match outcome {
+                        Supervised::Served(predictions) => {
+                            let done = Instant::now();
+                            for (request, prediction) in batch.iter().zip(predictions) {
+                                worker.respond(
+                                    request,
+                                    prediction,
+                                    done,
+                                    batch.len(),
+                                    generation,
+                                    tenant,
+                                );
+                            }
+                            recorded.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                        }
+                        Supervised::Unhealthy => {
+                            // The model — not the requests — is bad: the
+                            // whole batch fails typed, carrying the
+                            // guilty generation; a rollback is adopted
+                            // like any other swap.
+                            worker.fail_all(&batch, FailureKind::UnhealthyModel, generation, tenant);
+                            let action = model.report_unhealthy(
+                                generation,
+                                batch.len() as u32,
+                                unhealthy_threshold,
+                            );
+                            if telemetry_on {
+                                unhealthy_counter.inc();
+                                if action != HealthAction::None {
+                                    quarantine_counter.inc();
+                                }
+                                if action == HealthAction::RolledBack {
+                                    rollback_counter.inc();
+                                }
+                            }
+                        }
+                        Supervised::Fatal(e) => return Err(e.into()),
+                        Supervised::Panicked => {
+                            // The batch is lost (but accounted).
+                            worker.panicked(&batch, generation, tenant);
+                            adopted.invalidate();
+                        }
+                    }
+                }
+            });
+        }
+
         Ok(Self {
             queue,
             recorded,
-            handles,
+            pool,
             rejections: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            restarts,
             model,
-            layers,
             workers: config.workers,
             deadline: config.deadline,
             tenant,
@@ -779,7 +429,6 @@ impl Server {
             shed_counter,
             depth_gauge,
             generation_gauge,
-            swap_hist,
         })
     }
 
@@ -790,7 +439,7 @@ impl Server {
     /// the queue.
     pub fn try_submit(&self, id: u64, features: Tensor) -> Result<(), ServeError> {
         let now = Instant::now();
-        let request = QueuedRequest {
+        let request = Request {
             id,
             features,
             enqueued: now,
@@ -829,7 +478,7 @@ impl Server {
         };
         let now = Instant::now();
         let absolute = now + deadline;
-        let request = QueuedRequest {
+        let request = Request {
             id,
             features,
             enqueued: now,
@@ -871,21 +520,16 @@ impl Server {
     /// [`ServeError::Clone`] when the replacement network fails its wire
     /// round-trip (unknown layer tag, broken config/params pair).
     pub fn swap_model(&self, network: &Network) -> Result<u64, ServeError> {
-        let swap_started = Instant::now();
-        // Validate before touching shared state: the slot must never
-        // hold a network workers cannot clone. One structural clone
-        // (parameter buffers shared copy-on-write) both validates the
-        // network and isolates the slot from later caller mutation;
-        // the install itself is an Arc exchange plus a counter bump.
-        let network = Arc::new(clone_network(network, &self.layers)?);
-        let mut sup = self.model.supervision.lock().expect("supervision lock poisoned");
-        let generation = self.model.install(&mut sup, network, None);
-        drop(sup);
-        if ffdl_telemetry::enabled() {
-            self.generation_gauge.set(generation as i64);
-            self.swap_hist.record(duration_ns(swap_started.elapsed()));
+        self.published(self.model.swap_model(network))
+    }
+
+    /// Mirrors a successful swap into the `ffdl.serve.model_generation`
+    /// gauge.
+    fn published(&self, swapped: Result<u64, ServeError>) -> Result<u64, ServeError> {
+        if let (Ok(generation), true) = (&swapped, ffdl_telemetry::enabled()) {
+            self.generation_gauge.set(*generation as i64);
         }
-        Ok(generation)
+        swapped
     }
 
     /// Like [`swap_model`](Self::swap_model), but sources the model from
@@ -909,50 +553,29 @@ impl Server {
         name: &str,
         registry_generation: Option<u64>,
     ) -> Result<u64, ServeError> {
-        let swap_started = Instant::now();
-        let (loaded, version) = store.load(name, registry_generation, &self.layers)?;
-        let network = Arc::new(loaded);
-        let mut sup = self.model.supervision.lock().expect("supervision lock poisoned");
-        sup.binding = Some((store.clone(), name.to_string()));
-        let generation = self
-            .model
-            .install(&mut sup, network, Some(version.generation));
-        drop(sup);
-        if ffdl_telemetry::enabled() {
-            self.generation_gauge.set(generation as i64);
-            self.swap_hist.record(duration_ns(swap_started.elapsed()));
-        }
-        Ok(generation)
+        self.published(self.model.swap_from_store(store, name, registry_generation))
     }
 
     /// The generation currently being adopted by workers (the one
     /// [`swap_model`](Self::swap_model) last published; starts at 1).
     pub fn model_generation(&self) -> u64 {
-        self.model.generation.load(Ordering::Acquire)
+        self.model.generation()
     }
 
     /// Times a worker recovered from a panicking batch so far.
     pub fn worker_restarts(&self) -> u64 {
-        self.restarts.load(Ordering::Relaxed)
+        self.pool.restarts()
     }
 
     /// Server generations quarantined by the health supervisor so far.
     pub fn quarantined_generations(&self) -> Vec<u64> {
-        let sup = self.model.supervision.lock().expect("supervision lock poisoned");
-        sup.history
-            .iter()
-            .filter(|r| r.quarantined)
-            .map(|r| r.server_gen)
-            .collect()
+        let history = self.model.history();
+        history.iter().filter(|r| r.3).map(|r| r.0).collect()
     }
 
     /// Automatic rollbacks performed by the health supervisor so far.
     pub fn auto_rollbacks(&self) -> u64 {
-        self.model
-            .supervision
-            .lock()
-            .expect("supervision lock poisoned")
-            .auto_rollbacks
+        self.model.health_counts().1
     }
 
     /// Current queue depth (diagnostics).
@@ -977,62 +600,26 @@ impl Server {
     /// thread panicked outside the supervised batch execution.
     pub fn finish(self) -> Result<ServeReport, ServeError> {
         self.queue.close();
-        let mut first_error = None;
-        // Merge the admission-side registry with every worker's
-        // per-thread registry and buffers — the only point where state
-        // from different threads meets.
-        let mut telemetry = self.registry.snapshot();
-        let mut responses = Vec::new();
-        let mut failures = Vec::new();
-        for handle in self.handles {
-            match handle.join() {
-                Ok(Ok(output)) => {
-                    telemetry.merge(&output.telemetry);
-                    responses.extend(output.responses);
-                    failures.extend(output.failures);
-                }
-                Ok(Err(e)) => {
-                    first_error.get_or_insert(e);
-                }
-                Err(panic) => {
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "opaque panic payload".into());
-                    first_error.get_or_insert(ServeError::worker_panic(msg));
-                }
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
+        let joined = self.pool.join(self.registry.snapshot())?;
         let wall = self.started.elapsed();
-        let expired = failures
-            .iter()
-            .filter(|f| f.kind == FailureKind::DeadlineExceeded)
-            .count() as u64;
-        let (quarantines, auto_rollbacks) = {
-            let sup = self.model.supervision.lock().expect("supervision lock poisoned");
-            (sup.quarantines, sup.auto_rollbacks)
-        };
+        let (quarantines, auto_rollbacks) = self.model.health_counts();
         let counts = RunCounts {
             queue_full_rejections: self.rejections.load(Ordering::Relaxed),
-            worker_restarts: self.restarts.load(Ordering::Relaxed),
+            worker_restarts: self.pool.restarts(),
             shed: self.shed.load(Ordering::Relaxed),
             brownout: 0, // this crate's closed-loop server never browns out
-            expired,
+            expired: joined.expired(),
             quarantines,
             auto_rollbacks,
-            model_generation: self.model.generation.load(Ordering::Acquire),
+            model_generation: self.model.generation(),
         };
-        Ok(ServeReport::new(
-            responses,
-            failures,
+        Ok(ServeReport::from_parts(
+            joined.responses,
+            joined.failures,
             self.workers,
             wall,
             counts,
-            telemetry,
+            joined.telemetry,
             self.deadline,
         ))
     }

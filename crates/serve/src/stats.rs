@@ -254,20 +254,6 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Builds a report from worker responses and the run's wall time
-    /// (crate-internal name for [`from_parts`](Self::from_parts)).
-    pub(crate) fn new(
-        responses: Vec<ServeResponse>,
-        failures: Vec<ServeFailure>,
-        workers: usize,
-        wall: Duration,
-        counts: RunCounts,
-        telemetry: RegistrySnapshot,
-        slo: Option<Duration>,
-    ) -> Self {
-        Self::from_parts(responses, failures, workers, wall, counts, telemetry, slo)
-    }
-
     /// Builds a report from worker responses and the run's wall time.
     /// Public so front ends outside this crate (the `ffdl-sched`
     /// scheduler) can assemble the same report from their own pools.

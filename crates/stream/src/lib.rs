@@ -19,11 +19,12 @@
 //!   one token per request is **bit-identical** to a single-threaded
 //!   [`replay`](StreamServer::replay) of the same tokens, regardless of
 //!   worker count or interleaving with other sessions.
-//! * **Fault containment** — deadline shedding, `catch_unwind` step
-//!   supervision, and NaN screening from the stateless pools, extended
-//!   with **session quarantine**: a fault inside one session poisons
-//!   only that session's state; neighbours stay bit-exact. Generation
-//!   health and auto-rollback work as in `ffdl-serve`.
+//! * **Fault containment** — deadline shedding, step supervision and
+//!   NaN screening from the worker core shared with the stateless pools
+//!   ([`ffdl_serve::supervise`]), extended with **session quarantine**:
+//!   a fault inside one session poisons only that session's state;
+//!   neighbours stay bit-exact. Generation health and auto-rollback are
+//!   the shared model slot's.
 //! * **Reset-on-swap** — a hot-swap mid-stream deterministically resets
 //!   each session's hidden state to zeros at its next step (DESIGN.md
 //!   §15 discusses the drain-vs-reset trade-off).

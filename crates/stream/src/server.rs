@@ -25,15 +25,17 @@
 //!
 //! # Faults and quarantine
 //!
-//! A step runs under `catch_unwind` with the `ffdl-fault` injection
-//! points of the stateless pools (latency spike, worker panic) plus the
+//! A step runs under the supervised worker core's
+//! [`run_supervised`] ([`ffdl_serve::supervise`], DESIGN.md "Supervised
+//! worker core"): `catch_unwind` with the `ffdl-fault` injection points
+//! of the stateless pools (latency spike, worker panic) plus the
 //! engine-level NaN poisoning. A panicking or NaN step **quarantines
 //! the session**: its hidden state can no longer be trusted, so every
 //! later step is refused typed ([`FailureKind::SessionQuarantined`] for
 //! queued steps, [`StreamError::SessionQuarantined`] at submit). Other
 //! sessions on the same worker are untouched — their state was not
 //! reachable from the faulted step. NaN steps also count against the
-//! serving *generation* exactly as in `ffdl-serve`: past
+//! serving *generation* in the shared [`ModelSlot`]: past
 //! [`HealthConfig::unhealthy_threshold`] the generation is quarantined
 //! and the pool auto-rolls-back through the registry binding.
 //!
@@ -53,25 +55,21 @@
 use crate::engine::StreamEngine;
 use crate::queue::{Popped, PushError, WorkQueue};
 use ffdl_core::full_registry;
-use ffdl_deploy::{DeployError, NonFiniteStage, Prediction};
-use ffdl_nn::{clone_network, LayerRegistry, Network};
+use ffdl_deploy::{DeployError, Prediction};
+use ffdl_nn::{LayerRegistry, Network};
 use ffdl_registry::ModelStore;
-use ffdl_serve::{
-    FailureKind, HealthConfig, RunCounts, ServeError, ServeFailure, ServeReport, ServeResponse,
+use ffdl_serve::supervise::{
+    duration_ns, run_supervised, Adopted, ModelSlot, Request, Supervised, Worker, WorkerPool,
 };
-use ffdl_telemetry::{Gauge, Registry, RegistrySnapshot};
+use ffdl_serve::{FailureKind, HealthConfig, RunCounts, ServeError, ServeReport};
+use ffdl_telemetry::{Counter, Gauge, Registry};
 use ffdl_tensor::Tensor;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Model generations retained for rollback (the active one included).
-const HISTORY_DEPTH: usize = 8;
 
 /// How long a worker waits on an empty queue before running idle
 /// housekeeping (TTL eviction) and re-checking for shutdown.
@@ -198,12 +196,9 @@ struct SessionMeta {
 
 /// One step waiting in a worker queue.
 struct StepRequest {
-    id: u64,
     session: u64,
-    features: Tensor,
-    enqueued: Instant,
-    deadline: Option<Instant>,
     meta: Arc<SessionMeta>,
+    request: Request,
 }
 
 /// A unit of work on a worker queue. FIFO order per queue makes the
@@ -214,132 +209,17 @@ enum Work {
     Close { session: u64 },
 }
 
-/// One retained model generation (see `ffdl-serve`; the stream pool
-/// replicates the slot because serve's is crate-private by design —
-/// both front ends own their supervision policy).
-struct GenRecord {
-    server_gen: u64,
-    registry_gen: Option<u64>,
-    network: Arc<Network>,
-    quarantined: bool,
-}
-
-struct Supervision {
-    history: Vec<GenRecord>,
-    binding: Option<(ModelStore, String)>,
-    error_gen: u64,
-    error_count: u32,
-    quarantines: u64,
-    auto_rollbacks: u64,
-}
-
-/// The shared model slot workers re-clone from after a swap.
-struct ModelSlot {
-    network: Mutex<Arc<Network>>,
-    generation: AtomicU64,
-    supervision: Mutex<Supervision>,
-}
-
-impl ModelSlot {
-    fn install(
-        &self,
-        sup: &mut Supervision,
-        network: Arc<Network>,
-        registry_gen: Option<u64>,
-    ) -> u64 {
-        {
-            let mut slot = self.network.lock().expect("stream model slot poisoned");
-            *slot = Arc::clone(&network);
-        }
-        let generation = self.generation.fetch_add(1, Ordering::Release) + 1;
-        sup.history.push(GenRecord {
-            server_gen: generation,
-            registry_gen,
-            network,
-            quarantined: false,
-        });
-        if sup.history.len() > HISTORY_DEPTH {
-            sup.history.remove(0);
-        }
-        generation
-    }
-
-    fn shared(&self) -> Arc<Network> {
-        Arc::clone(&self.network.lock().expect("stream model slot poisoned"))
-    }
-}
-
-/// Counts NaN-step failures against the current generation and, at the
-/// threshold, quarantines it and rolls back to the last healthy
-/// generation — registry path first (durable, checksummed), retained
-/// in-memory `Arc` as the fallback. Mirrors `ffdl-serve`'s supervisor.
-fn handle_unhealthy(
-    model: &ModelSlot,
-    layers: &LayerRegistry,
-    generation: u64,
-    threshold: u32,
-) -> bool {
-    if threshold == 0 {
-        return false;
-    }
-    let mut sup = model.supervision.lock().expect("stream supervision poisoned");
-    if sup.error_gen != generation {
-        sup.error_gen = generation;
-        sup.error_count = 0;
-    }
-    sup.error_count = sup.error_count.saturating_add(1);
-    if sup.error_count < threshold {
-        return false;
-    }
-    if model.generation.load(Ordering::Acquire) != generation {
-        // Stale failure from an already-replaced generation.
-        return false;
-    }
-    let Some(record) = sup.history.iter_mut().find(|r| r.server_gen == generation) else {
-        return false;
-    };
-    if record.quarantined {
-        return false; // another worker already tripped it
-    }
-    record.quarantined = true;
-    sup.quarantines += 1;
-    sup.error_count = 0;
-    let Some(target) = sup.history.iter().rposition(|r| !r.quarantined) else {
-        return true; // no healthy generation left: keep failing typed
-    };
-    let registry_target = sup.history[target].registry_gen;
-    let binding = sup.binding.clone();
-    let mut new_registry_gen = registry_target;
-    let network = match (binding, registry_target) {
-        (Some((store, name)), Some(reg_gen)) => store
-            .rollback(&name, Some(reg_gen))
-            .and_then(|v| store.load(&name, Some(v.generation), layers))
-            .map(|(network, version)| {
-                new_registry_gen = Some(version.generation);
-                Arc::new(network)
-            })
-            .ok(),
-        _ => None,
-    };
-    let network = match network {
-        Some(n) => n,
-        None => Arc::clone(&sup.history[target].network),
-    };
-    model.install(&mut sup, network, new_registry_gen);
-    sup.auto_rollbacks += 1;
-    true
-}
-
-/// What a worker hands back when joined.
-struct WorkerOutput {
-    telemetry: RegistrySnapshot,
-    responses: Vec<ServeResponse>,
-    failures: Vec<ServeFailure>,
-    evicted: u64,
-    steps: u64,
-    session_quarantines: u64,
-    expired: u64,
-    restarts: u64,
+/// State shared by the front end and every worker.
+struct Shared {
+    model: ModelSlot,
+    /// Admission directory of open sessions.
+    directory: Mutex<HashMap<u64, Arc<SessionMeta>>>,
+    active_gauge: Arc<Gauge>,
+    idle_ttl: Option<Duration>,
+    check_finite: bool,
+    unhealthy_threshold: u32,
+    sessions_evicted: AtomicU64,
+    sessions_quarantined: AtomicU64,
 }
 
 /// Decrements a session's in-flight count when the step leaves the
@@ -372,19 +252,15 @@ fn sticky_worker(session: u64, workers: usize) -> usize {
 /// fault, and hot-swap semantics.
 pub struct StreamServer {
     queues: Vec<Arc<WorkQueue<Work>>>,
-    directory: Arc<Mutex<HashMap<u64, Arc<SessionMeta>>>>,
-    handles: Vec<JoinHandle<Result<WorkerOutput, ServeError>>>,
-    model: Arc<ModelSlot>,
-    layers: Arc<LayerRegistry>,
+    shared: Arc<Shared>,
+    pool: WorkerPool,
     workers: usize,
     deadline: Option<Duration>,
     session_inflight: u32,
-    check_finite: bool,
     rejections: AtomicU64,
     sessions_opened: AtomicU64,
     started: Instant,
     registry: Registry,
-    active_gauge: Arc<Gauge>,
     next_step_id: AtomicU64,
 }
 
@@ -400,7 +276,7 @@ impl StreamServer {
     /// [`ServeError::Clone`] when the network fails its wire
     /// round-trip.
     pub fn start(network: &Network, config: &StreamConfig) -> Result<Self, ServeError> {
-        Self::start_inner(network, config, full_registry(), None, None)
+        Self::start_with_registry(network, config, full_registry())
     }
 
     /// [`start`](Self::start) with a caller-supplied layer registry, for
@@ -416,7 +292,10 @@ impl StreamServer {
         config: &StreamConfig,
         layers: LayerRegistry,
     ) -> Result<Self, ServeError> {
-        Self::start_inner(network, config, layers, None, None)
+        config.validate()?;
+        let registry = Registry::new();
+        let model = ModelSlot::new(network, Arc::new(layers), &registry)?;
+        Ok(Self::run(model, registry, config))
     }
 
     /// Starts a pool serving the active generation of `name` in
@@ -433,114 +312,50 @@ impl StreamServer {
         name: &str,
         config: &StreamConfig,
     ) -> Result<Self, ServeError> {
-        let layers = full_registry();
-        let (network, version) = store.load(name, None, &layers)?;
-        Self::start_inner(
-            &network,
-            config,
-            layers,
-            Some((store.clone(), name.to_string())),
-            Some(version.generation),
-        )
+        let registry = Registry::new();
+        let layers = Arc::new(full_registry());
+        let model = ModelSlot::from_store(store, name, None, layers, &registry)?;
+        config.validate()?;
+        Ok(Self::run(model, registry, config))
     }
 
-    fn start_inner(
-        network: &Network,
-        config: &StreamConfig,
-        layers: LayerRegistry,
-        binding: Option<(ModelStore, String)>,
-        registry_gen: Option<u64>,
-    ) -> Result<Self, ServeError> {
-        config.validate()?;
-        let layers = Arc::new(layers);
-        let check_finite = config.health.check_finite;
-        let threshold = config.health.unhealthy_threshold;
-
-        // Clone up front so a broken model is reported before any
-        // thread spawns.
-        let mut engines = Vec::with_capacity(config.workers);
-        for _ in 0..config.workers {
-            engines.push(StreamEngine::new(
-                clone_network(network, &layers)?,
-                check_finite,
-            ));
-        }
-        let shared = Arc::new(clone_network(network, &layers)?);
-        let model = Arc::new(ModelSlot {
-            network: Mutex::new(Arc::clone(&shared)),
-            generation: AtomicU64::new(1),
-            supervision: Mutex::new(Supervision {
-                history: vec![GenRecord {
-                    server_gen: 1,
-                    registry_gen,
-                    network: shared,
-                    quarantined: false,
-                }],
-                binding,
-                error_gen: 1,
-                error_count: 0,
-                quarantines: 0,
-                auto_rollbacks: 0,
-            }),
+    fn run(model: ModelSlot, registry: Registry, config: &StreamConfig) -> Self {
+        let shared = Arc::new(Shared {
+            model,
+            directory: Mutex::new(HashMap::new()),
+            active_gauge: registry.gauge("ffdl.stream.active_sessions"),
+            idle_ttl: config.idle_ttl,
+            check_finite: config.health.check_finite,
+            unhealthy_threshold: config.health.unhealthy_threshold,
+            sessions_evicted: AtomicU64::new(0),
+            sessions_quarantined: AtomicU64::new(0),
         });
-
-        let registry = Registry::new();
-        let active_gauge = registry.gauge("ffdl.stream.active_sessions");
-        let directory: Arc<Mutex<HashMap<u64, Arc<SessionMeta>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
         let queues: Vec<Arc<WorkQueue<Work>>> = (0..config.workers)
             .map(|_| Arc::new(WorkQueue::new(config.queue_depth)))
             .collect();
-
-        let idle_ttl = config.idle_ttl;
-        let handles = engines
-            .into_iter()
-            .enumerate()
-            .map(|(worker, engine)| {
-                let queue = Arc::clone(&queues[worker]);
-                let model = Arc::clone(&model);
-                let layers = Arc::clone(&layers);
-                let directory = Arc::clone(&directory);
-                let active_gauge = Arc::clone(&active_gauge);
-                thread::spawn(move || {
-                    worker_loop(
-                        worker,
-                        engine,
-                        queue,
-                        model,
-                        layers,
-                        directory,
-                        active_gauge,
-                        idle_ttl,
-                        check_finite,
-                        threshold,
-                    )
-                })
-            })
-            .collect();
-
-        Ok(Self {
+        let pool = WorkerPool::new("stream");
+        for (index, queue) in queues.iter().enumerate() {
+            let (shared, queue) = (Arc::clone(&shared), Arc::clone(queue));
+            pool.spawn(index, move |worker| worker_loop(&shared, &queue, worker));
+        }
+        Self {
             queues,
-            directory,
-            handles,
-            model,
-            layers,
+            shared,
+            pool,
             workers: config.workers,
             deadline: config.deadline,
             session_inflight: config.session_inflight,
-            check_finite,
             rejections: AtomicU64::new(0),
             sessions_opened: AtomicU64::new(0),
             started: Instant::now(),
             registry,
-            active_gauge,
             next_step_id: AtomicU64::new(0),
-        })
+        }
     }
 
     /// The worker a session's steps are stuck to — a pure hash of the
     /// id, exposed so tests and benches can assert the stickiness
-    /// invariant against [`ServeResponse::worker`].
+    /// invariant against [`ffdl_serve::ServeResponse::worker`].
     pub fn worker_of(&self, session: u64) -> usize {
         sticky_worker(session, self.workers)
     }
@@ -553,13 +368,13 @@ impl StreamServer {
     /// Sessions currently open (directory size: opened, not yet closed
     /// or evicted).
     pub fn active_sessions(&self) -> usize {
-        self.directory.lock().expect("stream directory poisoned").len()
+        self.shared.directory.lock().expect("stream directory poisoned").len()
     }
 
     /// The current model generation (starts at 1; every swap or
     /// auto-rollback bumps it).
     pub fn generation(&self) -> u64 {
-        self.model.generation.load(Ordering::Acquire)
+        self.shared.model.generation()
     }
 
     /// Steps admitted but not yet answered, over all open sessions.
@@ -567,7 +382,7 @@ impl StreamServer {
     /// recorded — the quiescence check callers use before a swap whose
     /// effect they want attributed to a known step boundary.
     pub fn inflight_steps(&self) -> u64 {
-        let dir = self.directory.lock().expect("stream directory poisoned");
+        let dir = self.shared.directory.lock().expect("stream directory poisoned");
         dir.values()
             .map(|m| m.inflight.load(Ordering::Acquire) as u64)
             .sum()
@@ -580,7 +395,7 @@ impl StreamServer {
     ///
     /// [`StreamError::SessionExists`] when the id is already open.
     pub fn open_session(&self, session: u64) -> Result<(), StreamError> {
-        let mut dir = self.directory.lock().expect("stream directory poisoned");
+        let mut dir = self.shared.directory.lock().expect("stream directory poisoned");
         if dir.contains_key(&session) {
             return Err(StreamError::SessionExists(session));
         }
@@ -593,7 +408,7 @@ impl StreamServer {
         );
         self.sessions_opened.fetch_add(1, Ordering::Relaxed);
         if ffdl_telemetry::enabled() {
-            self.active_gauge.set(dir.len() as i64);
+            self.shared.active_gauge.set(dir.len() as i64);
         }
         Ok(())
     }
@@ -611,7 +426,7 @@ impl StreamServer {
     /// worker's queue is at depth.
     pub fn step(&self, session: u64, id: u64, features: Tensor) -> Result<(), StreamError> {
         let meta = {
-            let dir = self.directory.lock().expect("stream directory poisoned");
+            let dir = self.shared.directory.lock().expect("stream directory poisoned");
             dir.get(&session)
                 .cloned()
                 .ok_or(StreamError::UnknownSession(session))?
@@ -626,12 +441,14 @@ impl StreamServer {
         }
         let now = Instant::now();
         let request = StepRequest {
-            id,
             session,
-            features,
-            enqueued: now,
-            deadline: self.deadline.map(|d| now + d),
             meta: Arc::clone(&meta),
+            request: Request {
+                id,
+                features,
+                enqueued: now,
+                deadline: self.deadline.map(|d| now + d),
+            },
         };
         match self.queues[sticky_worker(session, self.workers)].try_push(Work::Step(request)) {
             Ok(()) => Ok(()),
@@ -664,10 +481,10 @@ impl StreamServer {
     /// [`StreamError::Closed`] when the server is shutting down.
     pub fn close_session(&self, session: u64) -> Result<(), StreamError> {
         let removed = {
-            let mut dir = self.directory.lock().expect("stream directory poisoned");
+            let mut dir = self.shared.directory.lock().expect("stream directory poisoned");
             let removed = dir.remove(&session);
             if removed.is_some() && ffdl_telemetry::enabled() {
-                self.active_gauge.set(dir.len() as i64);
+                self.shared.active_gauge.set(dir.len() as i64);
             }
             removed
         };
@@ -688,13 +505,7 @@ impl StreamServer {
     /// [`ServeError::Clone`] when the network fails its wire
     /// round-trip.
     pub fn swap_model(&self, network: &Network) -> Result<u64, ServeError> {
-        let cloned = Arc::new(clone_network(network, &self.layers)?);
-        let mut sup = self
-            .model
-            .supervision
-            .lock()
-            .expect("stream supervision poisoned");
-        Ok(self.model.install(&mut sup, cloned, None))
+        self.shared.model.swap_model(network)
     }
 
     /// Loads a generation (`None` = active) from the bound store and
@@ -705,29 +516,7 @@ impl StreamServer {
     /// [`ServeError::InvalidConfig`] when the server was not started
     /// from a store; [`ServeError::Registry`] when the load fails.
     pub fn swap_from_store(&self, generation: Option<u64>) -> Result<u64, ServeError> {
-        let binding = {
-            let sup = self
-                .model
-                .supervision
-                .lock()
-                .expect("stream supervision poisoned");
-            sup.binding.clone()
-        };
-        let Some((store, name)) = binding else {
-            return Err(ServeError::InvalidConfig(
-                "swap_from_store requires a server started from a store".into(),
-            ));
-        };
-        let (network, version) = store.load(&name, generation, &self.layers)?;
-        let cloned = Arc::new(clone_network(&network, &self.layers)?);
-        let mut sup = self
-            .model
-            .supervision
-            .lock()
-            .expect("stream supervision poisoned");
-        Ok(self
-            .model
-            .install(&mut sup, cloned, Some(version.generation)))
+        self.shared.model.swap_bound(generation, None)
     }
 
     /// Replays a whole token sequence single-threaded on the **current**
@@ -739,9 +528,8 @@ impl StreamServer {
     /// [`ServeError::Clone`] when cloning the model fails,
     /// [`ServeError::Inference`] when a replay step fails.
     pub fn replay(&self, tokens: &[Tensor]) -> Result<Vec<Prediction>, ServeError> {
-        let shared = self.model.shared();
-        let mut engine =
-            StreamEngine::new(clone_network(&shared, &self.layers)?, self.check_finite);
+        let (_, network) = self.shared.model.clone_current()?;
+        let mut engine = StreamEngine::new(network, self.shared.check_finite);
         engine.replay(tokens).map_err(ServeError::Inference)
     }
 
@@ -758,286 +546,168 @@ impl StreamServer {
         for queue in &self.queues {
             queue.close();
         }
-        let mut responses = Vec::new();
-        let mut failures = Vec::new();
-        let mut telemetry = self.registry.snapshot();
-        let mut evicted = 0u64;
-        let mut steps = 0u64;
-        let mut session_quarantines = 0u64;
-        let mut expired = 0u64;
-        let mut restarts = 0u64;
-        let mut first_error: Option<ServeError> = None;
-        for handle in self.handles {
-            match handle.join() {
-                Ok(Ok(output)) => {
-                    responses.extend(output.responses);
-                    failures.extend(output.failures);
-                    telemetry.merge(&output.telemetry);
-                    evicted += output.evicted;
-                    steps += output.steps;
-                    session_quarantines += output.session_quarantines;
-                    expired += output.expired;
-                    restarts += output.restarts;
-                }
-                Ok(Err(e)) => {
-                    first_error.get_or_insert(e);
-                }
-                Err(_) => {
-                    first_error.get_or_insert(ServeError::worker_panic(
-                        "stream worker crashed outside supervision",
-                    ));
-                }
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
+        let joined = self.pool.join(self.registry.snapshot())?;
         let wall = self.started.elapsed();
-        let (quarantines, auto_rollbacks) = {
-            let sup = self
-                .model
-                .supervision
-                .lock()
-                .expect("stream supervision poisoned");
-            (sup.quarantines, sup.auto_rollbacks)
-        };
+        let (quarantines, auto_rollbacks) = self.shared.model.health_counts();
         let counts = RunCounts {
             queue_full_rejections: self.rejections.load(Ordering::Relaxed),
-            worker_restarts: restarts,
+            worker_restarts: self.pool.restarts(),
             shed: 0,
             brownout: 0,
-            expired,
+            expired: joined.expired(),
             quarantines,
             auto_rollbacks,
-            model_generation: self.model.generation.load(Ordering::Acquire),
+            model_generation: self.shared.model.generation(),
         };
         let serve = ServeReport::from_parts(
-            responses,
-            failures,
+            joined.responses,
+            joined.failures,
             self.workers,
             wall,
             counts,
-            telemetry,
+            joined.telemetry,
             self.deadline,
         );
         Ok(StreamReport {
+            steps: serve.requests as u64,
             serve,
             sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
-            sessions_evicted: evicted,
-            sessions_quarantined: session_quarantines,
-            steps,
+            sessions_evicted: self.shared.sessions_evicted.load(Ordering::Relaxed),
+            sessions_quarantined: self.shared.sessions_quarantined.load(Ordering::Relaxed),
         })
     }
 }
 
 /// One worker: pops its sticky queue, steps its sessions, owns their
 /// hidden state for life.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
-    worker: usize,
-    mut engine: StreamEngine,
-    queue: Arc<WorkQueue<Work>>,
-    model: Arc<ModelSlot>,
-    layers: Arc<LayerRegistry>,
-    directory: Arc<Mutex<HashMap<u64, Arc<SessionMeta>>>>,
-    active_gauge: Arc<Gauge>,
-    idle_ttl: Option<Duration>,
-    check_finite: bool,
-    threshold: u32,
-) -> Result<WorkerOutput, ServeError> {
-    // Per-thread registry: merged into the report at finish(), so the
-    // hot path never shares a metric cache line across workers.
-    let telemetry = Registry::new();
-    let steps_counter = telemetry.counter("ffdl.stream.steps");
-    let evicted_counter = telemetry.counter("ffdl.stream.evicted");
-    let quarantine_counter = telemetry.counter("ffdl.stream.session_quarantines");
-    let expired_counter = telemetry.counter("ffdl.stream.expired");
-    let restarts_counter = telemetry.counter("ffdl.stream.worker_restarts");
-    let step_hist = telemetry.histogram("ffdl.stream.step_ns");
-
-    let mut engine_gen = model.generation.load(Ordering::Acquire);
-    let mut sessions: HashMap<u64, SessionState> = HashMap::new();
-    let mut output = WorkerOutput {
-        telemetry: RegistrySnapshot::default(),
-        responses: Vec::new(),
-        failures: Vec::new(),
-        evicted: 0,
-        steps: 0,
-        session_quarantines: 0,
-        expired: 0,
-        restarts: 0,
+    shared: &Shared,
+    queue: &WorkQueue<Work>,
+    worker: &mut Worker,
+) -> Result<(), ServeError> {
+    let steps_counter = worker.telemetry.counter("ffdl.stream.steps");
+    let evicted_counter = worker.telemetry.counter("ffdl.stream.evicted");
+    let quarantine_counter = worker.telemetry.counter("ffdl.stream.session_quarantines");
+    let step_hist = worker.telemetry.histogram("ffdl.stream.step_ns");
+    // A fault inside a step leaves the session's hidden state
+    // untrusted: every later step of the session is refused.
+    let quarantine_session = |meta: &SessionMeta| {
+        meta.quarantined.store(true, Ordering::Release);
+        shared.sessions_quarantined.fetch_add(1, Ordering::Relaxed);
+        if ffdl_telemetry::enabled() {
+            quarantine_counter.inc();
+        }
     };
+    let mut adopted = Adopted::empty();
+    let mut sessions: HashMap<u64, SessionState> = HashMap::new();
 
     loop {
         let work = match queue.pop(IDLE_WAIT) {
-            Popped::Closed => break,
+            Popped::Closed => return Ok(()),
             Popped::Idle => {
-                evict_idle(
-                    &mut sessions,
-                    idle_ttl,
-                    &directory,
-                    &active_gauge,
-                    &evicted_counter,
-                    &mut output.evicted,
-                );
+                evict_idle(shared, &mut sessions, &evicted_counter);
                 continue;
             }
             Popped::Item(work) => work,
         };
-        let request = match work {
+        let step = match work {
             Work::Close { session } => {
                 sessions.remove(&session);
                 continue;
             }
-            Work::Step(request) => request,
+            Work::Step(step) => step,
         };
-        let _inflight = InflightGuard(&request.meta.inflight);
+        let _inflight = InflightGuard(&step.meta.inflight);
+        let one = std::slice::from_ref(&step.request);
 
-        // Adopt a hot-swap between steps: rebuild the engine from the
-        // slot. Sessions reset at their next step (below).
-        let gen_now = model.generation.load(Ordering::Acquire);
-        if gen_now != engine_gen {
-            engine = StreamEngine::new(clone_network(&model.shared(), &layers)?, check_finite);
-            engine_gen = gen_now;
-        }
+        // Adopt a hot-swap between steps. Sessions reset at their next
+        // step (below).
+        let (generation, engine) = adopted.refresh(&shared.model, |network| {
+            StreamEngine::new(network, shared.check_finite)
+        })?;
 
-        if let Some(deadline) = request.deadline {
-            if Instant::now() > deadline {
-                output.failures.push(ServeFailure {
-                    id: request.id,
-                    kind: FailureKind::DeadlineExceeded,
-                    generation: engine_gen,
-                    tenant: None,
-                });
-                output.expired += 1;
-                if ffdl_telemetry::enabled() {
-                    expired_counter.inc();
-                }
-                continue;
-            }
+        if step.request.expired(Instant::now()) {
+            worker.expire(&step.request, generation, None);
+            continue;
         }
-        if request.meta.quarantined.load(Ordering::Acquire) {
+        if step.meta.quarantined.load(Ordering::Acquire) {
             // Step was queued before the quarantining fault resolved.
-            output.failures.push(ServeFailure {
-                id: request.id,
-                kind: FailureKind::SessionQuarantined {
-                    session: request.session,
-                },
-                generation: engine_gen,
-                tenant: None,
-            });
+            let kind = FailureKind::SessionQuarantined { session: step.session };
+            worker.fail_all(one, kind, generation, None);
             continue;
         }
 
-        let state = sessions.entry(request.session).or_insert_with(|| SessionState {
+        let state = sessions.entry(step.session).or_insert_with(|| SessionState {
             hidden: engine.fresh_state(),
-            generation: engine_gen,
-            last_step: request.enqueued,
-            meta: Arc::clone(&request.meta),
+            generation,
+            last_step: step.request.enqueued,
+            meta: Arc::clone(&step.meta),
         });
-        if state.generation != engine_gen {
+        if state.generation != generation {
             // Reset-on-swap: the old hidden state is meaningless
             // against the new weights; restart the sequence.
             state.hidden = engine.fresh_state();
-            state.generation = engine_gen;
+            state.generation = generation;
         }
 
         let step_started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(spike) = ffdl_fault::latency_spike() {
-                thread::sleep(spike);
-            }
-            ffdl_fault::maybe_panic("stream.worker.step");
-            engine.step(&mut state.hidden, &request.features)
-        }));
+        let outcome = run_supervised("stream.worker.step", || {
+            engine.step(&mut state.hidden, &step.request.features)
+        });
         match outcome {
-            Ok(Ok(prediction)) => {
-                state.last_step = Instant::now();
-                output.responses.push(ServeResponse {
-                    id: request.id,
-                    prediction,
-                    latency_us: request.enqueued.elapsed().as_secs_f64() * 1e6,
-                    worker,
-                    batch_size: 1,
-                    generation: engine_gen,
-                    tenant: None,
-                });
-                output.steps += 1;
+            Supervised::Served(prediction) => {
+                let done = Instant::now();
+                state.last_step = done;
+                worker.respond(&step.request, prediction, done, 1, generation, None);
                 if ffdl_telemetry::enabled() {
                     steps_counter.inc();
-                    step_hist
-                        .record(u64::try_from(step_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                    step_hist.record(duration_ns(done.duration_since(step_started)));
                 }
             }
-            Ok(Err(DeployError::NonFinite { stage, .. })) => {
-                output.failures.push(ServeFailure {
-                    id: request.id,
-                    kind: FailureKind::UnhealthyModel,
-                    generation: engine_gen,
-                    tenant: None,
-                });
-                if matches!(stage, NonFiniteStage::Logits) {
-                    // The hidden state advanced before the NaN was
-                    // caught: the session is untrusted from here on.
-                    request.meta.quarantined.store(true, Ordering::Release);
-                    output.session_quarantines += 1;
-                    if ffdl_telemetry::enabled() {
-                        quarantine_counter.inc();
-                    }
-                    handle_unhealthy(&model, &layers, engine_gen, threshold);
-                }
+            Supervised::Unhealthy => {
+                // The hidden state advanced before the NaN was caught:
+                // the session is untrusted from here on, and the step
+                // counts against the serving generation.
+                worker.fail_all(one, FailureKind::UnhealthyModel, generation, None);
+                quarantine_session(&step.meta);
+                shared.model.report_unhealthy(generation, 1, shared.unhealthy_threshold);
             }
-            Ok(Err(e)) => {
-                // A structural error (shape mismatch, foreign state) is
-                // a caller bug, not a fault to supervise: fail the
-                // worker typed, like the stateless pools.
-                return Err(ServeError::Inference(e));
+            // A non-finite *input* is refused before it touches the
+            // state: the step fails typed without indicting the session
+            // or the model.
+            Supervised::Fatal(DeployError::NonFinite { .. }) => {
+                worker.fail_all(one, FailureKind::UnhealthyModel, generation, None);
             }
-            Err(_panic) => {
-                output.failures.push(ServeFailure {
-                    id: request.id,
-                    kind: FailureKind::WorkerPanic,
-                    generation: engine_gen,
-                    tenant: None,
-                });
-                output.restarts += 1;
-                if ffdl_telemetry::enabled() {
-                    restarts_counter.inc();
-                }
+            // A structural error (shape mismatch, foreign state) is a
+            // caller bug, not a fault to supervise: fail the worker
+            // typed, like the stateless pools.
+            Supervised::Fatal(e) => return Err(ServeError::Inference(e)),
+            Supervised::Panicked => {
                 // The engine's scratch may be mid-write: rebuild it.
                 // The faulted session's state may be too: quarantine.
-                request.meta.quarantined.store(true, Ordering::Release);
-                output.session_quarantines += 1;
-                if ffdl_telemetry::enabled() {
-                    quarantine_counter.inc();
-                }
-                engine = StreamEngine::new(clone_network(&model.shared(), &layers)?, check_finite);
+                worker.panicked(one, generation, None);
+                quarantine_session(&step.meta);
+                adopted.invalidate();
             }
         }
     }
-
-    output.telemetry = telemetry.snapshot();
-    Ok(output)
 }
 
 /// Drops sessions idle past the TTL with nothing in flight, removing
 /// them from the shared directory so later steps fail typed at submit.
 fn evict_idle(
+    shared: &Shared,
     sessions: &mut HashMap<u64, SessionState>,
-    idle_ttl: Option<Duration>,
-    directory: &Mutex<HashMap<u64, Arc<SessionMeta>>>,
-    active_gauge: &Gauge,
-    evicted_counter: &ffdl_telemetry::Counter,
-    evicted: &mut u64,
+    evicted_counter: &Counter,
 ) {
-    let Some(ttl) = idle_ttl else { return };
+    let Some(ttl) = shared.idle_ttl else { return };
     let now = Instant::now();
-    let mut dir = directory.lock().expect("stream directory poisoned");
+    let mut dir = shared.directory.lock().expect("stream directory poisoned");
     sessions.retain(|id, state| {
         let idle = now.duration_since(state.last_step) >= ttl;
         if idle && state.meta.inflight.load(Ordering::Acquire) == 0 {
             dir.remove(id);
-            *evicted += 1;
+            shared.sessions_evicted.fetch_add(1, Ordering::Relaxed);
             if ffdl_telemetry::enabled() {
                 evicted_counter.inc();
             }
@@ -1047,7 +717,7 @@ fn evict_idle(
         }
     });
     if ffdl_telemetry::enabled() {
-        active_gauge.set(dir.len() as i64);
+        shared.active_gauge.set(dir.len() as i64);
     }
 }
 

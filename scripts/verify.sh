@@ -18,6 +18,25 @@ cargo test -q --offline --workspace
 echo "== lint: clippy (warnings are errors) =="
 cargo clippy --offline --workspace -- -D warnings
 
+echo "== guard: one mechanism (supervised worker core defined once) =="
+# serve, sched and stream share one model slot, one quarantine ->
+# rollback routine and one request-path catch_unwind
+# (crates/serve/src/supervise.rs, DESIGN.md "Supervised worker core").
+# Each must be defined in exactly one non-test source file: a second
+# definition is a private copy growing back.
+for pattern in 'struct GenRecord' 'const HISTORY_DEPTH' 'fn (handle|report)_unhealthy' 'catch_unwind\('; do
+    hits="$(for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
+        # (not grep -q: an early exit would SIGPIPE awk under pipefail)
+        awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -E "${pattern}" > /dev/null && echo "$f"
+    done || true)"
+    if [ "$(echo "${hits}" | grep -c .)" -ne 1 ]; then
+        echo "one-mechanism guard: '${pattern}' must be defined in exactly one file, found:" >&2
+        echo "${hits:-  (none)}" >&2
+        exit 1
+    fi
+    echo "'${pattern}' only in ${hits}"
+done
+
 echo "== serve smoke test =="
 serve_out="$(cargo run --release --offline -q -p ffdl-cli -- serve-bench --workers 2 --requests 64)"
 echo "${serve_out}"
