@@ -6,6 +6,12 @@
 //! drops from `O(m·n)` to `O(m·n / b)` and every product runs through the
 //! "FFT → component-wise multiplication → IFFT" kernel in `O(n log n)`.
 //!
+//! The forward product is not written here: `forward_batch`,
+//! `forward_batch_infer` and `matvec` (and the FC, CONV and GRU layers on
+//! top) all call [`SpectralKernel::block_product`] on the cached weight
+//! spectra, differing only in whether each row's input spectra are kept
+//! for `backward_batch` (Algorithm 2, which is written here).
+//!
 //! Conventions (documented in DESIGN.md §3): a circulant block `C` defined
 //! by `w` acts as `C·x = w ⊛ x` (circular convolution). In the row-vector
 //! batch convention used by the layers (`y = x·W`), the equivalent dense
@@ -14,8 +20,7 @@
 //! multiples of `b` are zero-padded, as the paper's footnote prescribes.
 
 use crate::error::CirculantError;
-use crate::spectral::{SpectralKernel, Spectrum};
-use ffdl_fft::Complex32;
+use crate::spectral::{BlockBuffers, CirculantScratch, InputSpectra, SpectralKernel, Spectrum};
 use ffdl_tensor::{Init, Tensor};
 use ffdl_rng::Rng;
 use std::sync::{Arc, OnceLock};
@@ -24,7 +29,7 @@ use std::sync::{Arc, OnceLock};
 /// backward pass (Algorithm 2 reuses `FFT(x)`).
 pub struct ForwardCache {
     /// `input_spectra[sample][input_block]`.
-    input_spectra: Vec<Vec<Spectrum>>,
+    pub(crate) input_spectra: Vec<Vec<Spectrum>>,
 }
 
 impl ForwardCache {
@@ -64,33 +69,6 @@ pub struct BlockCirculantMatrix {
     /// pointer bump) and invalidated whenever the weights are touched
     /// through [`BlockCirculantMatrix::weights_mut`].
     spectra_cache: OnceLock<Arc<Vec<Vec<Spectrum>>>>,
-}
-
-/// Reusable buffers for [`BlockCirculantMatrix::forward_batch_infer`] (and
-/// [`SpectralDense`](crate::SpectralDense)'s inference path): one FFT
-/// packing intermediate, per-input-block spectra, the spectral
-/// accumulator, one inverse-transform output block, and the zero-padded
-/// input row. After warmup, steady-state inference reuses all of them
-/// without touching the heap.
-#[derive(Default)]
-pub struct CirculantScratch {
-    /// Packing intermediate for the real FFT.
-    pub(crate) fft: Vec<Complex32>,
-    /// Per-input-block spectra of the current sample.
-    pub(crate) x_spec: Vec<Spectrum>,
-    /// Frequency-domain accumulator for one output block.
-    pub(crate) acc: Spectrum,
-    /// Time-domain output block.
-    pub(crate) y_block: Vec<f32>,
-    /// Zero-padded input row (`in_blocks · block` long).
-    pub(crate) padded: Vec<f32>,
-}
-
-impl CirculantScratch {
-    /// Creates an empty scratch set; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 impl BlockCirculantMatrix {
@@ -277,14 +255,37 @@ impl BlockCirculantMatrix {
         )
     }
 
-    /// Splits (and zero-pads) one padded row-sample into per-block spectra.
-    fn input_spectra_of(&self, x: &[f32]) -> Vec<Spectrum> {
-        let b = self.block;
-        let mut padded = vec![0.0f32; self.kb_in * b];
-        padded[..x.len()].copy_from_slice(x);
-        (0..self.kb_in)
-            .map(|j| self.kernel.spectrum(&padded[j * b..(j + 1) * b]))
-            .collect()
+    /// `Err` unless `t` is `[batch, cols]`.
+    fn check_rows(&self, what: &str, t: &Tensor, cols: usize) -> Result<(), CirculantError> {
+        if t.ndim() != 2 || t.cols() != cols {
+            return Err(CirculantError::GridMismatch {
+                message: format!("{what} shape {:?}, expected [batch, {cols}]", t.shape()),
+            });
+        }
+        Ok(())
+    }
+
+    /// `out = epilogue(x·W)` through [`SpectralKernel::block_product`] on
+    /// the cached weight spectra — the body of every forward entry point
+    /// below and of the FC, CONV and recurrent layers built on this
+    /// matrix. The caller has checked that `x` is `[batch, in_dim]` and
+    /// shaped `out` as `[batch, out_dim]`.
+    pub(crate) fn product(
+        &self,
+        x: &Tensor,
+        x_spec: InputSpectra<'_>,
+        bufs: &mut BlockBuffers,
+        out: &mut Tensor,
+        epilogue: impl Fn(usize, usize, f32) -> f32,
+    ) {
+        self.kernel.block_product(
+            &self.shared_weight_spectra()[..],
+            (x.as_slice(), self.in_dim),
+            (out.as_mut_slice(), self.out_dim),
+            x_spec,
+            bufs,
+            epilogue,
+        );
     }
 
     /// Batched product `Y = X·W` through the FFT kernel (Algorithm 1,
@@ -296,53 +297,23 @@ impl BlockCirculantMatrix {
     /// Returns [`CirculantError::GridMismatch`] when `x` is not
     /// `[batch, in_dim]`.
     pub fn forward_batch(&self, x: &Tensor) -> Result<(Tensor, ForwardCache), CirculantError> {
-        if x.ndim() != 2 || x.cols() != self.in_dim {
-            return Err(CirculantError::GridMismatch {
-                message: format!(
-                    "input shape {:?}, expected [batch, {}]",
-                    x.shape(),
-                    self.in_dim
-                ),
-            });
-        }
-        let batch = x.rows();
-        let b = self.block;
-        let w_spec = self.shared_weight_spectra();
-        let mut out = Vec::with_capacity(batch * self.out_dim);
-        let mut cache = Vec::with_capacity(batch);
-
-        for s in 0..batch {
-            let x_spec = self.input_spectra_of(x.row(s));
-            let mut y_padded = vec![0.0f32; self.kb_out * b];
-            for i in 0..self.kb_out {
-                let mut acc = self.kernel.zero_accumulator();
-                for j in 0..self.kb_in {
-                    SpectralKernel::mul_accumulate(&mut acc, &w_spec[i][j], &x_spec[j]);
-                }
-                let y_block = self.kernel.inverse(&acc);
-                y_padded[i * b..(i + 1) * b].copy_from_slice(&y_block);
-            }
-            out.extend_from_slice(&y_padded[..self.out_dim]);
-            cache.push(x_spec);
-        }
-        let out = Tensor::from_vec(out, &[batch, self.out_dim]).expect("size by construction");
-        Ok((
-            out,
-            ForwardCache {
-                input_spectra: cache,
-            },
-        ))
+        self.check_rows("input", x, self.in_dim)?;
+        let mut out = Tensor::zeros(&[x.rows(), self.out_dim]);
+        let mut cache = ForwardCache {
+            input_spectra: Vec::new(),
+        };
+        let keep = InputSpectra::Keep(&mut cache.input_spectra);
+        self.product(x, keep, &mut BlockBuffers::default(), &mut out, |_, _, v| v);
+        Ok((out, cache))
     }
 
-    /// Inference-only batched product `Y = X·W` writing into `out`: no
-    /// backward cache is built, the cached weight spectra are reused, and
-    /// every intermediate lives in `scratch`. After a warmup call,
-    /// steady-state invocations perform zero heap allocations for
+    /// Inference-only batched product `Y = X·W` writing into `out`: the
+    /// same call as [`Self::forward_batch`] (bit-identical), except that
+    /// each row's input spectra are overwritten by the next row's instead
+    /// of kept, and every intermediate lives in `scratch`. After a warmup
+    /// call, steady-state invocations perform zero heap allocations for
     /// power-of-two blocks (Bluestein block sizes still allocate inside
     /// the planned transform).
-    ///
-    /// Bit-identical to [`Self::forward_batch`]: the arithmetic and its
-    /// order are unchanged, only the buffer ownership differs.
     ///
     /// # Errors
     ///
@@ -354,57 +325,10 @@ impl BlockCirculantMatrix {
         scratch: &mut CirculantScratch,
         out: &mut Tensor,
     ) -> Result<(), CirculantError> {
-        if x.ndim() != 2 || x.cols() != self.in_dim {
-            return Err(CirculantError::GridMismatch {
-                message: format!(
-                    "input shape {:?}, expected [batch, {}]",
-                    x.shape(),
-                    self.in_dim
-                ),
-            });
-        }
-        let batch = x.rows();
-        let b = self.block;
-        let bins = self.kernel.bins();
-        let w_spec = self.shared_weight_spectra();
-        out.reuse_as(&[batch, self.out_dim]);
-
-        // The padded tail beyond `in_dim` is written once and never
-        // dirtied: only the first `in_dim` entries change per sample.
-        scratch.padded.clear();
-        scratch.padded.resize(self.kb_in * b, 0.0);
-        scratch.x_spec.resize(self.kb_in, Spectrum::new());
-
-        let dst = out.as_mut_slice();
-        for s in 0..batch {
-            scratch.padded[..self.in_dim].copy_from_slice(x.row(s));
-            for j in 0..self.kb_in {
-                self.kernel.spectrum_into(
-                    &scratch.padded[j * b..(j + 1) * b],
-                    &mut scratch.fft,
-                    &mut scratch.x_spec[j],
-                );
-            }
-            for i in 0..self.kb_out {
-                scratch.acc.clear();
-                scratch.acc.resize(bins, Complex32::zero());
-                for j in 0..self.kb_in {
-                    SpectralKernel::mul_accumulate(
-                        &mut scratch.acc,
-                        &w_spec[i][j],
-                        &scratch.x_spec[j],
-                    );
-                }
-                self.kernel
-                    .inverse_into(&scratch.acc, &mut scratch.fft, &mut scratch.y_block);
-                let start = i * b;
-                let end = ((i + 1) * b).min(self.out_dim);
-                if start < end {
-                    dst[s * self.out_dim + start..s * self.out_dim + end]
-                        .copy_from_slice(&scratch.y_block[..end - start]);
-                }
-            }
-        }
+        self.check_rows("input", x, self.in_dim)?;
+        out.reuse_as(&[x.rows(), self.out_dim]);
+        let reuse = InputSpectra::Reuse(&mut scratch.x_spec);
+        self.product(x, reuse, &mut scratch.bufs, out, |_, _, v| v);
         Ok(())
     }
 
@@ -423,15 +347,7 @@ impl BlockCirculantMatrix {
         cache: &ForwardCache,
         grad_out: &Tensor,
     ) -> Result<(Tensor, Tensor), CirculantError> {
-        if grad_out.ndim() != 2 || grad_out.cols() != self.out_dim {
-            return Err(CirculantError::GridMismatch {
-                message: format!(
-                    "gradient shape {:?}, expected [batch, {}]",
-                    grad_out.shape(),
-                    self.out_dim
-                ),
-            });
-        }
+        self.check_rows("gradient", grad_out, self.out_dim)?;
         let batch = grad_out.rows();
         if batch != cache.batch() {
             return Err(CirculantError::GridMismatch {
@@ -451,13 +367,12 @@ impl BlockCirculantMatrix {
             .map(|_| (0..self.kb_in).map(|_| self.kernel.zero_accumulator()).collect())
             .collect();
 
+        let mut g_spec = Vec::new();
+        let mut bufs = BlockBuffers::default();
         for s in 0..batch {
-            // Pad and transform the gradient blocks.
-            let mut g_padded = vec![0.0f32; self.kb_out * b];
-            g_padded[..self.out_dim].copy_from_slice(grad_out.row(s));
-            let g_spec: Vec<Spectrum> = (0..self.kb_out)
-                .map(|i| self.kernel.spectrum(&g_padded[i * b..(i + 1) * b]))
-                .collect();
+            // Pad and transform the gradient blocks: Algorithm 1's first
+            // stage, on the other side of the matrix.
+            self.kernel.row_spectra(grad_out.row(s), &mut bufs, &mut g_spec);
 
             let x_spec = &cache.input_spectra[s];
             let mut gx_padded = vec![0.0f32; self.kb_in * b];
@@ -493,7 +408,7 @@ impl BlockCirculantMatrix {
     }
 
     /// Single-vector product `y = x·W` (convenience over
-    /// [`Self::forward_batch`]).
+    /// [`Self::forward_batch_infer`]).
     ///
     /// # Errors
     ///
@@ -504,7 +419,8 @@ impl BlockCirculantMatrix {
                 message: "input is empty".into(),
             }
         })?;
-        let (y, _) = self.forward_batch(&t)?;
+        let mut y = Tensor::zeros(&[0]);
+        self.forward_batch_infer(&t, &mut CirculantScratch::new(), &mut y)?;
         Ok(y.into_vec())
     }
 

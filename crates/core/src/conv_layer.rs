@@ -5,15 +5,17 @@
 //! `O(W·H·r²·C·P)` to `O(W·H·Q·log Q)` with `Q = max(r²C, P)`.
 
 use crate::circulant::{BlockCirculantMatrix, ForwardCache};
-use ffdl_nn::{wire, Layer, NnError, OpCost, ParamRef};
-use ffdl_tensor::{col2im, im2col, ConvGeometry, Tensor};
+use crate::spectral::{CirculantScratch, InputSpectra};
+use ffdl_nn::{wire, Layer, NnError, OpCost, ParamRef, Scratch};
+use ffdl_tensor::{col2im, im2col_into, ConvGeometry, Tensor};
 use ffdl_rng::Rng;
 
 /// Convolutional layer whose lowered filter matrix is block-circulant:
 /// input `[batch, C, H, W]` → output `[batch, P, H_out, W_out]`.
 ///
 /// Per sample, the im2col matrix rows (one per output pixel) are pushed
-/// through the block-circulant product in a single batched FFT pass.
+/// through the block-circulant product in a single batched FFT pass —
+/// the same Algorithm 1 call as the FC layer, on the lowered matrix.
 pub struct CirculantConv2d {
     in_channels: usize,
     out_channels: usize,
@@ -30,6 +32,8 @@ pub struct CirculantConv2d {
     /// The im2col matrices are not needed in backward (spectra are cached),
     /// but their geometry is.
     last_batch: usize,
+    /// Complex-valued FFT scratch (per layer, never cloned).
+    infer_scratch: CirculantScratch,
 }
 
 impl CirculantConv2d {
@@ -67,6 +71,7 @@ impl CirculantConv2d {
             bias: Tensor::zeros(&[out_channels]),
             caches: Vec::new(),
             last_batch: 0,
+            infer_scratch: CirculantScratch::new(),
         })
     }
 
@@ -118,6 +123,58 @@ impl CirculantConv2d {
         }
         Ok(())
     }
+
+    /// Both forward passes: im2col each sample into `[oh·ow, Cr²]` rows,
+    /// run them through the one Algorithm 1 product, and transpose the
+    /// `[oh·ow, P]` result to `[P, oh, ow]` with bias. Each sample's
+    /// input spectra are kept in `caches` when given (training), else
+    /// overwritten row by row (inference).
+    fn lowered_product(
+        &mut self,
+        input: &Tensor,
+        scratch: &mut Scratch,
+        mut caches: Option<&mut Vec<ForwardCache>>,
+    ) -> Result<Tensor, NnError> {
+        self.check_input(input)?;
+        let batch = input.shape()[0];
+        let pixels = self.out_h() * self.out_w();
+        let plane = self.in_channels * self.in_h * self.in_w;
+        let plane_out = self.out_channels * pixels;
+        let mut out = scratch.take(&[batch, self.out_channels, self.out_h(), self.out_w()]);
+        let mut sample = scratch.take(&[self.in_channels, self.in_h, self.in_w]);
+        let mut cols = scratch.take(&[pixels, self.matrix.in_dim()]);
+        let mut y = scratch.take(&[pixels, self.out_channels]);
+        let sc = &mut self.infer_scratch;
+
+        for s in 0..batch {
+            sample
+                .as_mut_slice()
+                .copy_from_slice(&input.as_slice()[s * plane..(s + 1) * plane]);
+            im2col_into(&sample, self.geom, &mut cols)?;
+            let mut input_spectra = Vec::new();
+            let x_spec = match caches {
+                Some(_) => InputSpectra::Keep(&mut input_spectra),
+                None => InputSpectra::Reuse(&mut sc.x_spec),
+            };
+            self.matrix
+                .product(&cols, x_spec, &mut sc.bufs, &mut y, |_, _, v| v);
+            if let Some(caches) = caches.as_deref_mut() {
+                caches.push(ForwardCache { input_spectra });
+            }
+            let dst = &mut out.as_mut_slice()[s * plane_out..(s + 1) * plane_out];
+            let ys = y.as_slice();
+            for p in 0..self.out_channels {
+                let b = self.bias.as_slice()[p];
+                for pix in 0..pixels {
+                    dst[p * pixels + pix] = ys[pix * self.out_channels + p] + b;
+                }
+            }
+        }
+        scratch.recycle(sample);
+        scratch.recycle(cols);
+        scratch.recycle(y);
+        Ok(out)
+    }
 }
 
 impl Layer for CirculantConv2d {
@@ -126,33 +183,15 @@ impl Layer for CirculantConv2d {
     }
 
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.check_input(input)?;
-        let batch = input.shape()[0];
-        let (oh, ow) = (self.out_h(), self.out_w());
-        let plane = self.in_channels * self.in_h * self.in_w;
-        let mut out = Vec::with_capacity(batch * self.out_channels * oh * ow);
-        self.caches.clear();
+        let mut caches = Vec::new();
+        let out = self.lowered_product(input, &mut Scratch::new(), Some(&mut caches))?;
+        self.last_batch = caches.len();
+        self.caches = caches;
+        Ok(out)
+    }
 
-        for s in 0..batch {
-            let sample = Tensor::from_vec(
-                input.as_slice()[s * plane..(s + 1) * plane].to_vec(),
-                &[self.in_channels, self.in_h, self.in_w],
-            )?;
-            let cols = im2col(&sample, self.geom)?; // [oh·ow, Cr²]
-            let (y, cache) = self.matrix.forward_batch(&cols)?; // [oh·ow, P]
-            for p in 0..self.out_channels {
-                let b = self.bias.as_slice()[p];
-                for pix in 0..oh * ow {
-                    out.push(y.at(&[pix, p]) + b);
-                }
-            }
-            self.caches.push(cache);
-        }
-        self.last_batch = batch;
-        Ok(Tensor::from_vec(
-            out,
-            &[batch, self.out_channels, oh, ow],
-        )?)
+    fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
+        self.lowered_product(input, scratch, None)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
@@ -303,6 +342,7 @@ impl Layer for CirculantConv2d {
             bias_grad: self.bias_grad.clone(),
             caches: Vec::new(),
             last_batch: 0,
+            infer_scratch: CirculantScratch::new(),
         }))
     }
 }

@@ -1,8 +1,9 @@
 //! The block-circulant fully-connected layer — Algorithm 1 (inference)
 //! and Algorithm 2 (training) of the paper, §IV-A.
 
-use crate::circulant::{BlockCirculantMatrix, CirculantScratch, ForwardCache};
+use crate::circulant::{BlockCirculantMatrix, ForwardCache};
 use crate::error::CirculantError;
+use crate::spectral::{CirculantScratch, InputSpectra};
 use ffdl_nn::{wire, Layer, NnError, OpCost, ParamRef, Scratch};
 use ffdl_tensor::Tensor;
 use ffdl_rng::Rng;
@@ -14,6 +15,18 @@ impl From<CirculantError> for NnError {
             message: e.to_string(),
         }
     }
+}
+
+/// `Err` unless `input` is `[rows, in_dim]` — the input screen of every
+/// FC-shaped layer in this crate.
+pub(crate) fn check_batch_input(layer: &str, input: &Tensor, in_dim: usize) -> Result<(), NnError> {
+    if input.ndim() != 2 || input.cols() != in_dim {
+        return Err(NnError::BadInput {
+            layer: layer.into(),
+            message: format!("expected [rows, {in_dim}], got {:?}", input.shape()),
+        });
+    }
+    Ok(())
 }
 
 /// Fully-connected layer whose weight matrix is block-circulant:
@@ -48,9 +61,9 @@ pub struct CirculantDense {
     weight_grad: Tensor,
     bias_grad: Tensor,
     cache: Option<ForwardCache>,
-    /// Complex-valued FFT scratch for the inference path. Per-layer (not
-    /// in the shared [`Scratch`] pool, which holds real tensors only) and
-    /// never cloned: each worker's layer clone warms its own.
+    /// Complex-valued FFT scratch. Per-layer (not in the shared
+    /// [`Scratch`] pool, which holds real tensors only) and never cloned:
+    /// each worker's layer clone warms its own.
     infer_scratch: CirculantScratch,
 }
 
@@ -130,41 +143,36 @@ impl Layer for CirculantDense {
         "circulant_dense"
     }
 
+    /// Algorithm 1 keeping every row's input spectra: the pass that
+    /// records what [`backward`](Layer::backward) (Algorithm 2) needs.
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let (mut y, cache) = self.matrix.forward_batch(input)?;
-        for r in 0..y.rows() {
-            for (o, &b) in y.row_mut(r).iter_mut().zip(self.bias.as_slice()) {
-                *o += b;
-            }
-        }
+        check_batch_input("circulant_dense", input, self.matrix.in_dim())?;
+        let mut y = Tensor::zeros(&[input.rows(), self.matrix.out_dim()]);
+        let mut cache = ForwardCache {
+            input_spectra: Vec::new(),
+        };
+        let keep = InputSpectra::Keep(&mut cache.input_spectra);
+        let bias = self.bias.as_slice();
+        self.matrix
+            .product(input, keep, &mut self.infer_scratch.bufs, &mut y, |_, k, v| v + bias[k]);
         self.cache = Some(cache);
         Ok(y)
     }
 
+    /// The same call with the spectra overwritten row by row and the
+    /// output drawn from `scratch`: nothing is left behind.
     fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
-        if input.ndim() != 2 {
-            return Err(NnError::BadInput {
-                layer: "circulant_dense".into(),
-                message: format!(
-                    "expected [batch, {}], got {:?}",
-                    self.matrix.in_dim(),
-                    input.shape()
-                ),
-            });
-        }
+        check_batch_input("circulant_dense", input, self.matrix.in_dim())?;
         let mut y = scratch.take(&[input.rows(), self.matrix.out_dim()]);
-        if let Err(e) = self
-            .matrix
-            .forward_batch_infer(input, &mut self.infer_scratch, &mut y)
-        {
-            scratch.recycle(y);
-            return Err(e.into());
-        }
-        for r in 0..y.rows() {
-            for (o, &b) in y.row_mut(r).iter_mut().zip(self.bias.as_slice()) {
-                *o += b;
-            }
-        }
+        let sc = &mut self.infer_scratch;
+        let bias = self.bias.as_slice();
+        self.matrix.product(
+            input,
+            InputSpectra::Reuse(&mut sc.x_spec),
+            &mut sc.bufs,
+            &mut y,
+            |_, k, v| v + bias[k],
+        );
         Ok(y)
     }
 

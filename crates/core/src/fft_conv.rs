@@ -12,7 +12,7 @@
 //! domain, and one inverse FFT per output map recovers the result.
 
 use ffdl_fft::{Complex32, Fft2d};
-use ffdl_nn::{wire, Layer, NnError, OpCost, ParamRef};
+use ffdl_nn::{wire, Layer, NnError, OpCost, ParamRef, Scratch};
 use ffdl_tensor::{Init, Tensor};
 use ffdl_rng::Rng;
 
@@ -224,6 +224,14 @@ impl Layer for FftConv2d {
             out,
             &[batch, self.out_channels, oh, ow],
         )?)
+    }
+
+    /// The forward pass with its backward cache dropped, so a serving
+    /// engine retains no training state.
+    fn forward_infer(&mut self, input: &Tensor, _scratch: &mut Scratch) -> Result<Tensor, NnError> {
+        let out = self.forward(input);
+        self.cached_x_spectra.clear();
+        out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {

@@ -4,11 +4,14 @@
 //!
 //! This is what the deployment pipeline ships to the embedded target: the
 //! forward pass skips the weight-side FFTs entirely, leaving one FFT per
-//! input block, the spectral MACs, and one IFFT per output block.
+//! input block, the spectral MACs, and one IFFT per output block — the
+//! shared Algorithm 1 routine (`SpectralKernel::block_product`) on the
+//! stored spectra with a `+ bias` epilogue. There is nothing to record
+//! for a backward pass, so `forward` and `forward_infer` are one route.
 
-use crate::circulant::{BlockCirculantMatrix, CirculantScratch};
-use crate::spectral::{SpectralKernel, Spectrum};
-use ffdl_fft::Complex32;
+use crate::circulant::BlockCirculantMatrix;
+use crate::dense_layer::check_batch_input;
+use crate::spectral::{CirculantScratch, InputSpectra, SpectralKernel, Spectrum};
 use ffdl_nn::{wire, Layer, NnError, OpCost, Scratch};
 use ffdl_tensor::Tensor;
 use std::sync::Arc;
@@ -87,84 +90,24 @@ impl Layer for SpectralDense {
         "spectral_dense"
     }
 
+    /// The inference pass on a throw-away buffer pool: a frozen layer
+    /// has no backward pass to record anything for.
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        if input.ndim() != 2 || input.cols() != self.in_dim {
-            return Err(NnError::BadInput {
-                layer: "spectral_dense".into(),
-                message: format!(
-                    "expected [batch, {}], got {:?}",
-                    self.in_dim,
-                    input.shape()
-                ),
-            });
-        }
-        let b = self.block;
-        let batch = input.rows();
-        let mut out = Vec::with_capacity(batch * self.out_dim);
-        for s in 0..batch {
-            let mut padded = vec![0.0f32; self.kb_in * b];
-            padded[..self.in_dim].copy_from_slice(input.row(s));
-            let x_spec: Vec<Spectrum> = (0..self.kb_in)
-                .map(|j| self.kernel.spectrum(&padded[j * b..(j + 1) * b]))
-                .collect();
-            let mut y_padded = vec![0.0f32; self.kb_out * b];
-            for i in 0..self.kb_out {
-                let mut acc = self.kernel.zero_accumulator();
-                for (w_spec, x_j) in self.spectra[i].iter().zip(&x_spec) {
-                    SpectralKernel::mul_accumulate(&mut acc, w_spec, x_j);
-                }
-                y_padded[i * b..(i + 1) * b].copy_from_slice(&self.kernel.inverse(&acc));
-            }
-            for (k, v) in y_padded[..self.out_dim].iter().enumerate() {
-                out.push(v + self.bias.as_slice()[k]);
-            }
-        }
-        Ok(Tensor::from_vec(out, &[batch, self.out_dim])?)
+        self.forward_infer(input, &mut Scratch::new())
     }
 
     fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
-        if input.ndim() != 2 || input.cols() != self.in_dim {
-            return Err(NnError::BadInput {
-                layer: "spectral_dense".into(),
-                message: format!(
-                    "expected [batch, {}], got {:?}",
-                    self.in_dim,
-                    input.shape()
-                ),
-            });
-        }
-        let b = self.block;
-        let bins = self.kernel.bins();
-        let batch = input.rows();
-        let mut out = scratch.take(&[batch, self.out_dim]);
-        let sc = &mut self.infer_scratch;
-        sc.padded.clear();
-        sc.padded.resize(self.kb_in * b, 0.0);
-        sc.x_spec.resize(self.kb_in, Spectrum::new());
-        let dst = out.as_mut_slice();
-        for s in 0..batch {
-            sc.padded[..self.in_dim].copy_from_slice(input.row(s));
-            for j in 0..self.kb_in {
-                self.kernel
-                    .spectrum_into(&sc.padded[j * b..(j + 1) * b], &mut sc.fft, &mut sc.x_spec[j]);
-            }
-            for i in 0..self.kb_out {
-                sc.acc.clear();
-                sc.acc.resize(bins, Complex32::zero());
-                for (w_spec, x_j) in self.spectra[i].iter().zip(&sc.x_spec) {
-                    SpectralKernel::mul_accumulate(&mut sc.acc, w_spec, x_j);
-                }
-                self.kernel.inverse_into(&sc.acc, &mut sc.fft, &mut sc.y_block);
-                let start = i * b;
-                let end = ((i + 1) * b).min(self.out_dim);
-                if start < end {
-                    for (k, v) in sc.y_block[..end - start].iter().enumerate() {
-                        dst[s * self.out_dim + start + k] =
-                            v + self.bias.as_slice()[start + k];
-                    }
-                }
-            }
-        }
+        check_batch_input("spectral_dense", input, self.in_dim)?;
+        let mut out = scratch.take(&[input.rows(), self.out_dim]);
+        let bias = self.bias.as_slice();
+        self.kernel.block_product(
+            &self.spectra[..],
+            (input.as_slice(), self.in_dim),
+            (out.as_mut_slice(), self.out_dim),
+            InputSpectra::Reuse(&mut self.infer_scratch.x_spec),
+            &mut self.infer_scratch.bufs,
+            |_, k, v| v + bias[k],
+        );
         Ok(out)
     }
 

@@ -55,7 +55,7 @@ mod quant;
 mod recurrent;
 mod spectral;
 
-pub use circulant::{BlockCirculantMatrix, CirculantScratch, ForwardCache};
+pub use circulant::{BlockCirculantMatrix, ForwardCache};
 pub use conv_layer::{circulant_conv2d_from_config, CirculantConv2d};
 pub use dense_layer::{circulant_dense_from_config, CirculantDense};
 pub use error::CirculantError;
@@ -65,7 +65,7 @@ pub use quant::{
     quantized_spectral_dense_from_config, QuantBits, QuantizedSpectralDense, QuantizedSpectrum,
 };
 pub use recurrent::{circulant_gru_from_config, CirculantGru, GruScratch};
-pub use spectral::{SpectralKernel, Spectrum};
+pub use spectral::{CirculantScratch, SpectralKernel, Spectrum};
 
 use ffdl_nn::LayerRegistry;
 

@@ -8,12 +8,12 @@
 //! block**: `value = level · scale[out_block]`; the bias vector gets one
 //! more symmetric scale of its own (reconstructed once at load time,
 //! never per batch). Inference never
-//! dequantizes the weight tensor — the forward pass multiplies `f32`
-//! input spectra directly against the integer levels
-//! ([`SpectralKernel::mul_accumulate_levels`]), accumulating pure
-//! level-valued products across all input blocks, and applies the block
-//! scale exactly once per output block (the IFFT is linear, so scaling
-//! the time-domain block equals scaling the accumulator spectrum). On
+//! dequantizes the weight tensor — the forward pass is the shared
+//! Algorithm 1 routine (`SpectralKernel::block_product`) reading integer
+//! levels ([`SpectralKernel::mul_accumulate_levels`]): pure level-valued
+//! products accumulate across all input blocks, and the epilogue applies
+//! the block scale exactly once per output value (the IFFT is linear, so
+//! scaling the time-domain block equals scaling the accumulator). On
 //! top of the block-circulant `n²/b` reduction this shrinks model bytes
 //! by a further 2–4×, and the narrower weight reads roughly halve the
 //! layer's memory traffic.
@@ -25,8 +25,9 @@
 //! citizen: publishable, checksummed, hot-swappable against its f32
 //! parent.
 
-use crate::circulant::{BlockCirculantMatrix, CirculantScratch};
-use crate::spectral::{SpectralKernel, Spectrum};
+use crate::circulant::BlockCirculantMatrix;
+use crate::dense_layer::check_batch_input;
+use crate::spectral::{CirculantScratch, InputSpectra, LevelGrid, SpectralKernel, Spectrum};
 use ffdl_fft::Complex32;
 use ffdl_nn::wire::{self, QuantPayload, QUANT_SCHEME_SYMMETRIC};
 use ffdl_nn::{Layer, NnError, OpCost, Scratch};
@@ -107,20 +108,8 @@ pub struct QuantizedSpectrum {
 impl QuantizedSpectrum {
     /// Quantizes a half spectrum with a symmetric per-spectrum scale.
     pub fn quantize(spec: &[Complex32], bits: QuantBits) -> Self {
-        let max_abs = spec
-            .iter()
-            .flat_map(|c| [c.re.abs(), c.im.abs()])
-            .fold(0.0f32, f32::max);
-        let scale = if max_abs > 0.0 {
-            max_abs / bits.max_level()
-        } else {
-            1.0
-        };
-        let q = |v: f32| -> i16 {
-            let lvl = (v / scale).round();
-            lvl.clamp(-bits.max_level(), bits.max_level()) as i16
-        };
-        let levels = spec.iter().flat_map(|c| [q(c.re), q(c.im)]).collect();
+        let mut levels = Vec::with_capacity(2 * spec.len());
+        let scale = quantize_group(spec.iter().flat_map(|c| [c.re, c.im]), bits, &mut levels);
         Self { levels, scale, bits }
     }
 
@@ -155,50 +144,20 @@ impl QuantizedSpectrum {
     }
 }
 
-/// Quantizes `spectra[out_block][in_block]` with one symmetric scale per
-/// output block row, returning the flattened interleaved levels
-/// (`[out_block][in_block][2·bins]`) and the per-row scales.
-fn quantize_rows(spectra: &[Vec<Spectrum>], bits: QuantBits) -> (Vec<i16>, Vec<f32>) {
-    let mut levels = Vec::new();
-    let mut scales = Vec::with_capacity(spectra.len());
-    for row in spectra {
-        let max_abs = row
-            .iter()
-            .flatten()
-            .flat_map(|c| [c.re.abs(), c.im.abs()])
-            .fold(0.0f32, f32::max);
-        let scale = if max_abs > 0.0 {
-            max_abs / bits.max_level()
-        } else {
-            1.0
-        };
-        let q = |v: f32| -> i16 {
-            ((v / scale).round()).clamp(-bits.max_level(), bits.max_level()) as i16
-        };
-        for spec in row {
-            for c in spec {
-                levels.push(q(c.re));
-                levels.push(q(c.im));
-            }
-        }
-        scales.push(scale);
-    }
-    (levels, scales)
-}
-
-/// Quantizes a bias vector with one symmetric scale.
-fn quantize_bias(bias: &[f32], bits: QuantBits) -> (Vec<i16>, f32) {
-    let max_abs = bias.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-    let scale = if max_abs > 0.0 {
-        max_abs / bits.max_level()
-    } else {
-        1.0
-    };
-    let levels = bias
-        .iter()
-        .map(|v| ((v / scale).round()).clamp(-bits.max_level(), bits.max_level()) as i16)
-        .collect();
-    (levels, scale)
+/// The one symmetric quantizer: appends the levels of a group of values
+/// sharing one scale to `levels` and returns that scale —
+/// `max|v| / max_level` (1.0 for an all-zero group), each level
+/// `round(v / scale)` clamped to the width.
+fn quantize_group(
+    values: impl Iterator<Item = f32> + Clone,
+    bits: QuantBits,
+    levels: &mut Vec<i16>,
+) -> f32 {
+    let max_level = bits.max_level();
+    let max_abs = values.clone().fold(0.0f32, |m, v| m.max(v.abs()));
+    let scale = if max_abs > 0.0 { max_abs / max_level } else { 1.0 };
+    levels.extend(values.map(|v| (v / scale).round().clamp(-max_level, max_level) as i16));
+    scale
 }
 
 /// Reconstructs the `f32` bias tensor — done once per construction or
@@ -214,8 +173,8 @@ fn dequantize_bias(levels: &[i16], scale: f32) -> Tensor {
 /// stored `FFT(w)` coefficients are integer levels (one symmetric scale
 /// per output block row), the spectral MACs run levels × `f32` input
 /// spectra via [`SpectralKernel::mul_accumulate_levels`], and the block
-/// scale is applied once per output block after the IFFT. The inference
-/// path reuses the same [`CirculantScratch`] workspace, so steady-state
+/// scale is applied once per output value after the IFFT. The forward
+/// pass reuses the same [`CirculantScratch`] workspace, so steady-state
 /// serving stays allocation-free.
 pub struct QuantizedSpectralDense {
     in_dim: usize,
@@ -282,8 +241,18 @@ impl QuantizedSpectralDense {
             spectra.iter().all(|row| row.len() == kb_in),
             "spectra columns must equal in_blocks"
         );
-        let (levels, scales) = quantize_rows(spectra, bits);
-        let (bias_levels, bias_scale) = quantize_bias(bias.as_slice(), bits);
+        // One scale per output block row, levels flattened
+        // `[out_block][in_block][2·bins]`; one more scale for the bias.
+        let mut levels = Vec::new();
+        let scales: Vec<f32> = spectra
+            .iter()
+            .map(|row| {
+                let values = row.iter().flatten().flat_map(|c| [c.re, c.im]);
+                quantize_group(values, bits, &mut levels)
+            })
+            .collect();
+        let mut bias_levels = Vec::with_capacity(out_dim);
+        let bias_scale = quantize_group(bias.as_slice().iter().copied(), bits, &mut bias_levels);
         let bias = dequantize_bias(&bias_levels, bias_scale);
         Self {
             in_dim,
@@ -365,27 +334,6 @@ impl QuantizedSpectralDense {
     pub fn dense_storage_bytes(&self) -> usize {
         (self.in_dim * self.out_dim + self.out_dim) * 4
     }
-
-    fn check_input(&self, input: &Tensor) -> Result<(), NnError> {
-        if input.ndim() != 2 || input.cols() != self.in_dim {
-            return Err(NnError::BadInput {
-                layer: "quantized_spectral_dense".into(),
-                message: format!(
-                    "expected [batch, {}], got {:?}",
-                    self.in_dim,
-                    input.shape()
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Level slice for block `(i, j)`.
-    fn block_levels(&self, i: usize, j: usize) -> &[i16] {
-        let bins2 = 2 * self.kernel.bins();
-        let base = (i * self.kb_in + j) * bins2;
-        &self.levels[base..base + bins2]
-    }
 }
 
 impl Layer for QuantizedSpectralDense {
@@ -393,77 +341,30 @@ impl Layer for QuantizedSpectralDense {
         "quantized_spectral_dense"
     }
 
+    /// The inference pass on a throw-away buffer pool: a frozen layer
+    /// has no backward pass to record anything for.
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.check_input(input)?;
-        let b = self.block;
-        let batch = input.rows();
-        let mut out = Vec::with_capacity(batch * self.out_dim);
-        for s in 0..batch {
-            let mut padded = vec![0.0f32; self.kb_in * b];
-            padded[..self.in_dim].copy_from_slice(input.row(s));
-            let x_spec: Vec<Spectrum> = (0..self.kb_in)
-                .map(|j| self.kernel.spectrum(&padded[j * b..(j + 1) * b]))
-                .collect();
-            for i in 0..self.kb_out {
-                let mut acc = self.kernel.zero_accumulator();
-                for (j, x_j) in x_spec.iter().enumerate() {
-                    SpectralKernel::mul_accumulate_levels(&mut acc, self.block_levels(i, j), x_j);
-                }
-                let block_out = self.kernel.inverse(&acc);
-                let scale = self.scales[i];
-                let lo = i * b;
-                for (k, v) in block_out.iter().enumerate() {
-                    let idx = lo + k;
-                    if idx < self.out_dim {
-                        out.push(v * scale + self.bias.as_slice()[idx]);
-                    }
-                }
-            }
-        }
-        Ok(Tensor::from_vec(out, &[batch, self.out_dim])?)
+        self.forward_infer(input, &mut Scratch::new())
     }
 
     fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
-        self.check_input(input)?;
-        let b = self.block;
-        let bins = self.kernel.bins();
-        let batch = input.rows();
-        let mut out = scratch.take(&[batch, self.out_dim]);
-        let sc = &mut self.infer_scratch;
-        sc.padded.clear();
-        sc.padded.resize(self.kb_in * b, 0.0);
-        sc.x_spec.resize(self.kb_in, Spectrum::new());
-        let bins2 = 2 * bins;
-        let dst = out.as_mut_slice();
-        for s in 0..batch {
-            sc.padded[..self.in_dim].copy_from_slice(input.row(s));
-            for j in 0..self.kb_in {
-                self.kernel
-                    .spectrum_into(&sc.padded[j * b..(j + 1) * b], &mut sc.fft, &mut sc.x_spec[j]);
-            }
-            for i in 0..self.kb_out {
-                sc.acc.clear();
-                sc.acc.resize(bins, Complex32::zero());
-                for (j, x_j) in sc.x_spec.iter().enumerate() {
-                    let base = (i * self.kb_in + j) * bins2;
-                    SpectralKernel::mul_accumulate_levels(
-                        &mut sc.acc,
-                        &self.levels[base..base + bins2],
-                        x_j,
-                    );
-                }
-                self.kernel.inverse_into(&sc.acc, &mut sc.fft, &mut sc.y_block);
-                let scale = self.scales[i];
-                let start = i * b;
-                let end = ((i + 1) * b).min(self.out_dim);
-                if start < end {
-                    for (k, v) in sc.y_block[..end - start].iter().enumerate() {
-                        dst[s * self.out_dim + start + k] =
-                            v * scale + self.bias.as_slice()[start + k];
-                    }
-                }
-            }
-        }
+        check_batch_input("quantized_spectral_dense", input, self.in_dim)?;
+        let mut out = scratch.take(&[input.rows(), self.out_dim]);
+        let (scales, bias) = (&self.scales[..], self.bias.as_slice());
+        // Pure level-valued products accumulate over all input blocks;
+        // the block scale is applied once per output value, after the
+        // IFFT (which is linear).
+        self.kernel.block_product(
+            &LevelGrid {
+                levels: &self.levels,
+                kb_in: self.kb_in,
+            },
+            (input.as_slice(), self.in_dim),
+            (out.as_mut_slice(), self.out_dim),
+            InputSpectra::Reuse(&mut self.infer_scratch.x_spec),
+            &mut self.infer_scratch.bufs,
+            |i, k, v| v * scales[i] + bias[k],
+        );
         Ok(out)
     }
 

@@ -21,7 +21,9 @@
 //!
 //! [`SpectralDense`]: crate::SpectralDense
 
-use crate::circulant::{BlockCirculantMatrix, CirculantScratch};
+use crate::circulant::BlockCirculantMatrix;
+use crate::dense_layer::check_batch_input;
+use crate::spectral::CirculantScratch;
 use ffdl_nn::{wire, Layer, NnError, OpCost, Scratch};
 use ffdl_rng::Rng;
 use ffdl_tensor::Tensor;
@@ -203,20 +205,6 @@ impl CirculantGru {
         }
         Ok(())
     }
-
-    fn check_input(&self, input: &Tensor) -> Result<(), NnError> {
-        if input.ndim() != 2 || input.cols() != self.in_dim {
-            return Err(NnError::BadInput {
-                layer: "circulant_gru".into(),
-                message: format!(
-                    "expected [seq, {}], got {:?}",
-                    self.in_dim,
-                    input.shape()
-                ),
-            });
-        }
-        Ok(())
-    }
 }
 
 impl Layer for CirculantGru {
@@ -231,17 +219,11 @@ impl Layer for CirculantGru {
     /// sequence); routing one through the stateless batch pools would
     /// silently treat a batch as a timeline.
     fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.check_input(input)?;
-        let mut out = Tensor::zeros(&[input.rows(), self.hidden]);
-        let mut scratch = std::mem::take(&mut self.infer_scratch);
-        let result = self.scan(input, &mut out, &mut scratch);
-        self.infer_scratch = scratch;
-        result?;
-        Ok(out)
+        self.forward_infer(input, &mut Scratch::new())
     }
 
     fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
-        self.check_input(input)?;
+        check_batch_input("circulant_gru", input, self.in_dim)?;
         let mut out = scratch.take(&[input.rows(), self.hidden]);
         let mut sc = std::mem::take(&mut self.infer_scratch);
         let result = self.scan(input, &mut out, &mut sc);

@@ -1,5 +1,5 @@
 //! The spectral kernel: half-spectrum FFT plumbing shared by every
-//! block-circulant layer.
+//! block-circulant layer, and **Algorithm 1 itself, written once**.
 //!
 //! All signals in the paper's layers are real, so the kernel works on the
 //! non-redundant `b/2 + 1` bins and performs the three frequency-domain
@@ -7,11 +7,92 @@
 //!
 //! - `acc += FFT(w) ∘ FFT(x)` — forward (circular convolution),
 //! - `acc += FFT(g) ∘ conj(FFT(·))` — both gradients (circular correlation).
+//!
+//! [`SpectralKernel::block_product`] is the one block-spectral product
+//! under every circulant layer — training and frozen, `f32` and
+//! fixed-point, FC, CONV and recurrent (DESIGN.md "Algorithm 1, once").
+//! The layers differ only in what they hand it: where a weight bin comes
+//! from ([`BlockWeights`]), what is done to an output value (the
+//! epilogue) and whether a row's input spectra are kept for the backward
+//! pass ([`InputSpectra`]).
 
 use ffdl_fft::{Complex32, RealFft};
 
 /// A half-spectrum vector for a fixed block size.
 pub type Spectrum = Vec<Complex32>;
+
+/// Reusable buffers of the block-circulant product (Algorithm 1): the
+/// per-block input spectra of the current row plus the transform
+/// intermediates. After a warmup call, steady-state inference reuses all
+/// of them without touching the heap.
+#[derive(Default)]
+pub struct CirculantScratch {
+    /// Per-input-block spectra of the current row.
+    pub(crate) x_spec: Vec<Spectrum>,
+    /// Everything else the product writes through.
+    pub(crate) bufs: BlockBuffers,
+}
+
+impl CirculantScratch {
+    /// Creates an empty scratch set; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// The transform-side buffers of Algorithm 1 (everything but the input
+/// spectra, which the training pass keeps and the inference pass reuses).
+#[derive(Default)]
+pub(crate) struct BlockBuffers {
+    /// Packing intermediate for the real FFT.
+    fft: Vec<Complex32>,
+    /// Zero-padded input row (`blocks · b` long).
+    padded: Vec<f32>,
+    /// Frequency-domain accumulator for one output block.
+    acc: Spectrum,
+    /// Time-domain output block.
+    y_block: Vec<f32>,
+}
+
+/// Where the input spectra of a row go: the one difference between the
+/// inference pass and "the pass that records what `backward` needs".
+pub(crate) enum InputSpectra<'a> {
+    /// Inference: one row's spectra, overwritten by the next row.
+    Reuse(&'a mut Vec<Spectrum>),
+    /// Training: every row's spectra kept, `[row][input_block]` —
+    /// Algorithm 2 reuses `FFT(x)`.
+    Keep(&'a mut Vec<Vec<Spectrum>>),
+}
+
+/// Where Algorithm 1 reads the weight bins of block `(i, j)` from — the
+/// only thing the `f32` and fixed-point layers disagree on inside the
+/// loop.
+pub(crate) trait BlockWeights {
+    /// `acc += Ŵᵢⱼ ⊙ x`.
+    fn accumulate(&self, acc: &mut [Complex32], i: usize, j: usize, x: &[Complex32]);
+}
+
+/// `f32` weight spectra, `spectra[out_block][in_block]`.
+impl BlockWeights for [Vec<Spectrum>] {
+    fn accumulate(&self, acc: &mut [Complex32], i: usize, j: usize, x: &[Complex32]) {
+        SpectralKernel::mul_accumulate(acc, &self[i][j], x);
+    }
+}
+
+/// Fixed-point weight spectra: interleaved re/im levels, block `(i, j)`
+/// at `[(i·kb_in + j)·2·bins ..]`. The block scale is the epilogue's job.
+pub(crate) struct LevelGrid<'a> {
+    pub(crate) levels: &'a [i16],
+    pub(crate) kb_in: usize,
+}
+
+impl BlockWeights for LevelGrid<'_> {
+    fn accumulate(&self, acc: &mut [Complex32], i: usize, j: usize, x: &[Complex32]) {
+        let len = 2 * acc.len();
+        let base = (i * self.kb_in + j) * len;
+        SpectralKernel::mul_accumulate_levels(acc, &self.levels[base..base + len], x);
+    }
+}
 
 /// FFT engine for one block size `b`.
 ///
@@ -98,6 +179,64 @@ impl SpectralKernel {
         self.plan
             .inverse_into(spec, fft_scratch, out)
             .expect("bin count is fixed");
+    }
+
+    /// First stage of Algorithms 1 and 2: zero-pads `row` to whole
+    /// blocks and writes one half spectrum per block into `spec`.
+    pub(crate) fn row_spectra(&self, row: &[f32], bufs: &mut BlockBuffers, spec: &mut Vec<Spectrum>) {
+        let blocks = row.len().div_ceil(self.block);
+        bufs.padded.clear();
+        bufs.padded.extend_from_slice(row);
+        bufs.padded.resize(blocks * self.block, 0.0);
+        // Grow only: a scratch shared by matrices of different widths
+        // (the GRU's six) keeps its warm spectra instead of dropping them.
+        spec.resize_with(blocks.max(spec.len()), Spectrum::new);
+        for (chunk, s) in bufs.padded.chunks_exact(self.block).zip(spec.iter_mut()) {
+            self.spectrum_into(chunk, &mut bufs.fft, s);
+        }
+    }
+
+    /// Algorithm 1 over a batch of rows, `y = epilogue(x · W)`: per row,
+    /// pad and transform the input blocks (into `x_spec`), then for each
+    /// output block `i` zero the accumulator, add `Ŵᵢⱼ ⊙ X̂ⱼ` over `j`
+    /// ascending, invert, and write `epilogue(i, k, value)` to output
+    /// position `k` of the un-padded row. `x` holds rows of `in_dim`
+    /// values, `y` rows of `out_dim`.
+    ///
+    /// Every circulant layer's forward pass is a call to this function,
+    /// so the arithmetic and its order — and therefore every output bit —
+    /// are the same on all of them.
+    pub(crate) fn block_product<W: BlockWeights + ?Sized>(
+        &self,
+        weights: &W,
+        (x, in_dim): (&[f32], usize),
+        (y, out_dim): (&mut [f32], usize),
+        mut x_spec: InputSpectra<'_>,
+        bufs: &mut BlockBuffers,
+        epilogue: impl Fn(usize, usize, f32) -> f32,
+    ) {
+        let (kb_in, bins) = (in_dim.div_ceil(self.block), self.bins());
+        if let InputSpectra::Keep(rows) = &mut x_spec {
+            rows.resize_with(x.len() / in_dim, Vec::new);
+        }
+        for (s, (x_row, y_row)) in x.chunks_exact(in_dim).zip(y.chunks_exact_mut(out_dim)).enumerate() {
+            let spec = match &mut x_spec {
+                InputSpectra::Reuse(spec) => &mut **spec,
+                InputSpectra::Keep(rows) => &mut rows[s],
+            };
+            self.row_spectra(x_row, bufs, spec);
+            for (i, y_chunk) in y_row.chunks_mut(self.block).enumerate() {
+                bufs.acc.clear();
+                bufs.acc.resize(bins, Complex32::zero());
+                for (j, x_j) in spec[..kb_in].iter().enumerate() {
+                    weights.accumulate(&mut bufs.acc, i, j, x_j);
+                }
+                self.inverse_into(&bufs.acc, &mut bufs.fft, &mut bufs.y_block);
+                for (k, (o, &v)) in y_chunk.iter_mut().zip(&bufs.y_block).enumerate() {
+                    *o = epilogue(i, i * self.block + k, v);
+                }
+            }
+        }
     }
 
     /// `acc[k] += a[k] · b[k]` — the component-wise multiplication at the

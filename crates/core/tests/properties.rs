@@ -1,13 +1,17 @@
 //! Property-based tests: the block-circulant layer must be *exactly* a
 //! dense layer with the expanded circulant matrix, for arbitrary
-//! geometry — forward, input gradients and batch handling.
+//! geometry — forward, input gradients and batch handling — in its
+//! training, frozen and fixed-point forms, which all run the one
+//! Algorithm 1 routine.
 //!
 //! Runs on the in-house `ffdl_rng::prop` harness (seeded cases,
 //! replayable failures).
 
-use ffdl_core::{BlockCirculantMatrix, CirculantDense};
-use ffdl_nn::{Dense, Layer};
-use ffdl_rng::prop::check;
+use ffdl_core::{
+    BlockCirculantMatrix, CirculantDense, QuantBits, QuantizedSpectralDense, SpectralDense,
+};
+use ffdl_nn::{Dense, Layer, Scratch};
+use ffdl_rng::prop::{check, PropResult};
 use ffdl_rng::{prop_assert, prop_assert_eq, Rng, SeedableRng, SmallRng};
 use ffdl_tensor::Tensor;
 
@@ -57,8 +61,31 @@ fn matvec_equals_dense_expansion() {
     );
 }
 
+/// `forward` and `forward_infer` of one layer: the two entry points must
+/// agree bit for bit. Returns the output.
+fn both_forwards(layer: &mut dyn Layer, x: &Tensor) -> Result<Tensor, String> {
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let y = layer.forward(x).unwrap();
+    let y_infer = layer.forward_infer(x, &mut Scratch::new()).unwrap();
+    prop_assert_eq!(y.shape(), y_infer.shape());
+    prop_assert_eq!(bits(&y), bits(&y_infer));
+    Ok(y)
+}
+
+/// `|y − reference| < tol(row, column)` everywhere.
+fn close_to(y: &Tensor, reference: &Tensor, tol: impl Fn(usize, usize) -> f32) -> PropResult {
+    for r in 0..y.rows() {
+        for (c, (a, v)) in y.row(r).iter().zip(reference.row(r)).enumerate() {
+            prop_assert!((a - v).abs() < tol(r, c), "row {r} col {c}: {a} vs {v}");
+        }
+    }
+    Ok(())
+}
+
 /// Layer forward/backward equals a Dense layer with the expanded
-/// matrix, batched.
+/// matrix, batched — for the training layer, its frozen spectral form
+/// and its int16 form (the latter within its stated `max_error` bound),
+/// each through both `forward` and `forward_infer`.
 #[test]
 fn layer_equals_dense_layer() {
     check(
@@ -70,14 +97,25 @@ fn layer_equals_dense_layer() {
             let mut circ = CirculantDense::new(in_dim, out_dim, block, &mut rng).unwrap();
             let mut dense =
                 Dense::with_params(circ.matrix().to_dense(), circ.bias().clone()).unwrap();
+            let mut frozen = SpectralDense::from_matrix(circ.matrix(), circ.bias().clone());
+            let mut quantized = QuantizedSpectralDense::from_matrix(
+                circ.matrix(),
+                circ.bias().clone(),
+                QuantBits::Sixteen,
+            );
 
             let x = input_tensor(batch, in_dim, seed.wrapping_add(7));
-            let y_c = circ.forward(&x).unwrap();
             let y_d = dense.forward(&x).unwrap();
-            let scale = 1.0 + y_d.max_abs();
-            for (a, v) in y_c.as_slice().iter().zip(y_d.as_slice()) {
-                prop_assert!((a - v).abs() < 2e-3 * scale, "forward {a} vs {v}");
-            }
+            let float_tol = 2e-3 * (1.0 + y_d.max_abs());
+            close_to(&both_forwards(&mut circ, &x)?, &y_d, |_, _| float_tol)?;
+            close_to(&both_forwards(&mut frozen, &x)?, &y_d, |_, _| float_tol)?;
+            // A spectrum component off by at most e moves every value of
+            // the block's defining vectors by at most √2·e, and an output
+            // by at most that times ‖x‖₁.
+            let l1: Vec<f32> = (0..batch).map(|r| x.row(r).iter().map(|v| v.abs()).sum()).collect();
+            close_to(&both_forwards(&mut quantized, &x)?, &y_d, |r, c| {
+                float_tol + std::f32::consts::SQRT_2 * quantized.max_error(c / block) * l1[r]
+            })?;
 
             let g = input_tensor(batch, out_dim, seed.wrapping_add(13));
             let gx_c = circ.backward(&g).unwrap();

@@ -6,15 +6,20 @@
 //! After two warmup passes (which populate the [`Scratch`] pool and
 //! every layer's private FFT scratch), repeated
 //! [`Network::forward_batch_with`] calls must perform **zero** heap
-//! allocations: that is the contract the serving hot path relies on.
+//! allocations: that is the contract the serving hot path relies on,
+//! for every form the one Algorithm 1 routine is served in — training
+//! layer, frozen `f32` spectra, fixed-point levels and the CONV lowering
+//! (power-of-two blocks).
 //!
 //! This lives in an integration test (its own crate) deliberately: the
 //! allocator shim needs `unsafe`, which the library crates forbid.
 
-use ffdl_core::CirculantDense;
-use ffdl_nn::{Dense, Network, Relu, Scratch, Softmax};
+use ffdl_core::{
+    CirculantConv2d, CirculantDense, QuantBits, QuantizedSpectralDense, SpectralDense,
+};
+use ffdl_nn::{Dense, Flatten, Network, Relu, Scratch, Softmax};
 use ffdl_rng::{Rng, SeedableRng, SmallRng};
-use ffdl_tensor::Tensor;
+use ffdl_tensor::{ConvGeometry, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,24 +82,56 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     COUNTED_ALLOCS.load(Ordering::Relaxed) - before
 }
 
-fn network() -> Network {
+/// The served stacks, each with its per-sample input shape.
+fn stacks() -> Vec<(&'static str, Network, Vec<usize>)> {
     let mut rng = SmallRng::seed_from_u64(11);
-    let mut net = Network::new();
-    net.push(CirculantDense::new(16, 16, 4, &mut rng).unwrap());
-    net.push(Relu::new());
-    net.push(Dense::new(16, 4, &mut rng));
-    net.push(Softmax::new());
-    net
+    let mut training = Network::new();
+    training.push(CirculantDense::new(16, 16, 4, &mut rng).unwrap());
+    training.push(Relu::new());
+    training.push(Dense::new(16, 4, &mut rng));
+    training.push(Softmax::new());
+
+    let first = CirculantDense::new(16, 16, 4, &mut rng).unwrap();
+    let second = CirculantDense::new(16, 6, 4, &mut rng).unwrap();
+    let mut frozen = Network::new();
+    frozen.push(SpectralDense::from_matrix(first.matrix(), first.bias().clone()));
+    frozen.push(Relu::new());
+    frozen.push(QuantizedSpectralDense::from_matrix(
+        second.matrix(),
+        second.bias().clone(),
+        QuantBits::Eight,
+    ));
+    frozen.push(Softmax::new());
+
+    let mut conv = Network::new();
+    conv.push(CirculantConv2d::new(2, 4, 6, 6, ConvGeometry::valid(3), 4, &mut rng).unwrap());
+    conv.push(Relu::new());
+    conv.push(Flatten::new());
+    conv.push(Dense::new(4 * 4 * 4, 4, &mut rng));
+    conv.push(Softmax::new());
+
+    vec![
+        ("circulant_dense", training, vec![16]),
+        ("frozen_f32_int8", frozen, vec![16]),
+        ("circulant_conv2d", conv, vec![2, 6, 6]),
+    ]
 }
 
+// One test on purpose: the allocation counter is process-wide, so the
+// stacks are measured one after another.
 #[test]
 fn steady_state_forward_batch_allocates_nothing() {
-    let mut net = network();
+    for (name, net, shape) in stacks() {
+        steady_state_allocates_nothing(name, net, &shape);
+    }
+}
+
+fn steady_state_allocates_nothing(name: &str, mut net: Network, shape: &[usize]) {
     let mut scratch = Scratch::new();
 
     let mut rng = SmallRng::seed_from_u64(77);
     let samples: Vec<Tensor> = (0..8)
-        .map(|_| Tensor::from_fn(&[16], |_| rng.next_f32() * 2.0 - 1.0))
+        .map(|_| Tensor::from_fn(shape, |_| rng.next_f32() * 2.0 - 1.0))
         .collect();
     let refs: Vec<&Tensor> = samples.iter().collect();
 
@@ -108,9 +145,13 @@ fn steady_state_forward_batch_allocates_nothing() {
     let reference = net.forward_batch_with(&refs, &mut scratch).unwrap();
 
     // `reference` keeps one buffer checked out of the pool for the rest
-    // of the test; one more unmeasured pass lets the pool replace it.
-    let out = net.forward_batch_with(&refs, &mut scratch).unwrap();
-    scratch.recycle(out);
+    // of the test; two more unmeasured passes let the pool replace it
+    // (the CONV stack cycles five buffers, so the replacement takes a
+    // pass to reach the call site whose size it has to grow to).
+    for _ in 0..2 {
+        let out = net.forward_batch_with(&refs, &mut scratch).unwrap();
+        scratch.recycle(out);
+    }
 
     // Steady state: zero heap allocations across many full passes.
     let allocs = count_allocs(|| {
@@ -123,10 +164,10 @@ fn steady_state_forward_batch_allocates_nothing() {
     });
     assert_eq!(
         allocs, 0,
-        "steady-state forward_batch_with must not touch the heap"
+        "{name}: steady-state forward_batch_with must not touch the heap"
     );
 
     // The diet changes nothing numerically: still bit-identical.
     let after = net.forward_batch_with(&refs, &mut scratch).unwrap();
-    assert_eq!(reference.as_slice(), after.as_slice());
+    assert_eq!(reference.as_slice(), after.as_slice(), "{name}");
 }

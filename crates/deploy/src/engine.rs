@@ -2,9 +2,15 @@
 //! predicting labels"): runs predictions, reports per-image core runtime
 //! (the quantity of Tables II/III) and projects it onto the modelled
 //! embedded platforms.
+//!
+//! [`InferenceEngine::predict`] and [`InferenceEngine::predict_batch`]
+//! are one path: after input screening they run the network's inference
+//! loop ([`Network::forward_infer`]) on the engine-owned [`Scratch`] and
+//! differ only in whether samples are stacked first. Neither leaves a
+//! backward cache in the network.
 
 use crate::error::{DeployError, NonFiniteStage};
-use ffdl_nn::{softmax_rows, Network, Scratch};
+use ffdl_nn::{softmax_rows, Network, NnError, Scratch};
 use ffdl_platform::{measure_inference_us, RuntimeModel, Timing};
 use ffdl_tensor::Tensor;
 
@@ -33,7 +39,7 @@ pub struct EvaluationReport {
 
 /// Inference engine wrapping a loaded network.
 ///
-/// Owns a per-engine [`Scratch`] buffer pool: batched prediction runs
+/// Owns a per-engine [`Scratch`] buffer pool: every prediction runs
 /// through the allocation-reusing inference path, so steady-state
 /// serving does not heap-allocate per request once the pool is warm.
 pub struct InferenceEngine {
@@ -83,7 +89,7 @@ impl InferenceEngine {
     }
 
     fn bad_input(message: String) -> DeployError {
-        DeployError::Nn(ffdl_nn::NnError::BadInput {
+        DeployError::Nn(NnError::BadInput {
             layer: "inference_engine".into(),
             message,
         })
@@ -177,19 +183,31 @@ impl InferenceEngine {
             )));
         }
         Self::check_finite(inputs.as_slice(), NonFiniteStage::Input, 0)?;
+        self.predict_with(|network, scratch| network.forward_infer(inputs, scratch))
+    }
+
+    /// Everything after input screening, for both entry points: the
+    /// inference pass `forward` on the engine's scratch pool, the logits
+    /// screen, and the conversion to predictions.
+    fn predict_with(
+        &mut self,
+        forward: impl FnOnce(&mut Network, &mut Scratch) -> Result<Tensor, NnError>,
+    ) -> Result<Vec<Prediction>, DeployError> {
         let span = ffdl_telemetry::span("ffdl.deploy.predict_ns");
-        let mut out = self.network.forward(inputs)?;
-        self.screen_logits(&mut out)?;
-        let preds = self.predictions_from_output(&out)?;
+        let mut out = forward(&mut self.network, &mut self.scratch)?;
+        let screened = self.screen_logits(&mut out);
+        let preds = screened.and_then(|()| self.predictions_from_output(&out));
+        self.scratch.recycle(out);
+        let preds = preds?;
         drop(span);
         ffdl_telemetry::count("ffdl.deploy.predictions", preds.len() as u64);
         Ok(preds)
     }
 
     /// Predicts classes for a coalesced batch of per-sample tensors: the
-    /// samples are stacked and run through **one** forward pass
-    /// ([`Network::forward_batch_with`]), so the per-call costs of the FFT
-    /// layers are amortized across the whole batch. Entry `r` of the
+    /// samples are stacked and run through **one** inference pass
+    /// ([`Network::forward_batch_with`]), so per-call costs are amortized
+    /// across the whole batch. Entry `r` of the
     /// result corresponds to `samples[r]` and is bit-identical to
     /// [`InferenceEngine::predict`] on that sample alone.
     ///
@@ -208,15 +226,7 @@ impl InferenceEngine {
             Self::check_finite(sample.as_slice(), NonFiniteStage::Input, offset)?;
             offset += sample.len();
         }
-        let span = ffdl_telemetry::span("ffdl.deploy.predict_ns");
-        let mut out = self.network.forward_batch_with(samples, &mut self.scratch)?;
-        let screened = self.screen_logits(&mut out);
-        let preds = screened.and_then(|()| self.predictions_from_output(&out));
-        self.scratch.recycle(out);
-        let preds = preds?;
-        drop(span);
-        ffdl_telemetry::count("ffdl.deploy.predictions", preds.len() as u64);
-        Ok(preds)
+        self.predict_with(|network, scratch| network.forward_batch_with(samples, scratch))
     }
 
     /// Runs a full timed evaluation: accuracy (when labels are given),

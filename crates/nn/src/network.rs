@@ -1,5 +1,13 @@
 //! The sequential [`Network`] container: forward/backward across layers,
 //! a mini-batch training step, and accuracy evaluation.
+//!
+//! There are exactly two layer loops. [`Network::forward`] is the
+//! training pass ([`Layer::forward`]: every layer records what
+//! `backward` needs); [`Network::forward_infer`] is the inference pass
+//! ([`Layer::forward_infer`]: nothing recorded, activations recycled
+//! through a [`Scratch`] pool), and [`Network::forward_batch_with`] is
+//! that same pass after stacking per-sample tensors. The two are
+//! bit-identical in output.
 
 use crate::error::NnError;
 use crate::layer::{Layer, OpCost, ParamRef};
@@ -84,7 +92,14 @@ impl Network {
         &mut self.layers
     }
 
-    /// Runs the full forward pass.
+    /// Span over one layer's forward call, when telemetry is on.
+    fn layer_span(telemetry_on: bool, layer: &dyn Layer) -> Option<ffdl_telemetry::SpanTimer> {
+        telemetry_on
+            .then(|| ffdl_telemetry::span(&format!("ffdl.nn.layer_forward_ns.{}", layer.type_tag())))
+    }
+
+    /// Runs the full training forward pass: every layer caches what
+    /// [`Network::backward`] needs.
     ///
     /// When global telemetry is enabled (`ffdl_telemetry::enabled()`),
     /// each layer's wall time lands in a
@@ -97,70 +112,63 @@ impl Network {
     ///
     /// Propagates the first layer error (shape mismatch etc.).
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        if ffdl_telemetry::enabled() {
-            return self.forward_instrumented(input);
-        }
+        let telemetry_on = ffdl_telemetry::enabled();
+        let _whole = telemetry_on.then(|| ffdl_telemetry::span("ffdl.nn.forward_ns"));
         let mut x = input.clone();
         for layer in &mut self.layers {
+            let _span = Self::layer_span(telemetry_on, layer.as_ref());
             x = layer.forward(&x)?;
         }
         Ok(x)
     }
 
-    /// The telemetry-on forward path: identical computation, plus one
-    /// span per layer and one for the whole pass, recorded into the
-    /// global registry.
-    fn forward_instrumented(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let whole = ffdl_telemetry::span("ffdl.nn.forward_ns");
-        let mut x = input.clone();
+    /// The inference layer loop: consumes the scratch-owned `x`,
+    /// recycling each layer's input as soon as the layer has produced its
+    /// output. Same spans as [`Network::forward`].
+    fn infer(&mut self, mut x: Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
+        let telemetry_on = ffdl_telemetry::enabled();
+        let _whole = telemetry_on.then(|| ffdl_telemetry::span("ffdl.nn.forward_ns"));
         for layer in &mut self.layers {
-            let span =
-                ffdl_telemetry::span(&format!("ffdl.nn.layer_forward_ns.{}", layer.type_tag()));
-            x = layer.forward(&x)?;
+            let span = Self::layer_span(telemetry_on, layer.as_ref());
+            let result = layer.forward_infer(&x, scratch);
             drop(span);
+            scratch.recycle(x);
+            x = result?;
         }
-        drop(whole);
         Ok(x)
     }
 
-    /// Runs one forward pass over a coalesced batch of per-sample
-    /// tensors: the samples are stacked into a single `[n, d…]` tensor
-    /// and pushed through the layer stack **once**, so per-call costs
-    /// (weight-spectrum FFTs in circulant layers, per-layer dispatch,
-    /// activation allocation) are paid per batch instead of per sample.
-    /// This is the kernel-level half of the serving runtime's dynamic
-    /// batcher.
+    /// Runs the inference forward pass over a `[batch, d…]` input: no
+    /// layer records anything for `backward`, and every intermediate
+    /// activation is threaded through `scratch`. After a warmup call the
+    /// steady state performs **zero per-request heap allocations** for
+    /// layers whose `forward_infer` is allocation-free (all built-in
+    /// layers on power-of-two FFT blocks).
+    ///
+    /// The result tensor is owned by the caller; recycle it back into
+    /// `scratch` when done to keep the pool warm. Outputs are
+    /// bit-identical to [`Network::forward`]: `forward_infer` runs the
+    /// same arithmetic in the same order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first layer error (shape mismatch etc.).
+    pub fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
+        let mut x = scratch.take(input.shape());
+        x.as_mut_slice().copy_from_slice(input.as_slice());
+        self.infer(x, scratch)
+    }
+
+    /// [`Network::forward_infer`] over a coalesced batch of per-sample
+    /// tensors: the samples are stacked into a single scratch-owned
+    /// `[n, d…]` tensor and pushed through the layer stack **once**, so
+    /// per-call costs (per-layer dispatch, activation buffers) are paid
+    /// per batch instead of per sample. This is the kernel-level half of
+    /// the serving runtime's dynamic batcher.
     ///
     /// Row `r` of the output corresponds to `samples[r]`, bit-identically
     /// to running [`Network::forward`] on that sample alone (all layers
     /// process batch rows independently).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadInput`] when `samples` is empty or the
-    /// sample shapes disagree; propagates layer errors.
-    pub fn forward_batch(&mut self, samples: &[&Tensor]) -> Result<Tensor, NnError> {
-        let stacked = Tensor::stack(samples).map_err(|e| NnError::BadInput {
-            layer: "network".into(),
-            message: format!("forward_batch: {e}"),
-        })?;
-        self.forward(&stacked)
-    }
-
-    /// Allocation-recycling variant of [`Network::forward_batch`]: stacks
-    /// the samples into a scratch-owned tensor and threads every
-    /// intermediate activation through `scratch`, recycling each layer's
-    /// input as soon as the layer has produced its output. After a warmup
-    /// call the steady state performs **zero per-request heap
-    /// allocations** for layers whose `forward_infer` is allocation-free
-    /// (all built-in layers on power-of-two FFT blocks).
-    ///
-    /// The result tensor is owned by the caller; recycle it back into
-    /// `scratch` when done to keep the pool warm.
-    ///
-    /// Outputs are bit-identical to [`Network::forward_batch`] (and hence
-    /// to per-row [`Network::forward`]): `forward_infer` runs the same
-    /// arithmetic in the same order, it only skips backward caches.
     ///
     /// # Errors
     ///
@@ -179,30 +187,7 @@ impl Network {
                 message: format!("forward_batch: {e}"),
             });
         }
-        // Same instrumentation as Network::forward when telemetry is
-        // on; disabled (the serving steady state) this is one relaxed
-        // bool load and no allocation.
-        let telemetry_on = ffdl_telemetry::enabled();
-        let whole = telemetry_on.then(|| ffdl_telemetry::span("ffdl.nn.forward_ns"));
-        for layer in &mut self.layers {
-            let span = telemetry_on.then(|| {
-                ffdl_telemetry::span(&format!("ffdl.nn.layer_forward_ns.{}", layer.type_tag()))
-            });
-            let result = layer.forward_infer(&x, scratch);
-            drop(span);
-            match result {
-                Ok(y) => {
-                    scratch.recycle(x);
-                    x = y;
-                }
-                Err(e) => {
-                    scratch.recycle(x);
-                    return Err(e);
-                }
-            }
-        }
-        drop(whole);
-        Ok(x)
+        self.infer(x, scratch)
     }
 
     /// Runs the full backward pass, returning the gradient with respect to

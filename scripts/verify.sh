@@ -18,24 +18,44 @@ cargo test -q --offline --workspace
 echo "== lint: clippy (warnings are errors) =="
 cargo clippy --offline --workspace -- -D warnings
 
-echo "== guard: one mechanism (supervised worker core defined once) =="
+echo "== guard: one mechanism (worker core and Algorithm 1 each written once) =="
 # serve, sched and stream share one model slot, one quarantine ->
 # rollback routine and one request-path catch_unwind
-# (crates/serve/src/supervise.rs, DESIGN.md "Supervised worker core").
-# Each must be defined in exactly one non-test source file: a second
-# definition is a private copy growing back.
-for pattern in 'struct GenRecord' 'const HISTORY_DEPTH' 'fn (handle|report)_unhealthy' 'catch_unwind\('; do
-    hits="$(for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
+# (crates/serve/src/supervise.rs, DESIGN.md "Supervised worker core"),
+# and every circulant layer shares one block-spectral product: the two
+# multiply-accumulate kernels are *called* from one file only
+# (crates/core/src/spectral.rs, DESIGN.md "Algorithm 1, once"). Each
+# pattern must match in exactly one non-test source file: a second match
+# is a private copy growing back.
+non_test_files_matching() {
+    for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
         # (not grep -q: an early exit would SIGPIPE awk under pipefail)
-        awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -E "${pattern}" > /dev/null && echo "$f"
-    done || true)"
+        awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -E "$1" > /dev/null && echo "$f"
+    done || true
+}
+for pattern in 'struct GenRecord' 'const HISTORY_DEPTH' 'fn (handle|report)_unhealthy' 'catch_unwind\(' \
+    'SpectralKernel::mul_accumulate\(' 'SpectralKernel::mul_accumulate_levels\('; do
+    hits="$(non_test_files_matching "${pattern}")"
     if [ "$(echo "${hits}" | grep -c .)" -ne 1 ]; then
-        echo "one-mechanism guard: '${pattern}' must be defined in exactly one file, found:" >&2
+        echo "one-mechanism guard: '${pattern}' must appear in exactly one file, found:" >&2
         echo "${hits:-  (none)}" >&2
         exit 1
     fi
     echo "'${pattern}' only in ${hits}"
 done
+# Network has one training loop and one inference loop; the telemetry-on
+# copy of the former must not come back.
+hits="$(non_test_files_matching 'fn forward_instrumented')"
+if [ -n "${hits}" ]; then
+    echo "one-mechanism guard: 'fn forward_instrumented' is back in ${hits}" >&2
+    exit 1
+fi
+
+echo "== benchmark smoke (benchmark/ builds and runs against this workspace) =="
+# benchmark/ is a workspace of its own that imports the kernel parts and
+# re-executes Algorithm 1 from them; a signature drift fails here instead
+# of in the benchmark pipeline.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --workload all --smoke
 
 echo "== serve smoke test =="
 serve_out="$(cargo run --release --offline -q -p ffdl-cli -- serve-bench --workers 2 --requests 64)"

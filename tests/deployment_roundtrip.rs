@@ -9,8 +9,10 @@ use ffdl::deploy::{
     format_inputs, parse_architecture, parse_inputs, read_parameters_into, write_parameters,
     InferenceEngine,
 };
-use ffdl::nn::{load_network, save_network};
+use ffdl::core::CirculantConv2d;
+use ffdl::nn::{load_network, save_network, Dense, Flatten, Network, NnError, Relu};
 use ffdl::paper;
+use ffdl::tensor::{ConvGeometry, Tensor};
 use ffdl_rng::rngs::SmallRng;
 use ffdl_rng::SeedableRng;
 
@@ -133,4 +135,42 @@ fn corrupted_artifacts_are_rejected_cleanly() {
     // Wrong architecture: shape mismatch reported.
     let mut net = parse_architecture(paper::ARCH1_TEXT, 0).unwrap().network;
     assert!(read_parameters_into(&mut net, &params[..]).is_err());
+}
+
+/// A serving engine retains no training state: `predict` runs the
+/// inference pass, so a following `backward` finds no forward cache — on
+/// the network as a whole and on every trainable layer in it.
+#[test]
+fn predict_leaves_no_backward_cache() {
+    let mut rng = SmallRng::seed_from_u64(3);
+    let mut conv = Network::new();
+    conv.push(CirculantConv2d::new(2, 4, 6, 6, ConvGeometry::valid(3), 4, &mut rng).unwrap());
+    conv.push(Relu::new());
+    conv.push(Flatten::new());
+    conv.push(Dense::new(4 * 4 * 4, 3, &mut rng));
+    let cases = [
+        ("arch1", paper::arch1(3), vec![2, 256]),
+        ("frozen", paper::freeze_spectral(&paper::arch1(3)).unwrap(), vec![2, 256]),
+        ("circulant_conv", conv, vec![2, 2, 6, 6]),
+    ];
+    for (name, net, shape) in cases {
+        let mut engine = InferenceEngine::new(net);
+        let x = Tensor::from_fn(&shape, |i| (i as f32 * 0.37).sin());
+        let classes = engine.predict(&x).unwrap()[0].probabilities.len();
+        let grad = Tensor::zeros(&[2, classes]);
+        let net = engine.network_mut();
+        assert!(
+            matches!(net.backward(&grad), Err(NnError::NoForwardCache(_))),
+            "{name}: predict armed backward"
+        );
+        for layer in net.layers_mut() {
+            if !layer.parameters().is_empty() {
+                assert!(
+                    matches!(layer.backward(&grad), Err(NnError::NoForwardCache(_))),
+                    "{name}: {} kept a backward cache",
+                    layer.type_tag()
+                );
+            }
+        }
+    }
 }

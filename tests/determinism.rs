@@ -6,7 +6,7 @@
 //! out as a reproducibility break.
 
 use ffdl::data::{mnist_preprocess, synthetic_mnist, MnistConfig};
-use ffdl::nn::Network;
+use ffdl::nn::{Network, Scratch};
 use ffdl::paper;
 use ffdl::tensor::Tensor;
 use ffdl_rng::rngs::SmallRng;
@@ -44,10 +44,12 @@ fn different_seeds_give_different_weights() {
     assert_ne!(param_bits(&paper::arch1(1)), param_bits(&paper::arch1(2)));
 }
 
-/// The batched forward path is a pure coalescing optimization: for every
-/// representative layer stack — raw circulant, spectral-frozen
-/// circulant, dense, and the conv front-end — `forward_batch` over a set
-/// of samples must be *bit-identical* to forwarding each sample alone.
+/// The batched inference path is a pure coalescing optimization: for
+/// every representative layer stack — raw circulant, spectral-frozen
+/// circulant, dense, and the conv front-end — `forward_batch_with` over a
+/// set of samples must be *bit-identical* to the training `forward` of
+/// each sample alone, which pins the network's two layer loops (and every
+/// layer's `forward_infer` and `forward`) to each other.
 #[test]
 fn forward_batch_is_bit_identical_to_per_row_forward() {
     let cases: Vec<(&str, Network, Vec<usize>)> = vec![
@@ -65,7 +67,7 @@ fn forward_batch_is_bit_identical_to_per_row_forward() {
             .map(|s| Tensor::from_fn(&shape, |i| (((s * 1009 + i) * 31) % 97) as f32 / 97.0))
             .collect();
         let refs: Vec<&Tensor> = samples.iter().collect();
-        let batched = net.forward_batch(&refs).unwrap();
+        let batched = net.forward_batch_with(&refs, &mut Scratch::new()).unwrap();
         for (r, sample) in samples.iter().enumerate() {
             let mut single_shape = vec![1];
             single_shape.extend_from_slice(&shape);
