@@ -1,5 +1,5 @@
 //! Bluestein's chirp-z algorithm: FFT of *arbitrary* length in
-//! `O(n log n)`, built on top of the radix-2 kernel.
+//! `O(n log n)`, built on top of the power-of-two kernel.
 //!
 //! Block-circulant layers zero-pad to the block size, but the block size
 //! itself need not be a power of two (e.g. the 121-neuron input layer of

@@ -10,10 +10,12 @@
 //! that kernel:
 //!
 //! - [`Complex`] numbers generic over `f32`/`f64` ([`FftFloat`]),
-//! - the iterative radix-2 Cooley–Tukey transform ([`Radix2`], Fig. 1),
-//! - [`Bluestein`]'s chirp-z transform for arbitrary lengths,
+//! - the power-of-two Cooley–Tukey transform ([`Radix2`], Fig. 1): a
+//!   bit-reversal, then radix-4 passes over per-pass twiddle tables,
+//! - [`Bluestein`]'s chirp-z transform for arbitrary lengths, on top of it,
 //! - real-input transforms ([`RealFft`]) that compute only the
-//!   non-redundant half spectrum,
+//!   non-redundant half spectrum and run the same passes with the
+//!   permutation and the scaling folded into their pack steps,
 //! - circular convolution/correlation ([`Convolver`], [`circular_convolve`])
 //!   with direct `O(n²)` references for testing and benchmarking,
 //! - a plan cache ([`FftPlanner`]) so hot loops never recompute twiddles,

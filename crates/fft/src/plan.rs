@@ -1,10 +1,16 @@
-//! FFT planning: the [`Fft`] algorithm trait, the iterative radix-2
-//! Cooley–Tukey implementation (Fig. 1 of the paper), and the [`FftPlanner`]
-//! that caches twiddle tables per transform size.
+//! FFT planning: the [`Fft`] algorithm trait, the power-of-two
+//! Cooley–Tukey kernel (Fig. 1 of the paper, as radix-4 passes), and the
+//! [`FftPlanner`] that caches twiddle tables per transform size.
+//!
+//! There is one butterfly implementation. [`Fft::process`] on a
+//! [`Radix2`] plan permutes and then runs it; [`RealFft`](crate::RealFft)
+//! runs it on data its pack step already permuted; `Bluestein`, `Fft2d`
+//! and `Convolver` reach it through `process`.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, OnceLock};
 
+use crate::bluestein::Bluestein;
 use crate::complex::{Complex, FftFloat};
 use crate::error::FftError;
 use ffdl_telemetry::Counter;
@@ -80,22 +86,47 @@ pub trait Fft<T: FftFloat>: Send + Sync {
     fn process(&self, buf: &mut [Complex<T>]) -> Result<(), FftError>;
 }
 
-/// Iterative radix-2 decimation-in-time Cooley–Tukey FFT.
+/// `e^{sign·2πi·num/den}`, evaluated in `f64` and rounded once, so `f32`
+/// tables hold correctly rounded entries instead of the `f32` sine of an
+/// already-rounded angle.
+pub(crate) fn twiddle<T: FftFloat>(sign: f64, num: usize, den: usize) -> Complex<T> {
+    let theta = sign * 2.0 * std::f64::consts::PI * (num % den) as f64 / den as f64;
+    Complex::new(T::from_f64(theta.cos()), T::from_f64(theta.sin()))
+}
+
+/// Power-of-two decimation-in-time Cooley–Tukey FFT — Fig. 1 of the
+/// paper, taken two stages at a time.
 ///
-/// Bit-reversal permutation followed by `log₂ n` butterfly stages, using a
-/// precomputed table of `n/2` twiddle factors. This is the classic
-/// structure illustrated in Fig. 1 of the paper.
+/// [`Fft::process`] is the bit-reversal permutation followed by the
+/// butterflies: one twiddle-free pass over groups of four (stages 1–2;
+/// groups of eight, stages 1–3, when `log₂ n` is odd), then radix-4
+/// passes that each fuse two stages and walk a contiguous twiddle table
+/// of their own. [`RealFft`](crate::RealFft) runs the butterflies alone
+/// and folds the permutation and the `1/n` scale into the pack step it
+/// performs anyway.
 pub struct Radix2<T> {
     len: usize,
     direction: Direction,
-    /// `twiddles[k] = e^{sign·2πi·k/n}` for `k < n/2`.
-    twiddles: Vec<Complex<T>>,
-    /// Precomputed bit-reversal permutation.
+    /// `bit_reverse[i]` is `i` with its `log₂ n` bits reversed.
     bit_reverse: Vec<u32>,
+    /// The radix-4 pass tables back to back, in pass order: the pass that
+    /// joins four sub-transforms of size `q` owns `q` triples
+    /// `[Wᵏ, W²ᵏ, W³ᵏ]` with `W = e^{sign·2πi/4q}`.
+    twiddles: Vec<[Complex<T>; 3]>,
+}
+
+/// Size of the sub-transforms the twiddle-free first pass leaves behind.
+fn first_pass_len(len: usize) -> usize {
+    match len.trailing_zeros() {
+        0 => 1,
+        1 => 2,
+        bits if bits % 2 == 0 => 4,
+        _ => 8,
+    }
 }
 
 impl<T: FftFloat> Radix2<T> {
-    /// Builds a radix-2 plan.
+    /// Builds a power-of-two plan.
     ///
     /// # Panics
     ///
@@ -106,13 +137,6 @@ impl<T: FftFloat> Radix2<T> {
             len.is_power_of_two(),
             "radix-2 FFT requires a power-of-two length, got {len}"
         );
-        let half = len / 2;
-        let sign: T = direction.sign();
-        let two_pi = T::from_f64(2.0) * T::PI;
-        let twiddles = (0..half)
-            .map(|k| Complex::cis(sign * two_pi * T::from_usize(k) / T::from_usize(len)))
-            .collect();
-
         let bits = len.trailing_zeros();
         let bit_reverse = (0..len as u32)
             .map(|i| {
@@ -124,11 +148,136 @@ impl<T: FftFloat> Radix2<T> {
             })
             .collect();
 
+        let sign = direction.sign::<f64>();
+        let mut twiddles = Vec::new();
+        let mut q = first_pass_len(len);
+        while q < len {
+            twiddles.extend((0..q).map(|k| [1, 2, 3].map(|p| twiddle(sign, p * k, 4 * q))));
+            q *= 4;
+        }
+
         Self {
             len,
             direction,
-            twiddles,
             bit_reverse,
+            twiddles,
+        }
+    }
+
+    /// The bit-reversal permutation, for a caller that fuses it into a
+    /// write it makes anyway.
+    pub(crate) fn bit_reverse(&self) -> &[u32] {
+        &self.bit_reverse
+    }
+
+    /// The butterfly passes alone. `buf` holds the plan's length in
+    /// bit-reversed order; the result is unscaled in both directions.
+    pub(crate) fn butterflies(&self, buf: &mut [Complex<T>]) {
+        match self.direction {
+            Direction::Forward => self.passes::<false>(buf),
+            Direction::Inverse => self.passes::<true>(buf),
+        }
+    }
+
+    fn passes<const INV: bool>(&self, buf: &mut [Complex<T>]) {
+        assert_eq!(buf.len(), self.len);
+        let mut q = first_pass_len(self.len);
+        match q {
+            2 => {
+                let (a, b) = (buf[0], buf[1]);
+                buf[0] = a + b;
+                buf[1] = a - b;
+            }
+            4 => first4::<T, INV>(buf),
+            8 => first8::<T, INV>(buf),
+            _ => {}
+        }
+        let mut tables = &self.twiddles[..];
+        while q < self.len {
+            let (table, rest) = tables.split_at(q);
+            pass4::<T, INV>(buf, table);
+            tables = rest;
+            q *= 4;
+        }
+    }
+}
+
+/// `z·(−i)` for the forward kernel, `z·(+i)` for the inverse: the
+/// quarter-turn twiddle, a swap and a sign instead of a product.
+#[inline(always)]
+fn quarter_turn<T: FftFloat, const INV: bool>(z: Complex<T>) -> Complex<T> {
+    if INV {
+        Complex::new(-z.im, z.re)
+    } else {
+        Complex::new(z.im, -z.re)
+    }
+}
+
+/// A 4-point DFT of `[a, b, c, d]` given in bit-reversed order.
+#[inline(always)]
+fn dft4<T: FftFloat, const INV: bool>(
+    [a, b, c, d]: [Complex<T>; 4],
+) -> [Complex<T>; 4] {
+    let (s0, d0) = (a + b, a - b);
+    let (s1, d1) = (c + d, quarter_turn::<T, INV>(c - d));
+    [s0 + s1, d0 + d1, s0 - s1, d0 - d1]
+}
+
+// The passes are kept out of line on purpose: as arguments of a function
+// `buf` and `table` are known not to alias, which is what lets the
+// compiler vectorize the butterfly loops; inlined into a caller that
+// reaches both through `&self` it no longer does (1.6× on a 64-point
+// transform).
+
+/// Stages 1–2 on bit-reversed data: every twiddle is `1` or `∓i`.
+#[inline(never)]
+fn first4<T: FftFloat, const INV: bool>(buf: &mut [Complex<T>]) {
+    for g in buf.chunks_exact_mut(4) {
+        let out = dft4::<T, INV>([g[0], g[1], g[2], g[3]]);
+        g.copy_from_slice(&out);
+    }
+}
+
+/// Stages 1–3 on bit-reversed data: two 4-point DFTs joined by the
+/// eighth roots of unity, which cost two real products each.
+#[inline(never)]
+fn first8<T: FftFloat, const INV: bool>(buf: &mut [Complex<T>]) {
+    let h = T::from_f64(std::f64::consts::FRAC_1_SQRT_2);
+    for g in buf.chunks_exact_mut(8) {
+        let p = dft4::<T, INV>([g[0], g[1], g[2], g[3]]);
+        let [q0, q1, q2, q3] = dft4::<T, INV>([g[4], g[5], g[6], g[7]]);
+        // W₈ᵏ·qₖ with W₈ = (1 ∓ i)/√2: W₈·q = (q ∓ iq)/√2, W₈³·q = (∓iq − q)/√2.
+        let t = [
+            q0,
+            (q1 + quarter_turn::<T, INV>(q1)).scale(h),
+            quarter_turn::<T, INV>(q2),
+            (quarter_turn::<T, INV>(q3) - q3).scale(h),
+        ];
+        for k in 0..4 {
+            g[k] = p[k] + t[k];
+            g[k + 4] = p[k] - t[k];
+        }
+    }
+}
+
+/// One radix-4 pass: joins four adjacent sub-transforms of size
+/// `q = table.len()` into one of size `4q` (two radix-2 stages, with the
+/// three products per butterfly a radix-4 split needs instead of four).
+#[inline(never)]
+fn pass4<T: FftFloat, const INV: bool>(buf: &mut [Complex<T>], table: &[[Complex<T>; 3]]) {
+    let q = table.len();
+    for block in buf.chunks_exact_mut(4 * q) {
+        let (a, rest) = block.split_at_mut(q);
+        let (b, rest) = rest.split_at_mut(q);
+        let (c, d) = rest.split_at_mut(q);
+        for ((((a, b), c), d), w) in a.iter_mut().zip(b).zip(c).zip(d).zip(table) {
+            let (tb, tc, td) = (*b * w[1], *c * w[0], *d * w[2]);
+            let (s0, d0) = (*a + tb, *a - tb);
+            let (s1, d1) = (tc + td, quarter_turn::<T, INV>(tc - td));
+            *a = s0 + s1;
+            *b = d0 + d1;
+            *c = s0 - s1;
+            *d = d0 - d1;
         }
     }
 }
@@ -149,41 +298,23 @@ impl<T: FftFloat> Fft<T> for Radix2<T> {
                 actual: buf.len(),
             });
         }
-        let n = self.len;
-
-        // Bit-reversal permutation.
-        for i in 0..n {
-            let j = self.bit_reverse[i] as usize;
-            if j > i {
-                buf.swap(i, j);
+        // Permute (a swap per transposition pair), scaling the inverse
+        // on the way so the butterflies stay direction-agnostic.
+        let scale = match self.direction {
+            Direction::Forward => None,
+            Direction::Inverse => Some(T::ONE / T::from_usize(self.len)),
+        };
+        for (i, &j) in self.bit_reverse.iter().enumerate() {
+            let j = j as usize;
+            if j >= i {
+                let (lo, hi) = (buf[i], buf[j]);
+                (buf[i], buf[j]) = match scale {
+                    Some(s) => (hi.scale(s), lo.scale(s)),
+                    None => (hi, lo),
+                };
             }
         }
-
-        // Butterfly stages: sub-transform size doubles each stage.
-        let mut m = 2;
-        while m <= n {
-            let half_m = m / 2;
-            let twiddle_stride = n / m;
-            for start in (0..n).step_by(m) {
-                for k in 0..half_m {
-                    let w = self.twiddles[k * twiddle_stride];
-                    let lo = start + k;
-                    let hi = lo + half_m;
-                    let t = buf[hi] * w;
-                    let u = buf[lo];
-                    buf[lo] = u + t;
-                    buf[hi] = u - t;
-                }
-            }
-            m *= 2;
-        }
-
-        if self.direction == Direction::Inverse {
-            let inv_n = T::ONE / T::from_usize(n);
-            for v in buf.iter_mut() {
-                *v = v.scale(inv_n);
-            }
-        }
+        self.butterflies(buf);
         Ok(())
     }
 }
@@ -213,7 +344,14 @@ impl<T: FftFloat> Fft<T> for Radix2<T> {
 /// # Ok::<(), ffdl_fft::FftError>(())
 /// ```
 pub struct FftPlanner<T> {
-    cache: HashMap<(usize, Direction), Arc<dyn Fft<T>>>,
+    cache: HashMap<(usize, Direction), Planned<T>>,
+}
+
+/// A cached plan, kept concrete so [`RealFft`](crate::RealFft) can take
+/// the power-of-two kernel without the `dyn Fft` in between.
+enum Planned<T> {
+    Pow2(Arc<Radix2<T>>),
+    Chirp(Arc<Bluestein<T>>),
 }
 
 impl<T: FftFloat> FftPlanner<T> {
@@ -224,6 +362,31 @@ impl<T: FftFloat> FftPlanner<T> {
         }
     }
 
+    /// The cached plan for `(len, direction)`, built on first use; counts
+    /// the hit or the miss.
+    fn lookup(&mut self, len: usize, direction: Direction) -> &Planned<T> {
+        assert!(len > 0, "cannot plan a zero-length FFT");
+        let counters = ffdl_telemetry::enabled().then(plan_cache_counters);
+        match self.cache.entry((len, direction)) {
+            Entry::Occupied(hit) => {
+                if let Some((hits, _)) = counters {
+                    hits.inc();
+                }
+                hit.into_mut()
+            }
+            Entry::Vacant(miss) => {
+                if let Some((_, misses)) = counters {
+                    misses.inc();
+                }
+                miss.insert(if len.is_power_of_two() {
+                    Planned::Pow2(Arc::new(Radix2::new(len, direction)))
+                } else {
+                    Planned::Chirp(Arc::new(Bluestein::new(len, direction)))
+                })
+            }
+        }
+    }
+
     /// Returns a plan for the given size and direction, creating and
     /// caching it on first use.
     ///
@@ -231,23 +394,18 @@ impl<T: FftFloat> FftPlanner<T> {
     ///
     /// Panics if `len == 0`.
     pub fn plan(&mut self, len: usize, direction: Direction) -> Arc<dyn Fft<T>> {
-        assert!(len > 0, "cannot plan a zero-length FFT");
-        if let Some(plan) = self.cache.get(&(len, direction)) {
-            if ffdl_telemetry::enabled() {
-                plan_cache_counters().0.inc();
-            }
-            return Arc::clone(plan);
+        match self.lookup(len, direction) {
+            Planned::Pow2(plan) => Arc::clone(plan) as Arc<dyn Fft<T>>,
+            Planned::Chirp(plan) => Arc::clone(plan) as Arc<dyn Fft<T>>,
         }
-        if ffdl_telemetry::enabled() {
-            plan_cache_counters().1.inc();
+    }
+
+    /// [`FftPlanner::plan`] for a power-of-two `len`, as the concrete type.
+    pub(crate) fn plan_pow2(&mut self, len: usize, direction: Direction) -> Arc<Radix2<T>> {
+        match self.lookup(len, direction) {
+            Planned::Pow2(plan) => Arc::clone(plan),
+            Planned::Chirp(_) => panic!("{len} is not a power of two"),
         }
-        let plan: Arc<dyn Fft<T>> = if len.is_power_of_two() {
-            Arc::new(Radix2::new(len, direction))
-        } else {
-            Arc::new(crate::bluestein::Bluestein::new(len, direction))
-        };
-        self.cache.insert((len, direction), Arc::clone(&plan));
-        plan
     }
 
     /// Shorthand for a forward plan.

@@ -4,12 +4,19 @@
 //! forward transform only needs the `n/2 + 1` non-redundant spectrum bins.
 //! For even lengths this module packs the real signal into an `n/2`-point
 //! complex transform (the classic two-for-one trick), halving the work of
-//! the kernel that dominates inference time. Odd lengths fall back to the
-//! complex transform transparently.
+//! the kernel that dominates inference time. The packing is made to cost
+//! as little as it can: when `n/2` is a power of two the pack step writes
+//! straight into bit-reversed order, so the transform is the [`Radix2`]
+//! butterflies alone, and the unpack twiddles are stored folded —
+//! `wᵏ·(−i)/2` forward, `conj(wᵏ)·i/n` inverse — so the quarter turn and
+//! both scalings are free and bins `k` and `n/2 − k` share one product.
+//! Other even lengths run the same pack and unpack routines around the
+//! planned (Bluestein) transform with an identity permutation. Odd
+//! lengths fall back to the full complex transform.
 
 use crate::complex::{Complex, FftFloat};
 use crate::error::FftError;
-use crate::plan::{Fft, FftPlanner};
+use crate::plan::{twiddle, Direction, Fft, FftPlanner, Radix2};
 use std::sync::Arc;
 
 /// A planned real-input FFT of fixed length `n`.
@@ -36,52 +43,141 @@ use std::sync::Arc;
 /// ```
 pub struct RealFft<T> {
     len: usize,
-    /// Even lengths: half-size complex plans plus unpack twiddles.
-    packed: Option<PackedPlans<T>>,
-    /// Odd lengths: full-size complex plans.
-    fallback: Option<FallbackPlans<T>>,
+    /// Immutable tables, shared by every clone of the plan.
+    plans: Arc<Plans<T>>,
 }
 
-// Cloning a plan shares the Arc'd complex plans and copies the O(n)
-// twiddle table — cheap enough for per-worker layer clones.
-impl<T: Clone> Clone for RealFft<T> {
+impl<T> Clone for RealFft<T> {
     fn clone(&self) -> Self {
         Self {
             len: self.len,
-            packed: self.packed.clone(),
-            fallback: self.fallback.clone(),
+            plans: Arc::clone(&self.plans),
         }
     }
 }
 
-struct PackedPlans<T> {
-    half_forward: Arc<dyn Fft<T>>,
-    half_inverse: Arc<dyn Fft<T>>,
-    /// `e^{-2πik/n}` for `k <= n/2`.
-    twiddles: Vec<Complex<T>>,
+enum Plans<T> {
+    /// Even lengths: a half-size complex transform between a pack and an
+    /// unpack step.
+    Packed(Packed<T>),
+    /// Odd lengths: full-size complex plans.
+    Full {
+        forward: Arc<dyn Fft<T>>,
+        inverse: Arc<dyn Fft<T>>,
+    },
 }
 
-impl<T: Clone> Clone for PackedPlans<T> {
-    fn clone(&self) -> Self {
-        Self {
-            half_forward: Arc::clone(&self.half_forward),
-            half_inverse: Arc::clone(&self.half_inverse),
-            twiddles: self.twiddles.clone(),
+struct Packed<T> {
+    forward: HalfPlan<T>,
+    inverse: HalfPlan<T>,
+    /// Where element `j` of the packed signal is written: bit-reversed
+    /// order for the butterflies, the identity for a planned transform.
+    order: Vec<u32>,
+    /// `wᵏ·(−i)/2` for `1 ≤ k ≤ (n/2 − 1)/2`, `w = e^{−2πi/n}`: the
+    /// forward unpack twiddles. Bin `n/2 − k` uses the conjugate.
+    unpack: Vec<Complex<T>>,
+    /// `conj(wᵏ)·i·prepack_scale` over the same `k`: the inverse pre-pack
+    /// twiddles.
+    prepack: Vec<Complex<T>>,
+    /// `1/2`, times the `2/n` that butterflies leave to their caller.
+    prepack_scale: T,
+}
+
+/// The `n/2`-point complex transform under the packed path.
+enum HalfPlan<T> {
+    /// Power-of-two half: the butterflies alone, on input the pack step
+    /// already wrote in bit-reversed order.
+    Butterflies(Arc<Radix2<T>>),
+    /// Any other half: the planned (Bluestein) transform, natural order.
+    Planned(Arc<dyn Fft<T>>),
+}
+
+impl<T: FftFloat> HalfPlan<T> {
+    fn run(&self, z: &mut [Complex<T>]) -> Result<(), FftError> {
+        match self {
+            HalfPlan::Butterflies(plan) => {
+                plan.butterflies(z);
+                Ok(())
+            }
+            HalfPlan::Planned(plan) => plan.process(z),
         }
     }
 }
 
-struct FallbackPlans<T> {
-    forward: Arc<dyn Fft<T>>,
-    inverse: Arc<dyn Fft<T>>,
+/// `v` as a slice of exactly `n` elements that the caller overwrites in
+/// full: a warm buffer of the right length is left untouched.
+fn sized<U: Copy>(v: &mut Vec<U>, n: usize, fill: U) -> &mut [U] {
+    v.resize(n, fill);
+    v
 }
 
-impl<T> Clone for FallbackPlans<T> {
-    fn clone(&self) -> Self {
-        Self {
-            forward: Arc::clone(&self.forward),
-            inverse: Arc::clone(&self.inverse),
-        }
+// The three steps below are kept out of line for the same reason as the
+// butterfly passes (`plan.rs`): as arguments of a function their slices
+// are known not to alias.
+
+/// Packs pairs of reals into one complex signal, `z[at[j]] = (x[2j],
+/// x[2j+1])` — the order the half transform wants it in.
+#[inline(never)]
+fn pack<T: FftFloat>(input: &[T], at: &[u32], z: &mut [Complex<T>]) {
+    for (pair, &at) in input.chunks_exact(2).zip(at) {
+        z[at as usize] = Complex::new(pair[0], pair[1]);
+    }
+}
+
+/// Forward unpack. `X[k] = E[k] + wᵏ·O[k]` with `E`, `O` the spectra of
+/// the even and odd samples: `E = (z[k] + conj z[n/2−k])/2` and
+/// `wᵏ·O = t·(z[k] − conj z[n/2−k])`, `t` the folded twiddle; the mirror
+/// bin is `conj(E − wᵏ·O)`, so each pair of bins costs one product.
+#[inline(never)]
+fn unpack<T: FftFloat>(z: &[Complex<T>], twiddles: &[Complex<T>], out: &mut [Complex<T>]) {
+    let (half, pairs) = (z.len(), twiddles.len());
+    let half_scale = T::from_f64(0.5);
+    out[0] = Complex::from_real(z[0].re + z[0].im);
+    out[half] = Complex::from_real(z[0].re - z[0].im);
+    let (z_low, z_high) = (&z[1..=pairs], &z[half - pairs..]);
+    // Bins k, the self-mirrored middle bin (even n/2 only), bins n/2 − k.
+    let (low, rest) = out[1..half].split_at_mut(pairs);
+    let (middle, high) = rest.split_at_mut(rest.len() - pairs);
+    if let [mid] = middle {
+        *mid = z[half / 2].conj();
+    }
+    let bins = low.iter_mut().zip(high.iter_mut().rev());
+    let zs = z_low.iter().zip(z_high.iter().rev());
+    for (((xk, xm), (&zk, &zm)), &t) in bins.zip(zs).zip(twiddles) {
+        let e = (zk + zm.conj()).scale(half_scale);
+        let o = t * (zk - zm.conj());
+        *xk = e + o;
+        *xm = (e - o).conj();
+    }
+}
+
+/// Inverse pre-pack: the forward unpack solved for `z`, `z[k] = E[k] +
+/// i·O[k]`, scaled by `c` and written to `z[at[k]]`. A real signal's
+/// spectrum has no `Im X[0]` / `Im X[n/2]`, so only their real parts are
+/// read.
+#[inline(never)]
+fn prepack<T: FftFloat>(
+    spectrum: &[Complex<T>],
+    twiddles: &[Complex<T>],
+    c: T,
+    at: &[u32],
+    z: &mut [Complex<T>],
+) {
+    let (half, pairs) = (z.len(), twiddles.len());
+    let (x0, xh) = (spectrum[0].re, spectrum[half].re);
+    z[at[0] as usize] = Complex::new((x0 + xh) * c, (x0 - xh) * c);
+    if half % 2 == 0 {
+        z[at[half / 2] as usize] = spectrum[half / 2].conj().scale(c + c);
+    }
+    let (x_low, x_high) = (&spectrum[1..=pairs], &spectrum[half - pairs..half]);
+    let (at_low, at_high) = (&at[1..=pairs], &at[half - pairs..]);
+    let xs = x_low.iter().zip(x_high.iter().rev());
+    let ats = at_low.iter().zip(at_high.iter().rev());
+    for (((&xk, &xm), (&ak, &am)), &t) in xs.zip(ats).zip(twiddles) {
+        let e = (xk + xm.conj()).scale(c);
+        let o = t * (xk - xm.conj());
+        z[ak as usize] = e + o;
+        z[am as usize] = (e - o).conj();
     }
 }
 
@@ -94,30 +190,47 @@ impl<T: FftFloat> RealFft<T> {
     pub fn new(len: usize) -> Self {
         assert!(len > 0, "cannot build a zero-length real FFT plan");
         let mut planner = FftPlanner::new();
-        if len.is_multiple_of(2) && len >= 2 {
+        let plans = if len.is_multiple_of(2) {
             let half = len / 2;
-            let two_pi = T::from_f64(2.0) * T::PI;
-            let twiddles = (0..=half)
-                .map(|k| Complex::cis(-two_pi * T::from_usize(k) / T::from_usize(len)))
-                .collect();
-            Self {
-                len,
-                packed: Some(PackedPlans {
-                    half_forward: planner.plan_forward(half),
-                    half_inverse: planner.plan_inverse(half),
-                    twiddles,
-                }),
-                fallback: None,
-            }
+            let (forward, inverse, order, inverse_scale) = if half.is_power_of_two() {
+                let forward = planner.plan_pow2(half, Direction::Forward);
+                let order = forward.bit_reverse().to_vec();
+                let inverse = planner.plan_pow2(half, Direction::Inverse);
+                let scale = 1.0 / half as f64;
+                (HalfPlan::Butterflies(forward), HalfPlan::Butterflies(inverse), order, scale)
+            } else {
+                let (forward, inverse) = (planner.plan_forward(half), planner.plan_inverse(half));
+                let order = (0..half as u32).collect();
+                (HalfPlan::Planned(forward), HalfPlan::Planned(inverse), order, 1.0)
+            };
+            let prepack_scale = 0.5 * inverse_scale;
+            // wᵏ·(−i) forward, conj(wᵏ)·i inverse: wᵏ a quarter turn on, the
+            // way `sign` points.
+            let folded = |sign: f64, scale: f64| {
+                (1..=(half - 1) / 2)
+                    .map(|k| {
+                        let w: Complex<f64> = twiddle(sign, 4 * k + len, 4 * len);
+                        Complex::new(T::from_f64(w.re * scale), T::from_f64(w.im * scale))
+                    })
+                    .collect()
+            };
+            Plans::Packed(Packed {
+                forward,
+                inverse,
+                order,
+                unpack: folded(-1.0, 0.5),
+                prepack: folded(1.0, prepack_scale),
+                prepack_scale: T::from_f64(prepack_scale),
+            })
         } else {
-            Self {
-                len,
-                packed: None,
-                fallback: Some(FallbackPlans {
-                    forward: planner.plan_forward(len),
-                    inverse: planner.plan_inverse(len),
-                }),
+            Plans::Full {
+                forward: planner.plan_forward(len),
+                inverse: planner.plan_inverse(len),
             }
+        };
+        Self {
+            len,
+            plans: Arc::new(plans),
         }
     }
 
@@ -150,8 +263,9 @@ impl<T: FftFloat> RealFft<T> {
 
     /// Allocation-reusing variant of [`RealFft::forward`]: writes the
     /// half spectrum into `out` and uses `scratch` for the packed
-    /// intermediate. Both vectors are cleared and refilled; once they
-    /// have grown to capacity, repeated calls perform no heap allocation.
+    /// intermediate. Both vectors are resized to fit and overwritten;
+    /// once they have grown to capacity, repeated calls perform no heap
+    /// allocation.
     ///
     /// # Errors
     ///
@@ -168,35 +282,25 @@ impl<T: FftFloat> RealFft<T> {
                 actual: input.len(),
             });
         }
-        if let Some(p) = &self.packed {
-            let half = self.len / 2;
-            // Pack pairs of reals into one complex signal.
-            scratch.clear();
-            scratch.extend((0..half).map(|j| Complex::new(input[2 * j], input[2 * j + 1])));
-            p.half_forward.process(scratch)?;
-
-            let z: &[Complex<T>] = scratch;
-            let mirror = |k: usize| if k == 0 { z[0] } else { z[half - k] };
-            let half_scale = T::from_f64(0.5);
-            out.clear();
-            out.extend((0..=half).map(|k| {
-                let zk = if k == half { z[0] } else { z[k] };
-                let zm = mirror(k % half).conj();
-                // E[k] (even samples) and O[k] (odd samples):
-                let e = (zk + zm).scale(half_scale);
-                let o = (zk - zm).scale(half_scale) * Complex::new(T::ZERO, -T::ONE);
-                e + p.twiddles[k] * o
-            }));
-            Ok(())
-        } else {
-            let f = self.fallback.as_ref().expect("one of the plans is set");
-            scratch.clear();
-            scratch.extend(input.iter().map(|&x| Complex::from_real(x)));
-            f.forward.process(scratch)?;
-            out.clear();
-            out.extend_from_slice(&scratch[..self.spectrum_len()]);
-            Ok(())
+        let out = sized(out, self.spectrum_len(), Complex::zero());
+        match &*self.plans {
+            Plans::Packed(p) => {
+                let half = self.len / 2;
+                let z = sized(scratch, half, Complex::zero());
+                pack(input, &p.order, z);
+                p.forward.run(z)?;
+                unpack(z, &p.unpack, out);
+            }
+            Plans::Full { forward, .. } => {
+                let z = sized(scratch, self.len, Complex::zero());
+                for (v, &x) in z.iter_mut().zip(input) {
+                    *v = Complex::from_real(x);
+                }
+                forward.process(z)?;
+                out.copy_from_slice(&z[..out.len()]);
+            }
         }
+        Ok(())
     }
 
     /// Inverse transform of a half spectrum back to a real signal.
@@ -218,9 +322,9 @@ impl<T: FftFloat> RealFft<T> {
 
     /// Allocation-reusing variant of [`RealFft::inverse`]: writes the
     /// reconstructed real signal into `out` and uses `scratch` for the
-    /// complex intermediate. Both vectors are cleared and refilled; once
-    /// they have grown to capacity, repeated calls perform no heap
-    /// allocation.
+    /// complex intermediate. Both vectors are resized to fit and
+    /// overwritten; once they have grown to capacity, repeated calls
+    /// perform no heap allocation.
     ///
     /// # Errors
     ///
@@ -238,40 +342,33 @@ impl<T: FftFloat> RealFft<T> {
                 actual: spectrum.len(),
             });
         }
-        if let Some(p) = &self.packed {
-            let half = self.len / 2;
-            let half_scale = T::from_f64(0.5);
-            scratch.clear();
-            scratch.extend((0..half).map(|k| {
-                let xk = spectrum[k];
-                let xm = spectrum[half - k].conj();
-                let e = (xk + xm).scale(half_scale);
-                // O[k] = (X[k] − conj(X[n/2−k])) / (2·w^k); 1/w^k = conj(w^k).
-                let o = (xk - xm).scale(half_scale) * p.twiddles[k].conj();
-                e + o * Complex::new(T::ZERO, T::ONE)
-            }));
-            p.half_inverse.process(scratch)?;
-            out.clear();
-            out.reserve(self.len);
-            for v in scratch.iter() {
-                out.push(v.re);
-                out.push(v.im);
+        let out = sized(out, self.len, T::ZERO);
+        match &*self.plans {
+            Plans::Packed(p) => {
+                let half = self.len / 2;
+                let z = sized(scratch, half, Complex::zero());
+                prepack(spectrum, &p.prepack, p.prepack_scale, &p.order, z);
+                p.inverse.run(z)?;
+                for (pair, v) in out.chunks_exact_mut(2).zip(z.iter()) {
+                    pair[0] = v.re;
+                    pair[1] = v.im;
+                }
             }
-            Ok(())
-        } else {
-            let f = self.fallback.as_ref().expect("one of the plans is set");
-            // Rebuild the full spectrum by conjugate symmetry.
-            scratch.clear();
-            scratch.resize(self.len, Complex::zero());
-            scratch[..spectrum.len()].copy_from_slice(spectrum);
-            for k in spectrum.len()..self.len {
-                scratch[k] = spectrum[self.len - k].conj();
+            Plans::Full { inverse, .. } => {
+                // Rebuild the full spectrum by conjugate symmetry.
+                let z = sized(scratch, self.len, Complex::zero());
+                z[..spectrum.len()].copy_from_slice(spectrum);
+                z[0].im = T::ZERO;
+                for (v, x) in z[spectrum.len()..].iter_mut().zip(spectrum[1..].iter().rev()) {
+                    *v = x.conj();
+                }
+                inverse.process(z)?;
+                for (o, v) in out.iter_mut().zip(z.iter()) {
+                    *o = v.re;
+                }
             }
-            f.inverse.process(scratch)?;
-            out.clear();
-            out.extend(scratch.iter().map(|v| v.re));
-            Ok(())
         }
+        Ok(())
     }
 }
 
@@ -373,6 +470,28 @@ mod tests {
             plan.forward_into(&x, &mut scratch, &mut spec).unwrap();
             assert_eq!(scratch.capacity(), cs);
             assert_eq!(spec.capacity(), co);
+        }
+    }
+
+    #[test]
+    fn inverse_ignores_imaginary_parts_of_self_conjugate_bins() {
+        // The documented contract: `Im X[0]` (and `Im X[n/2]`, even n)
+        // cannot come from a real signal and are not read — on the
+        // power-of-two fast path, around a Bluestein half, and on the odd
+        // fallback alike.
+        for n in [2usize, 8, 64, 6, 12, 100, 1, 7, 121] {
+            let plan = RealFft::new(n);
+            let clean = plan.forward(&signal(n)).unwrap();
+            let mut dirty = clean.clone();
+            dirty[0].im = 3.0;
+            if n % 2 == 0 {
+                dirty[n / 2].im = -2.0;
+            }
+            assert_eq!(
+                plan.inverse(&dirty).unwrap(),
+                plan.inverse(&clean).unwrap(),
+                "n={n}"
+            );
         }
     }
 

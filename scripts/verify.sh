@@ -167,6 +167,22 @@ awk '
     }
 ' BENCH_quant.json
 
+echo "== bench guard: frozen spectral Arch. 1 vs dense in BENCH_inference.json =="
+# The paper's claim as a committed measurement (ROADMAP "make the FFT
+# path win"): at Arch. 1's own size the frozen block-circulant network
+# — FFT, multiply-accumulate, IFFT — must forward in at most 0.7x the
+# time of its dense equivalent.
+awk '
+    /"label": "arch1_spectral_frozen"/ { if (match($0, /"median_ns": [0-9.]+/)) frozen = substr($0, RSTART + 13, RLENGTH - 13) }
+    /"label": "arch1_dense_baseline"/  { if (match($0, /"median_ns": [0-9.]+/)) dense  = substr($0, RSTART + 13, RLENGTH - 13) }
+    END {
+        if (frozen == "" || dense == "") { print "bench guard: arch1_spectral_frozen/arch1_dense_baseline rows missing from BENCH_inference.json" > "/dev/stderr"; exit 1 }
+        ratio = frozen / dense
+        printf "arch1_spectral_frozen / arch1_dense_baseline median ratio: %.3fx\n", ratio
+        if (ratio > 0.7) { print "bench guard: frozen spectral Arch. 1 above 0.7x the dense baseline" > "/dev/stderr"; exit 1 }
+    }
+' BENCH_inference.json
+
 echo "== chaos smoke test (--chaos: deterministic fault injection) =="
 # One seeded campaign over a swapping run: a worker panic (restart), a
 # latency spike, a NaN activation (typed failure) and a bit flip on a
