@@ -1,9 +1,10 @@
 //! Bench behind Fig. 3 / §IV-B: direct convolution vs the im2col
-//! lowering vs the block-circulant CONV layer. Runs on the in-house
-//! harness and writes `BENCH_conv_reformulation.json`.
+//! lowering vs the block-circulant CONV layer (layer rows: the inference
+//! pass on a warm `Scratch`). Runs on the in-house harness and writes
+//! `BENCH_conv_reformulation.json`.
 
 use ffdl::core::{CirculantConv2d, FftConv2d};
-use ffdl::nn::{Conv2d, Layer};
+use ffdl::nn::{Conv2d, Layer, Scratch};
 use ffdl::tensor::{conv2d_direct, filters_to_matrix, im2col, ConvGeometry, Tensor};
 use ffdl_bench::harness::{black_box, BenchSet};
 use ffdl_rng::SeedableRng;
@@ -27,23 +28,27 @@ fn main() {
         black_box(cols.matmul(&fmat).expect("shapes match"));
     });
 
+    let mut scratch = Scratch::new();
     let mut dense_layer = Conv2d::new(ch, p, h, w, geom, &mut rng).expect("valid dims");
     set.bench("dense_conv_layer", || {
-        black_box(dense_layer.forward(black_box(&batch)).expect("valid"));
+        let y = dense_layer.forward_infer(black_box(&batch), &mut scratch).expect("valid");
+        scratch.recycle(black_box(y));
     });
 
     for block in [16usize, 48] {
         let mut circ =
             CirculantConv2d::new(ch, p, h, w, geom, block, &mut rng).expect("valid dims");
         set.bench_with_size(&format!("circulant_conv_layer_b{block}"), block as u64, || {
-            black_box(circ.forward(black_box(&batch)).expect("valid"));
+            let y = circ.forward_infer(black_box(&batch), &mut scratch).expect("valid");
+            scratch.recycle(black_box(y));
         });
     }
 
     // The §I baseline: LeCun-style 2-D FFT convolution (accelerates only).
     let mut fft_layer = FftConv2d::new(ch, p, h, w, 3, &mut rng).expect("valid dims");
     set.bench("fft_conv_baseline", || {
-        black_box(fft_layer.forward(black_box(&batch)).expect("valid"));
+        let y = fft_layer.forward_infer(black_box(&batch), &mut scratch).expect("valid");
+        scratch.recycle(black_box(y));
     });
 
     set.finish().expect("write BENCH_conv_reformulation.json");

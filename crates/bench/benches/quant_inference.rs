@@ -14,15 +14,18 @@
 //! * `forward/f32_spectral` — the f32 frozen hot path
 //!   ([`SpectralDense`](ffdl::core::SpectralDense), batch 32): the
 //!   latency baseline, `size` = bytes of the storable f32 parent.
-//! * `forward/int16` / `forward/int12` / `forward/int8` — the same
-//!   batch through the dequantization-free quantized kernel; `size` =
-//!   bytes of the version-3 quantized model file.
+//! * `forward/int16` / `forward/int8` — the same batch through the
+//!   dequantization-free quantized kernel; `size` = bytes of the
+//!   version-3 quantized model file.
+//!
+//! The `forward/*` rows time the inference pass on a warm `Scratch`
+//! (result recycled) — what a served generation executes.
 //!
 //! Guarded in `verify.sh`: `forward/int16` median ≤ 1.15× the f32
 //! median, and its `size` ≤ 55% of the f32 row's.
 
 use ffdl::core::QuantBits;
-use ffdl::nn::Network;
+use ffdl::nn::{Network, Scratch};
 use ffdl::paper;
 use ffdl::tensor::Tensor;
 use ffdl_bench::harness::{black_box, BenchSet};
@@ -61,11 +64,13 @@ fn main() {
         black_box(quantize_network(&net, QuantBits::Sixteen).expect("quantize"));
     });
 
+    let mut scratch = Scratch::new();
     set.bench_with_size("forward/f32_spectral", f32_bytes, || {
-        black_box(frozen.forward(&x).expect("forward"));
+        let y = frozen.forward_infer(&x, &mut scratch).expect("forward");
+        scratch.recycle(black_box(y));
     });
 
-    for bits in [QuantBits::Sixteen, QuantBits::Twelve, QuantBits::Eight] {
+    for bits in [QuantBits::Sixteen, QuantBits::Eight] {
         let mut q = quantize_network(&net, bits).expect("quantize");
         let q_bytes = model_bytes(&q).expect("serialize quantized model") as u64;
         // Sanity: the precision drop must not change decisions on this
@@ -78,7 +83,8 @@ fn main() {
             "{bits} top-1 agreement collapsed: {agreement}"
         );
         set.bench_with_size(&format!("forward/{bits}"), q_bytes, || {
-            black_box(q.forward(&x).expect("forward"));
+            let y = q.forward_infer(&x, &mut scratch).expect("forward");
+            scratch.recycle(black_box(y));
         });
     }
 

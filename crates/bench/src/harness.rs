@@ -20,6 +20,7 @@
 //! - `FFDL_BENCH_OUT_DIR`: where to write `BENCH_<name>.json`
 //!   (default: the workspace root).
 
+use ffdl::telemetry::percentile;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -191,26 +192,6 @@ impl BenchSet {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-/// Linear-interpolated percentile over an ascending-sorted slice.
-///
-/// Shared by the bench rows above (median/p95) and by the serving
-/// runtime's latency statistics (p50/p95/p99 in `ffdl-serve`).
-///
-/// # Panics
-///
-/// Panics on an empty slice.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
 fn fmt_ns(ns: f64) -> String {

@@ -499,9 +499,7 @@ pub fn cmd_serve_bench(flags: &Flags) -> Result<String, CliError> {
         ffdl::telemetry::set_enabled(true);
     }
 
-    // The paper's block-circulant architecture for the dataset; raw
-    // circulant layers benefit most from batching (weight spectra are
-    // recomputed per forward call, so a batch pays them once).
+    // The paper's block-circulant architecture for the dataset.
     let (arch_label, build): (&str, fn(u64) -> ffdl::nn::Network) = match dataset {
         "mnist16" => ("arch1", paper::arch1),
         "mnist11" => ("arch2", paper::arch2),
@@ -532,7 +530,7 @@ pub fn cmd_serve_bench(flags: &Flags) -> Result<String, CliError> {
     let mut quant_note = None;
     if quant_bits > 0 {
         let bits = ffdl::core::QuantBits::from_bits(quant_bits).ok_or_else(|| {
-            CliError(format!("flag --quantized: expected 8 | 12 | 16, got {quant_bits}"))
+            CliError(format!("flag --quantized: expected 8 | 16, got {quant_bits}"))
         })?;
         let mut q = ffdl_quant::quantize_network(&network, bits)?;
         let agreement = ffdl_quant::top1_agreement(&mut network, &mut q, &x)?;
@@ -810,7 +808,7 @@ fn serve_bench_tenants(
     store.publish("bench", network, arch_label)?;
 
     // --brownout on pre-publishes the precision ladder (--ladder, a
-    // comma list of f32/int16/int12/int8 rungs) so degradation swaps at
+    // comma list of f32/int16/int8 rungs) so degradation swaps at
     // runtime are pure registry loads.
     let mut ladder = None;
     let mut ladder_note = None;
@@ -822,10 +820,9 @@ fn serve_bench_tenants(
             .map(|tok| match tok.trim() {
                 "f32" => Ok(None),
                 "int16" => Ok(Some(ffdl::core::QuantBits::Sixteen)),
-                "int12" => Ok(Some(ffdl::core::QuantBits::Twelve)),
                 "int8" => Ok(Some(ffdl::core::QuantBits::Eight)),
                 other => Err(CliError(format!(
-                    "--ladder: expected f32|int16|int12|int8, got {other:?}"
+                    "--ladder: expected f32|int16|int8, got {other:?}"
                 ))),
             })
             .collect::<Result<_, _>>()?;
@@ -869,7 +866,6 @@ fn serve_bench_tenants(
         deadline: Some(std::time::Duration::from_millis(slo_ms)),
         check_finite: false,
         unhealthy_threshold: 0,
-        autoscale: ffdl_sched::AutoscaleConfig::default(),
         brownout: brownout_on.then(|| ffdl_sched::BrownoutConfig {
             target_delay: std::time::Duration::from_millis(target_delay_ms),
             seed,
@@ -1224,7 +1220,7 @@ fn cmd_model_quantize(flags: &Flags) -> Result<String, CliError> {
     let name = flags.require("name")?;
     let bits_raw = flags.get_num("bits", 16u32)?;
     let bits = ffdl::core::QuantBits::from_bits(bits_raw).ok_or_else(|| {
-        CliError(format!("flag --bits: expected 8 | 12 | 16, got {bits_raw}"))
+        CliError(format!("flag --bits: expected 8 | 16, got {bits_raw}"))
     })?;
     let from = match flags.get("from") {
         None => None,
@@ -1297,7 +1293,7 @@ pub fn usage() -> &'static str {
        ffdl serve-bench [--workers N] [--batch N] [--requests N] [--dataset mnist16|mnist11]\n\
                        [--wait-us N] [--queue-depth N] [--seed N] [--metrics on]\n\
                        [--swap-every N] [--chaos SEED] [--deadline-ms N]\n\
-                       [--quantized 8|12|16]\n\
+                       [--quantized 8|16]\n\
                        [--tenants N] [--tenant-weights 8,1] [--tenant-classes high,normal]\n\
                        [--rate-rps F] [--rate-limit F] [--slo-ms N] [--duration-ms N]\n\
                        [--max-workers N]\n\
@@ -1307,7 +1303,7 @@ pub fn usage() -> &'static str {
                        [--params <file>] [--seed N] [--label <arch-label>]\n\
        ffdl model list     --store <dir> [--name <model>]\n\
        ffdl model rollback --store <dir> --name <model> [--to GEN]\n\
-       ffdl model quantize --store <dir> --name <model> [--bits 8|12|16]\n\
+       ffdl model quantize --store <dir> --name <model> [--bits 8|16]\n\
                        [--from GEN] [--out <file>]\n\
      \n\
      --metrics on enables the ffdl-telemetry registry for the run and\n\

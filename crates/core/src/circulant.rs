@@ -27,6 +27,7 @@ use std::sync::{Arc, OnceLock};
 
 /// Cached per-sample input spectra from a forward pass, consumed by the
 /// backward pass (Algorithm 2 reuses `FFT(x)`).
+#[derive(Default)]
 pub struct ForwardCache {
     /// `input_spectra[sample][input_block]`.
     pub(crate) input_spectra: Vec<Vec<Spectrum>>,
@@ -299,9 +300,7 @@ impl BlockCirculantMatrix {
     pub fn forward_batch(&self, x: &Tensor) -> Result<(Tensor, ForwardCache), CirculantError> {
         self.check_rows("input", x, self.in_dim)?;
         let mut out = Tensor::zeros(&[x.rows(), self.out_dim]);
-        let mut cache = ForwardCache {
-            input_spectra: Vec::new(),
-        };
+        let mut cache = ForwardCache::default();
         let keep = InputSpectra::Keep(&mut cache.input_spectra);
         self.product(x, keep, &mut BlockBuffers::default(), &mut out, |_, _, v| v);
         Ok((out, cache))

@@ -29,9 +29,6 @@ pub struct CirculantConv2d {
     bias_grad: Tensor,
     /// One cache per sample from the last forward pass.
     caches: Vec<ForwardCache>,
-    /// The im2col matrices are not needed in backward (spectra are cached),
-    /// but their geometry is.
-    last_batch: usize,
     /// Complex-valued FFT scratch (per layer, never cloned).
     infer_scratch: CirculantScratch,
 }
@@ -70,7 +67,6 @@ impl CirculantConv2d {
             matrix,
             bias: Tensor::zeros(&[out_channels]),
             caches: Vec::new(),
-            last_batch: 0,
             infer_scratch: CirculantScratch::new(),
         })
     }
@@ -123,17 +119,23 @@ impl CirculantConv2d {
         }
         Ok(())
     }
+}
 
-    /// Both forward passes: im2col each sample into `[oh·ow, Cr²]` rows,
-    /// run them through the one Algorithm 1 product, and transpose the
-    /// `[oh·ow, P]` result to `[P, oh, ow]` with bias. Each sample's
-    /// input spectra are kept in `caches` when given (training), else
-    /// overwritten row by row (inference).
-    fn lowered_product(
+impl Layer for CirculantConv2d {
+    fn type_tag(&self) -> &'static str {
+        "circulant_conv2d"
+    }
+
+    /// im2col each sample into `[oh·ow, Cr²]` rows, run them through
+    /// the one Algorithm 1 product, and transpose the `[oh·ow, P]`
+    /// result to `[P, oh, ow]` with bias. With `keep` each sample's
+    /// input spectra are recorded for `backward`, else overwritten row
+    /// by row.
+    fn forward_with(
         &mut self,
         input: &Tensor,
         scratch: &mut Scratch,
-        mut caches: Option<&mut Vec<ForwardCache>>,
+        keep: bool,
     ) -> Result<Tensor, NnError> {
         self.check_input(input)?;
         let batch = input.shape()[0];
@@ -145,22 +147,23 @@ impl CirculantConv2d {
         let mut cols = scratch.take(&[pixels, self.matrix.in_dim()]);
         let mut y = scratch.take(&[pixels, self.out_channels]);
         let sc = &mut self.infer_scratch;
+        if keep {
+            self.caches.clear();
+        }
 
         for s in 0..batch {
             sample
                 .as_mut_slice()
                 .copy_from_slice(&input.as_slice()[s * plane..(s + 1) * plane]);
             im2col_into(&sample, self.geom, &mut cols)?;
-            let mut input_spectra = Vec::new();
-            let x_spec = match caches {
-                Some(_) => InputSpectra::Keep(&mut input_spectra),
-                None => InputSpectra::Reuse(&mut sc.x_spec),
+            let x_spec = if keep {
+                self.caches.push(ForwardCache::default());
+                InputSpectra::Keep(&mut self.caches[s].input_spectra)
+            } else {
+                InputSpectra::Reuse(&mut sc.x_spec)
             };
             self.matrix
                 .product(&cols, x_spec, &mut sc.bufs, &mut y, |_, _, v| v);
-            if let Some(caches) = caches.as_deref_mut() {
-                caches.push(ForwardCache { input_spectra });
-            }
             let dst = &mut out.as_mut_slice()[s * plane_out..(s + 1) * plane_out];
             let ys = y.as_slice();
             for p in 0..self.out_channels {
@@ -175,24 +178,6 @@ impl CirculantConv2d {
         scratch.recycle(y);
         Ok(out)
     }
-}
-
-impl Layer for CirculantConv2d {
-    fn type_tag(&self) -> &'static str {
-        "circulant_conv2d"
-    }
-
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let mut caches = Vec::new();
-        let out = self.lowered_product(input, &mut Scratch::new(), Some(&mut caches))?;
-        self.last_batch = caches.len();
-        self.caches = caches;
-        Ok(out)
-    }
-
-    fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
-        self.lowered_product(input, scratch, None)
-    }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
         if self.caches.is_empty() {
@@ -200,7 +185,7 @@ impl Layer for CirculantConv2d {
         }
         let (oh, ow) = (self.out_h(), self.out_w());
         if grad_output.ndim() != 4
-            || grad_output.shape()[0] != self.last_batch
+            || grad_output.shape()[0] != self.caches.len()
             || grad_output.shape()[1] != self.out_channels
             || grad_output.shape()[2] != oh
             || grad_output.shape()[3] != ow
@@ -209,7 +194,7 @@ impl Layer for CirculantConv2d {
                 layer: "circulant_conv2d".into(),
                 message: format!(
                     "expected gradient [{}, {}, {oh}, {ow}], got {:?}",
-                    self.last_batch,
+                    self.caches.len(),
                     self.out_channels,
                     grad_output.shape()
                 ),
@@ -220,7 +205,7 @@ impl Layer for CirculantConv2d {
         let mut weight_grad = Tensor::zeros(self.matrix.weights().shape());
         let mut bias_grad = vec![0.0f32; self.out_channels];
         let mut grad_input =
-            Vec::with_capacity(self.last_batch * self.in_channels * self.in_h * self.in_w);
+            Vec::with_capacity(self.caches.len() * self.in_channels * self.in_h * self.in_w);
 
         for (s, cache) in self.caches.iter().enumerate() {
             // Reassemble g as [oh·ow, P] from [P, oh, ow].
@@ -244,7 +229,7 @@ impl Layer for CirculantConv2d {
         self.bias_grad = Tensor::from_slice(&bias_grad);
         Ok(Tensor::from_vec(
             grad_input,
-            &[self.last_batch, self.in_channels, self.in_h, self.in_w],
+            &[self.caches.len(), self.in_channels, self.in_h, self.in_w],
         )?)
     }
 
@@ -341,7 +326,6 @@ impl Layer for CirculantConv2d {
             weight_grad: self.weight_grad.clone(),
             bias_grad: self.bias_grad.clone(),
             caches: Vec::new(),
-            last_batch: 0,
             infer_scratch: CirculantScratch::new(),
         }))
     }

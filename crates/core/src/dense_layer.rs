@@ -143,36 +143,31 @@ impl Layer for CirculantDense {
         "circulant_dense"
     }
 
-    /// Algorithm 1 keeping every row's input spectra: the pass that
-    /// records what [`backward`](Layer::backward) (Algorithm 2) needs.
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        check_batch_input("circulant_dense", input, self.matrix.in_dim())?;
-        let mut y = Tensor::zeros(&[input.rows(), self.matrix.out_dim()]);
-        let mut cache = ForwardCache {
-            input_spectra: Vec::new(),
-        };
-        let keep = InputSpectra::Keep(&mut cache.input_spectra);
-        let bias = self.bias.as_slice();
-        self.matrix
-            .product(input, keep, &mut self.infer_scratch.bufs, &mut y, |_, k, v| v + bias[k]);
-        self.cache = Some(cache);
-        Ok(y)
-    }
-
-    /// The same call with the spectra overwritten row by row and the
-    /// output drawn from `scratch`: nothing is left behind.
-    fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
+    /// Algorithm 1 with the output drawn from `scratch`. With `keep`
+    /// every row's input spectra are recorded for
+    /// [`backward`](Layer::backward) (Algorithm 2); without it they are
+    /// overwritten row by row and nothing is left behind.
+    fn forward_with(
+        &mut self,
+        input: &Tensor,
+        scratch: &mut Scratch,
+        keep: bool,
+    ) -> Result<Tensor, NnError> {
         check_batch_input("circulant_dense", input, self.matrix.in_dim())?;
         let mut y = scratch.take(&[input.rows(), self.matrix.out_dim()]);
         let sc = &mut self.infer_scratch;
+        let mut cache = ForwardCache::default();
+        let x_spec = if keep {
+            InputSpectra::Keep(&mut cache.input_spectra)
+        } else {
+            InputSpectra::Reuse(&mut sc.x_spec)
+        };
         let bias = self.bias.as_slice();
-        self.matrix.product(
-            input,
-            InputSpectra::Reuse(&mut sc.x_spec),
-            &mut sc.bufs,
-            &mut y,
-            |_, k, v| v + bias[k],
-        );
+        self.matrix
+            .product(input, x_spec, &mut sc.bufs, &mut y, |_, k, v| v + bias[k]);
+        if keep {
+            self.cache = Some(cache);
+        }
         Ok(y)
     }
 

@@ -156,7 +156,12 @@ impl Layer for FftConv2d {
         "fft_conv2d"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+    fn forward_with(
+        &mut self,
+        input: &Tensor,
+        _scratch: &mut Scratch,
+        keep: bool,
+    ) -> Result<Tensor, NnError> {
         if input.ndim() != 4
             || input.shape()[1] != self.in_channels
             || input.shape()[2] != self.in_h
@@ -189,7 +194,9 @@ impl Layer for FftConv2d {
             .collect();
 
         let mut out = Vec::with_capacity(batch * self.out_channels * oh * ow);
-        self.cached_x_spectra.clear();
+        if keep {
+            self.cached_x_spectra.clear();
+        }
         for s in 0..batch {
             let x_spec: Vec<Vec<Complex32>> = (0..self.in_channels)
                 .map(|c| {
@@ -218,20 +225,14 @@ impl Layer for FftConv2d {
                     }
                 }
             }
-            self.cached_x_spectra.push(x_spec);
+            if keep {
+                self.cached_x_spectra.push(x_spec);
+            }
         }
         Ok(Tensor::from_vec(
             out,
             &[batch, self.out_channels, oh, ow],
         )?)
-    }
-
-    /// The forward pass with its backward cache dropped, so a serving
-    /// engine retains no training state.
-    fn forward_infer(&mut self, input: &Tensor, _scratch: &mut Scratch) -> Result<Tensor, NnError> {
-        let out = self.forward(input);
-        self.cached_x_spectra.clear();
-        out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {

@@ -90,13 +90,13 @@ impl Layer for SpectralDense {
         "spectral_dense"
     }
 
-    /// The inference pass on a throw-away buffer pool: a frozen layer
-    /// has no backward pass to record anything for.
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.forward_infer(input, &mut Scratch::new())
-    }
-
-    fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
+    /// A frozen layer has no backward pass, so there is nothing to keep.
+    fn forward_with(
+        &mut self,
+        input: &Tensor,
+        scratch: &mut Scratch,
+        _keep: bool,
+    ) -> Result<Tensor, NnError> {
         check_batch_input("spectral_dense", input, self.in_dim)?;
         let mut out = scratch.take(&[input.rows(), self.out_dim]);
         let bias = self.bias.as_slice();

@@ -20,7 +20,7 @@
 //!
 //! On disk the levels and scales travel through the version-3 model
 //! format's quantization header (`ffdl_nn::wire::QuantPayload`) — 2
-//! bytes per level for int16/int12 and 1 for int8, never widened to
+//! bytes per level for int16 and 1 for int8, never widened to
 //! `f32` tensors — so a quantized model is a first-class registry
 //! citizen: publishable, checksummed, hot-swappable against its f32
 //! parent.
@@ -39,8 +39,6 @@ use std::sync::Arc;
 pub enum QuantBits {
     /// 8-bit signed fixed point (4× smaller than `f32`).
     Eight,
-    /// 12 effective bits, stored in an `i16` slot (2× smaller).
-    Twelve,
     /// 16-bit signed fixed point (2× smaller than `f32`).
     Sixteen,
 }
@@ -50,7 +48,6 @@ impl QuantBits {
     pub fn max_level(self) -> f32 {
         match self {
             QuantBits::Eight => i8::MAX as f32,
-            QuantBits::Twelve => 2047.0,
             QuantBits::Sixteen => i16::MAX as f32,
         }
     }
@@ -59,7 +56,7 @@ impl QuantBits {
     pub fn bytes_per_value(self) -> usize {
         match self {
             QuantBits::Eight => 1,
-            QuantBits::Twelve | QuantBits::Sixteen => 2,
+            QuantBits::Sixteen => 2,
         }
     }
 
@@ -67,7 +64,6 @@ impl QuantBits {
     pub fn bits(self) -> u32 {
         match self {
             QuantBits::Eight => 8,
-            QuantBits::Twelve => 12,
             QuantBits::Sixteen => 16,
         }
     }
@@ -76,7 +72,6 @@ impl QuantBits {
     pub fn from_bits(bits: u32) -> Option<Self> {
         match bits {
             8 => Some(QuantBits::Eight),
-            12 => Some(QuantBits::Twelve),
             16 => Some(QuantBits::Sixteen),
             _ => None,
         }
@@ -87,7 +82,6 @@ impl std::fmt::Display for QuantBits {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             QuantBits::Eight => write!(f, "int8"),
-            QuantBits::Twelve => write!(f, "int12"),
             QuantBits::Sixteen => write!(f, "int16"),
         }
     }
@@ -341,13 +335,13 @@ impl Layer for QuantizedSpectralDense {
         "quantized_spectral_dense"
     }
 
-    /// The inference pass on a throw-away buffer pool: a frozen layer
-    /// has no backward pass to record anything for.
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.forward_infer(input, &mut Scratch::new())
-    }
-
-    fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
+    /// A frozen layer has no backward pass, so there is nothing to keep.
+    fn forward_with(
+        &mut self,
+        input: &Tensor,
+        scratch: &mut Scratch,
+        _keep: bool,
+    ) -> Result<Tensor, NnError> {
         check_batch_input("quantized_spectral_dense", input, self.in_dim)?;
         let mut out = scratch.take(&[input.rows(), self.out_dim]);
         let (scales, bias) = (&self.scales[..], self.bias.as_slice());
@@ -548,7 +542,7 @@ mod tests {
         let spec: Spectrum = (0..33)
             .map(|k| Complex32::new((k as f32 * 0.7).sin(), (k as f32 * 0.3).cos()))
             .collect();
-        for bits in [QuantBits::Eight, QuantBits::Twelve, QuantBits::Sixteen] {
+        for bits in [QuantBits::Eight, QuantBits::Sixteen] {
             let q = QuantizedSpectrum::quantize(&spec, bits);
             assert_eq!(q.bins(), 33);
             let back = q.dequantize();
@@ -568,10 +562,8 @@ mod tests {
             .map(|k| Complex32::new(k as f32 * 0.21 - 1.0, (k as f32).sqrt()))
             .collect();
         let q8 = QuantizedSpectrum::quantize(&spec, QuantBits::Eight);
-        let q12 = QuantizedSpectrum::quantize(&spec, QuantBits::Twelve);
         let q16 = QuantizedSpectrum::quantize(&spec, QuantBits::Sixteen);
-        assert!(q16.max_error() < q12.max_error());
-        assert!(q12.max_error() < q8.max_error());
+        assert!(q16.max_error() < q8.max_error());
         assert!(q8.storage_bytes() < q16.storage_bytes());
     }
 
@@ -592,7 +584,6 @@ mod tests {
 
         for (bits, tol) in [
             (QuantBits::Sixteen, 2e-3f32),
-            (QuantBits::Twelve, 2e-2),
             (QuantBits::Eight, 0.25),
         ] {
             let mut q = QuantizedSpectralDense::from_matrix(
@@ -723,7 +714,7 @@ mod tests {
         let q = QuantizedSpectralDense::from_matrix(
             float_layer.matrix(),
             float_layer.bias().clone(),
-            QuantBits::Twelve,
+            QuantBits::Eight,
         );
         let mut net = ffdl_nn::Network::new();
         net.push(q);
@@ -766,9 +757,16 @@ mod tests {
         let q =
             QuantizedSpectralDense::from_matrix(&m, Tensor::zeros(&[4]), QuantBits::Sixteen);
         let mut config = q.config_bytes();
-        // Overwrite the bits field (4th u32) with an unsupported width.
-        config[12..16].copy_from_slice(&10u32.to_le_bytes());
-        assert!(quantized_spectral_dense_from_config(&config).is_err());
+        // Overwrite the bits field (4th u32) with an unsupported width —
+        // 12 included: int12 files (written before the rung was removed)
+        // are refused typed, not reinterpreted.
+        for bad in [10u32, 12] {
+            config[12..16].copy_from_slice(&bad.to_le_bytes());
+            assert!(matches!(
+                quantized_spectral_dense_from_config(&config),
+                Err(NnError::ModelFormat(_))
+            ));
+        }
         assert!(quantized_spectral_dense_from_config(&q.config_bytes()).is_ok());
     }
 }

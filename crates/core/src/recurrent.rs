@@ -14,10 +14,10 @@
 //! * [`CirculantGru::step`] — one token, caller-owned hidden state and
 //!   scratch (`&self`, so the stream engine can drive it through
 //!   [`Layer::as_any`] without mutable access to the layer).
-//! * [`Layer::forward`] / [`Layer::forward_infer`] — a whole `[seq,
-//!   in_dim]` sequence scanned from `h = 0`, implemented as a loop over
-//!   `step`. A session stepped one token at a time is therefore
-//!   **bit-identical** to single-shot replay of the same rows.
+//! * [`Layer::forward_with`] — a whole `[seq, in_dim]` sequence scanned
+//!   from `h = 0`, implemented as a loop over `step`. A session stepped
+//!   one token at a time is therefore **bit-identical** to single-shot
+//!   replay of the same rows.
 //!
 //! [`SpectralDense`]: crate::SpectralDense
 
@@ -218,11 +218,12 @@ impl Layer for CirculantGru {
     /// Recurrent models are served by `ffdl-stream` (one session = one
     /// sequence); routing one through the stateless batch pools would
     /// silently treat a batch as a timeline.
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.forward_infer(input, &mut Scratch::new())
-    }
-
-    fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
+    fn forward_with(
+        &mut self,
+        input: &Tensor,
+        scratch: &mut Scratch,
+        _keep: bool,
+    ) -> Result<Tensor, NnError> {
         check_batch_input("circulant_gru", input, self.in_dim)?;
         let mut out = scratch.take(&[input.rows(), self.hidden]);
         let mut sc = std::mem::take(&mut self.infer_scratch);

@@ -2,18 +2,24 @@
 //! dense layer with the expanded circulant matrix, for arbitrary
 //! geometry — forward, input gradients and batch handling — in its
 //! training, frozen and fixed-point forms, which all run the one
-//! Algorithm 1 routine.
+//! Algorithm 1 routine. And, for every registered layer type: the
+//! inference pass equals the training pass bit for bit and keeps nothing
+//! for `backward`.
 //!
 //! Runs on the in-house `ffdl_rng::prop` harness (seeded cases,
 //! replayable failures).
 
 use ffdl_core::{
-    BlockCirculantMatrix, CirculantDense, QuantBits, QuantizedSpectralDense, SpectralDense,
+    BlockCirculantMatrix, CirculantConv2d, CirculantDense, CirculantGru, FftConv2d, QuantBits,
+    QuantizedSpectralDense, SpectralDense,
 };
-use ffdl_nn::{Dense, Layer, Scratch};
+use ffdl_nn::{
+    AvgPool2d, Conv2d, Dense, Flatten, Layer, MaxPool2d, NnError, Relu, Scratch, Sigmoid, Softmax,
+    Tanh,
+};
 use ffdl_rng::prop::{check, PropResult};
 use ffdl_rng::{prop_assert, prop_assert_eq, Rng, SeedableRng, SmallRng};
-use ffdl_tensor::Tensor;
+use ffdl_tensor::{ConvGeometry, Tensor};
 
 /// (in_dim, out_dim, block, batch, seed) — includes padding cases.
 fn geometry(rng: &mut SmallRng) -> (usize, usize, usize, usize, u64) {
@@ -70,6 +76,92 @@ fn both_forwards(layer: &mut dyn Layer, x: &Tensor) -> Result<Tensor, String> {
     prop_assert_eq!(y.shape(), y_infer.shape());
     prop_assert_eq!(bits(&y), bits(&y_infer));
     Ok(y)
+}
+
+/// One layer of the all-layers property: its inference pass, run twice
+/// with different inputs on one dirty, reused `Scratch`, equals its
+/// training pass bit for bit; it keeps nothing for `backward`, which the
+/// training pass does (on the layers that have a backward pass at all).
+fn passes_agree(layer: &mut dyn Layer, shape: &[usize], trainable: bool, seed: u64) -> PropResult {
+    let tag = layer.type_tag();
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    let input = |seed| input_tensor(1, shape.iter().product(), seed).reshape(shape).unwrap();
+    let (x1, x2) = (input(seed.wrapping_add(21)), input(seed.wrapping_add(22)));
+
+    let mut scratch = Scratch::new();
+    for len in [1, 7, 300, 5000] {
+        scratch.recycle(Tensor::filled(&[len], f32::NAN));
+    }
+    let y1 = layer.forward_infer(&x1, &mut scratch).unwrap();
+    let y1_bits = bits(&y1);
+    scratch.recycle(y1);
+    let y2 = layer.forward_infer(&x2, &mut scratch).unwrap();
+
+    let g = Tensor::ones(y2.shape());
+    if trainable {
+        let kept = layer.backward(&g);
+        prop_assert!(matches!(kept, Err(NnError::NoForwardCache(_))), "{tag}: inference pass kept a cache");
+    }
+    let t1 = layer.forward(&x1).unwrap();
+    prop_assert!(t1.shape() == y2.shape(), "{tag}: output shapes differ");
+    prop_assert!(bits(&t1) == y1_bits, "{tag}: first inference pass differs");
+    let t2 = layer.forward(&x2).unwrap();
+    prop_assert!(bits(&t2) == bits(&y2), "{tag}: second inference pass differs");
+    let grads = layer.backward(&g);
+    prop_assert!(grads.is_ok() == trainable, "{tag}: backward after a training pass: {grads:?}");
+    Ok(())
+}
+
+/// Every registered layer type writes its arithmetic once: see
+/// [`passes_agree`].
+#[test]
+fn inference_pass_equals_training_pass_on_every_layer_type() {
+    check(
+        "inference_pass_equals_training_pass_on_every_layer_type",
+        25,
+        |rng| {
+            (
+                geometry(rng),
+                // channels, height, width, filters
+                (rng.gen_range(1usize..=3), rng.gen_range(5usize..=8), rng.gen_range(5usize..=8)),
+                rng.gen_range(1usize..=4),
+                // kernel, stride, pad
+                (rng.gen_range(2usize..=3), rng.gen_range(1usize..=2), rng.gen_range(0usize..=1)),
+            )
+        },
+        |&((width, out, block, batch, seed), (c, h, w), filters, (kernel, stride, pad))| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let rng = &mut rng;
+            let geom = ConvGeometry { kernel, stride, pad };
+            let circ = CirculantDense::new(width, out, block, rng).unwrap();
+            let quantized = |bits| {
+                QuantizedSpectralDense::from_matrix(circ.matrix(), circ.bias().clone(), bits)
+            };
+            let (flat, image) = (vec![batch, width], vec![batch, c, h, w]);
+            let mut layers: Vec<(Box<dyn Layer>, &Vec<usize>, bool)> = vec![
+                (Box::new(Dense::new(width, out, rng)), &flat, true),
+                (Box::new(Conv2d::new(c, filters, h, w, geom, rng).unwrap()), &image, true),
+                (Box::new(MaxPool2d::with_stride(kernel, stride)), &image, true),
+                (Box::new(AvgPool2d::with_stride(kernel, stride)), &image, true),
+                (Box::new(Relu::new()), &flat, true),
+                (Box::new(Sigmoid::new()), &flat, true),
+                (Box::new(Tanh::new()), &image, true),
+                (Box::new(Softmax::new()), &flat, true),
+                (Box::new(Flatten::new()), &image, true),
+                (Box::new(SpectralDense::from_matrix(circ.matrix(), circ.bias().clone())), &flat, false),
+                (Box::new(quantized(QuantBits::Eight)), &flat, false),
+                (Box::new(quantized(QuantBits::Sixteen)), &flat, false),
+                (Box::new(CirculantConv2d::new(c, filters, h, w, geom, block, rng).unwrap()), &image, true),
+                (Box::new(FftConv2d::new(c, filters, h, w, kernel, rng).unwrap()), &image, true),
+                (Box::new(CirculantGru::new(width, out, block, rng).unwrap()), &flat, false),
+            ];
+            layers.push((Box::new(circ), &flat, true));
+            for (layer, shape, trainable) in &mut layers {
+                passes_agree(layer.as_mut(), shape, *trainable, seed)?;
+            }
+            Ok(())
+        },
+    );
 }
 
 /// `|y − reference| < tol(row, column)` everywhere.

@@ -7,10 +7,13 @@
 //! are one path: after input screening they run the network's inference
 //! loop ([`Network::forward_infer`]) on the engine-owned [`Scratch`] and
 //! differ only in whether samples are stacked first. Neither leaves a
-//! backward cache in the network.
+//! backward cache in the network. What surrounds the layer walk — the
+//! input screen [`check_finite`] and the tensor → [`Prediction`] tail
+//! [`predictions_from_output`] — is written once here and shared with
+//! `ffdl-stream`'s per-session stepper.
 
 use crate::error::{DeployError, NonFiniteStage};
-use ffdl_nn::{softmax_rows, Network, NnError, Scratch};
+use ffdl_nn::{argmax_row, softmax_rows, Network, NnError, Scratch};
 use ffdl_platform::{measure_inference_us, RuntimeModel, Timing};
 use ffdl_tensor::Tensor;
 
@@ -21,6 +24,76 @@ pub struct Prediction {
     pub label: usize,
     /// Softmax probabilities per class.
     pub probabilities: Vec<f32>,
+}
+
+fn bad_input(message: String) -> DeployError {
+    DeployError::Nn(NnError::BadInput {
+        layer: "inference_engine".into(),
+        message,
+    })
+}
+
+/// Rejects non-finite values before they enter the FFT kernels (where a
+/// single NaN contaminates every output of the block) — `offset` shifts
+/// reported indices for batched multi-sample scans.
+///
+/// # Errors
+///
+/// [`DeployError::NonFinite`] naming `stage` and the first bad index.
+pub fn check_finite(values: &[f32], stage: NonFiniteStage, offset: usize) -> Result<(), DeployError> {
+    match values.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(DeployError::NonFinite {
+            stage,
+            index: offset + index,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The tensor → [`Prediction`] tail of every engine: deterministic NaN
+/// injection (when a fault campaign is armed), the logits health scan
+/// when `check_logits` is on, softmax when `network` does not end in a
+/// softmax layer, then one prediction per `[batch, classes]` row with
+/// the label chosen by [`argmax_row`].
+///
+/// # Errors
+///
+/// [`DeployError::NonFinite`] with [`NonFiniteStage::Logits`] from the
+/// scan; a typed [`DeployError::Nn`] when `out` is not rank 2.
+pub fn predictions_from_output(
+    network: &Network,
+    out: &mut Tensor,
+    check_logits: bool,
+) -> Result<Vec<Prediction>, DeployError> {
+    if ffdl_fault::enabled() {
+        ffdl_fault::poison(out.as_mut_slice());
+    }
+    if check_logits {
+        check_finite(out.as_slice(), NonFiniteStage::Logits, 0)?;
+    }
+    if out.ndim() != 2 {
+        return Err(bad_input(format!(
+            "expected [batch, classes] output, got {:?}",
+            out.shape()
+        )));
+    }
+    let ends_with_softmax = network
+        .layers()
+        .last()
+        .is_some_and(|l| l.type_tag() == "softmax");
+    let owned;
+    let probs = if ends_with_softmax {
+        &*out
+    } else {
+        owned = softmax_rows(out)?;
+        &owned
+    };
+    Ok((0..probs.rows())
+        .map(|r| Prediction {
+            label: argmax_row(probs.row(r)),
+            probabilities: probs.row(r).to_vec(),
+        })
+        .collect())
 }
 
 /// Result of a timed evaluation run.
@@ -88,82 +161,6 @@ impl InferenceEngine {
         self.network
     }
 
-    fn bad_input(message: String) -> DeployError {
-        DeployError::Nn(NnError::BadInput {
-            layer: "inference_engine".into(),
-            message,
-        })
-    }
-
-    /// Rejects non-finite values before they enter the FFT kernels
-    /// (where a single NaN contaminates every output of the block) —
-    /// `offset` shifts reported indices for batched multi-sample scans.
-    fn check_finite(
-        values: &[f32],
-        stage: NonFiniteStage,
-        offset: usize,
-    ) -> Result<(), DeployError> {
-        match values.iter().position(|v| !v.is_finite()) {
-            Some(index) => Err(DeployError::NonFinite {
-                stage,
-                index: offset + index,
-            }),
-            None => Ok(()),
-        }
-    }
-
-    /// Post-forward hook: deterministic NaN injection (when a fault
-    /// campaign is armed) followed by the opt-in logits health scan.
-    fn screen_logits(&self, out: &mut Tensor) -> Result<(), DeployError> {
-        if ffdl_fault::enabled() {
-            ffdl_fault::poison(out.as_mut_slice());
-        }
-        if self.check_logits {
-            Self::check_finite(out.as_slice(), NonFiniteStage::Logits, 0)?;
-        }
-        Ok(())
-    }
-
-    /// Converts `[batch, classes]` network output into per-sample
-    /// predictions, applying softmax when the network does not end in a
-    /// softmax layer.
-    fn predictions_from_output(&self, out: &Tensor) -> Result<Vec<Prediction>, DeployError> {
-        if out.ndim() != 2 {
-            return Err(Self::bad_input(format!(
-                "expected [batch, classes] output, got {:?}",
-                out.shape()
-            )));
-        }
-        let ends_with_softmax = self
-            .network
-            .layers()
-            .last()
-            .map(|l| l.type_tag() == "softmax")
-            .unwrap_or(false);
-        let owned;
-        let probs = if ends_with_softmax {
-            out
-        } else {
-            owned = softmax_rows(out)?;
-            &owned
-        };
-        Ok((0..probs.rows())
-            .map(|r| {
-                let row = probs.row(r);
-                let label = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0);
-                Prediction {
-                    label,
-                    probabilities: row.to_vec(),
-                }
-            })
-            .collect())
-    }
-
     /// Predicts classes and probabilities for a `[batch, …]` input.
     ///
     /// If the network does not end in a softmax layer, probabilities are
@@ -177,26 +174,25 @@ impl InferenceEngine {
     /// mismatched input width).
     pub fn predict(&mut self, inputs: &Tensor) -> Result<Vec<Prediction>, DeployError> {
         if inputs.ndim() == 0 || inputs.shape()[0] == 0 {
-            return Err(Self::bad_input(format!(
+            return Err(bad_input(format!(
                 "empty input batch (shape {:?})",
                 inputs.shape()
             )));
         }
-        Self::check_finite(inputs.as_slice(), NonFiniteStage::Input, 0)?;
+        check_finite(inputs.as_slice(), NonFiniteStage::Input, 0)?;
         self.predict_with(|network, scratch| network.forward_infer(inputs, scratch))
     }
 
     /// Everything after input screening, for both entry points: the
-    /// inference pass `forward` on the engine's scratch pool, the logits
-    /// screen, and the conversion to predictions.
+    /// inference pass `forward` on the engine's scratch pool, then the
+    /// shared tail.
     fn predict_with(
         &mut self,
         forward: impl FnOnce(&mut Network, &mut Scratch) -> Result<Tensor, NnError>,
     ) -> Result<Vec<Prediction>, DeployError> {
         let span = ffdl_telemetry::span("ffdl.deploy.predict_ns");
         let mut out = forward(&mut self.network, &mut self.scratch)?;
-        let screened = self.screen_logits(&mut out);
-        let preds = screened.and_then(|()| self.predictions_from_output(&out));
+        let preds = predictions_from_output(&self.network, &mut out, self.check_logits);
         self.scratch.recycle(out);
         let preds = preds?;
         drop(span);
@@ -219,11 +215,11 @@ impl InferenceEngine {
     /// errors.
     pub fn predict_batch(&mut self, samples: &[&Tensor]) -> Result<Vec<Prediction>, DeployError> {
         if samples.is_empty() {
-            return Err(Self::bad_input("empty input batch (no samples)".into()));
+            return Err(bad_input("empty input batch (no samples)".into()));
         }
         let mut offset = 0;
         for sample in samples {
-            Self::check_finite(sample.as_slice(), NonFiniteStage::Input, offset)?;
+            check_finite(sample.as_slice(), NonFiniteStage::Input, offset)?;
             offset += sample.len();
         }
         self.predict_with(|network, scratch| network.forward_batch_with(samples, scratch))

@@ -46,7 +46,9 @@ mod inputs;
 mod params;
 
 pub use arch::{parse_architecture, ParsedNetwork, Shape};
-pub use engine::{EvaluationReport, InferenceEngine, Prediction};
+pub use engine::{
+    check_finite, predictions_from_output, EvaluationReport, InferenceEngine, Prediction,
+};
 pub use error::{DeployError, NonFiniteStage};
 pub use inputs::{format_inputs, parse_inputs, ParsedInputs};
 pub use params::{read_parameters_into, write_parameters};

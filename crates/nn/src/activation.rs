@@ -30,22 +30,11 @@ macro_rules! activation_layer {
                 $tag
             }
 
-            fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-                let fwd: fn(f32) -> f32 = $fwd;
-                let out = input.map(fwd);
-                self.last_size = if input.ndim() > 0 {
-                    input.len() / input.shape()[0].max(1)
-                } else {
-                    0
-                };
-                self.cached = Some((input.clone(), out.clone()));
-                Ok(out)
-            }
-
-            fn forward_infer(
+            fn forward_with(
                 &mut self,
                 input: &Tensor,
                 scratch: &mut Scratch,
+                keep: bool,
             ) -> Result<Tensor, NnError> {
                 let fwd: fn(f32) -> f32 = $fwd;
                 let mut out = scratch.take(input.shape());
@@ -57,6 +46,9 @@ macro_rules! activation_layer {
                 } else {
                     0
                 };
+                if keep {
+                    self.cached = Some((input.clone(), out.clone()));
+                }
                 Ok(out)
             }
 

@@ -65,56 +65,12 @@ impl Layer for AvgPool2d {
         "avgpool2d"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        if input.ndim() != 4 {
-            return Err(NnError::BadInput {
-                layer: "avgpool2d".into(),
-                message: format!("expected [batch, C, H, W], got {:?}", input.shape()),
-            });
-        }
-        let (b, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        let (oh, ow) = match (self.out_extent(h), self.out_extent(w)) {
-            (Some(oh), Some(ow)) => (oh, ow),
-            _ => {
-                return Err(NnError::BadInput {
-                    layer: "avgpool2d".into(),
-                    message: format!("window {} exceeds spatial size {h}×{w}", self.kernel),
-                })
-            }
-        };
-        let x = input.as_slice();
-        let inv = 1.0 / (self.kernel * self.kernel) as f32;
-        let mut out = Vec::with_capacity(b * c * oh * ow);
-        for bi in 0..b {
-            for ci in 0..c {
-                let plane = (bi * c + ci) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0.0f32;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                acc += x[plane
-                                    + (oy * self.stride + ky) * w
-                                    + ox * self.stride
-                                    + kx];
-                            }
-                        }
-                        out.push(acc * inv);
-                    }
-                }
-            }
-        }
-        self.last_out_elems = out.len() / b.max(1);
-        self.cached_in_shape = Some(input.shape().to_vec());
-        Ok(Tensor::from_vec(out, &[b, c, oh, ow])?)
-    }
-
-    fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
+    fn forward_with(
+        &mut self,
+        input: &Tensor,
+        scratch: &mut Scratch,
+        keep: bool,
+    ) -> Result<Tensor, NnError> {
         if input.ndim() != 4 {
             return Err(NnError::BadInput {
                 layer: "avgpool2d".into(),
@@ -162,6 +118,9 @@ impl Layer for AvgPool2d {
             }
         }
         self.last_out_elems = c * oh * ow;
+        if keep {
+            self.cached_in_shape = Some(input.shape().to_vec());
+        }
         Ok(out)
     }
 

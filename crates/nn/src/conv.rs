@@ -7,7 +7,7 @@ use crate::layer::{check_features, Layer, OpCost, ParamRef};
 use crate::scratch::Scratch;
 use crate::wire;
 use ffdl_tensor::{
-    col2im, filters_to_matrix, filters_to_matrix_into, im2col, im2col_into, matrix_to_filters,
+    col2im, filters_to_matrix, filters_to_matrix_into, im2col_into, matrix_to_filters,
     ConvGeometry, Init, Tensor,
 };
 use ffdl_rng::Rng;
@@ -16,7 +16,7 @@ use ffdl_rng::Rng;
 /// output `[batch, P, H_out, W_out]`.
 ///
 /// Filters are stored as `[P, C, r, r]`; the forward pass lowers each
-/// sample with [`im2col`] and multiplies by the `[Cr², P]` filter matrix,
+/// sample with [`im2col_into`] and multiplies by the `[Cr², P]` filter matrix,
 /// exactly the software reformulation the paper describes for its OpenCV
 /// implementation (§IV-B, Fig. 3).
 pub struct Conv2d {
@@ -29,7 +29,7 @@ pub struct Conv2d {
     bias: Tensor,         // [P]
     filters_grad: Tensor, // [P, C, r, r]
     bias_grad: Tensor,    // [P]
-    /// Cached per-sample im2col matrices from the last forward pass.
+    /// Per-sample im2col matrices of the last pass that kept them.
     cached_cols: Vec<Tensor>,
 }
 
@@ -101,43 +101,12 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        check_features(
-            "conv2d",
-            input,
-            4,
-            &[self.in_channels, self.in_h, self.in_w],
-        )?;
-        let batch = input.shape()[0];
-        let (oh, ow) = (self.out_h(), self.out_w());
-        let fmat = filters_to_matrix(&self.filters)?; // [Cr², P]
-        let plane = self.in_channels * self.in_h * self.in_w;
-        let mut out = Vec::with_capacity(batch * self.out_channels * oh * ow);
-        self.cached_cols.clear();
-
-        for s in 0..batch {
-            let sample = Tensor::from_vec(
-                input.as_slice()[s * plane..(s + 1) * plane].to_vec(),
-                &[self.in_channels, self.in_h, self.in_w],
-            )?;
-            let cols = im2col(&sample, self.geom)?; // [oh·ow, Cr²]
-            let y = cols.matmul(&fmat)?; // [oh·ow, P]
-            // Transpose to [P, oh, ow] layout with bias.
-            for p in 0..self.out_channels {
-                let b = self.bias.as_slice()[p];
-                for pix in 0..oh * ow {
-                    out.push(y.at(&[pix, p]) + b);
-                }
-            }
-            self.cached_cols.push(cols);
-        }
-        Ok(Tensor::from_vec(
-            out,
-            &[batch, self.out_channels, oh, ow],
-        )?)
-    }
-
-    fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
+    fn forward_with(
+        &mut self,
+        input: &Tensor,
+        scratch: &mut Scratch,
+        keep: bool,
+    ) -> Result<Tensor, NnError> {
         check_features(
             "conv2d",
             input,
@@ -156,6 +125,9 @@ impl Layer for Conv2d {
         let mut sample = scratch.take(&[self.in_channels, self.in_h, self.in_w]);
         let mut cols = scratch.take(&[oh * ow, cr2]);
         let mut y = scratch.take(&[oh * ow, self.out_channels]);
+        if keep {
+            self.cached_cols.clear();
+        }
 
         for s in 0..batch {
             sample
@@ -171,6 +143,11 @@ impl Layer for Conv2d {
                 for pix in 0..oh * ow {
                     dst[p * oh * ow + pix] = ys[pix * self.out_channels + p] + b;
                 }
+            }
+            if keep {
+                // A copy-on-write alias: the next `im2col_into` finds
+                // `cols` shared and lowers into a fresh buffer.
+                self.cached_cols.push(cols.clone());
             }
         }
         scratch.recycle(fmat);

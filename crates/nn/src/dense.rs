@@ -105,19 +105,12 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        check_features("dense", input, 2, &[self.in_dim])?;
-        let mut out = input.matmul(&self.weight)?;
-        for r in 0..out.rows() {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(self.bias.as_slice()) {
-                *o += b;
-            }
-        }
-        self.cached_input = Some(input.clone());
-        Ok(out)
-    }
-
-    fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
+    fn forward_with(
+        &mut self,
+        input: &Tensor,
+        scratch: &mut Scratch,
+        keep: bool,
+    ) -> Result<Tensor, NnError> {
         check_features("dense", input, 2, &[self.in_dim])?;
         let mut out = scratch.take(&[input.rows(), self.out_dim]);
         input.matmul_into(&self.weight, &mut out)?;
@@ -125,6 +118,9 @@ impl Layer for Dense {
             for (o, &b) in out.row_mut(r).iter_mut().zip(self.bias.as_slice()) {
                 *o += b;
             }
+        }
+        if keep {
+            self.cached_input = Some(input.clone());
         }
         Ok(out)
     }

@@ -24,20 +24,12 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        if input.ndim() < 2 {
-            return Err(NnError::BadInput {
-                layer: "flatten".into(),
-                message: format!("expected batched input, got shape {:?}", input.shape()),
-            });
-        }
-        let batch = input.shape()[0];
-        let rest: usize = input.shape()[1..].iter().product();
-        self.cached_shape = Some(input.shape().to_vec());
-        Ok(input.reshape(&[batch, rest])?)
-    }
-
-    fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
+    fn forward_with(
+        &mut self,
+        input: &Tensor,
+        scratch: &mut Scratch,
+        keep: bool,
+    ) -> Result<Tensor, NnError> {
         if input.ndim() < 2 {
             return Err(NnError::BadInput {
                 layer: "flatten".into(),
@@ -51,6 +43,9 @@ impl Layer for Flatten {
         // Arc) and allocate a fresh shape vector per request.
         let mut out = scratch.take(&[batch, rest]);
         out.as_mut_slice().copy_from_slice(input.as_slice());
+        if keep {
+            self.cached_shape = Some(input.shape().to_vec());
+        }
         Ok(out)
     }
 

@@ -56,10 +56,10 @@ impl OpCost {
 
 /// A differentiable network layer.
 ///
-/// Layers own their parameters and cache whatever activations the backward
-/// pass needs; `backward` must be preceded by `forward` on the same input
-/// batch. Inputs and outputs are batched: the first dimension is the batch
-/// size.
+/// Layers own their parameters and write their forward arithmetic
+/// **once**, in [`forward_with`](Layer::forward_with): the training and
+/// inference passes are that one body with `keep` on and off. Inputs
+/// and outputs are batched: the first dimension is the batch size.
 ///
 /// The `Send + Sync` bound exists so a frozen network can be shared
 /// across serving threads behind an `Arc` — all mutation goes through
@@ -70,35 +70,43 @@ pub trait Layer: Send + Sync {
     /// (e.g. `"dense"`, `"relu"`, `"circulant_dense"`).
     fn type_tag(&self) -> &'static str;
 
-    /// Computes the layer output for a batch, caching what backward needs.
+    /// The forward pass: the layer output for a batch, with the output
+    /// and every intermediate buffer drawn from `scratch`. `keep` says a
+    /// backward pass follows (Algorithm 2 is Algorithm 1 plus "keep
+    /// `FFT(x)`"): with it the layer records what `backward` needs;
+    /// without it nothing is recorded and a warm `scratch` makes the
+    /// call allocation-free. It must not change any output value.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::BadInput`] when the input shape is incompatible.
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError>;
+    fn forward_with(
+        &mut self,
+        input: &Tensor,
+        scratch: &mut Scratch,
+        keep: bool,
+    ) -> Result<Tensor, NnError>;
+
+    /// Training pass: [`forward_with`](Layer::forward_with), keeping, on
+    /// a throw-away buffer pool (same errors).
+    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+        self.forward_with(input, &mut Scratch::new(), true)
+    }
 
     /// Propagates the loss gradient, accumulating parameter gradients and
     /// returning the gradient with respect to the layer input.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::NoForwardCache`] when called before `forward`,
-    /// or [`NnError::BadInput`] on a gradient of the wrong shape.
+    /// Returns [`NnError::NoForwardCache`] when no forward pass has kept
+    /// its record, or [`NnError::BadInput`] on a gradient of the wrong
+    /// shape.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError>;
 
-    /// Inference-only forward pass: identical math and bit-identical
-    /// output to [`forward`](Layer::forward), but free to skip the
-    /// backward caches and to draw intermediate buffers from `scratch`
-    /// instead of allocating. The default delegates to `forward`, so
-    /// layers that have not opted in stay correct (just not
-    /// allocation-free).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`forward`](Layer::forward).
+    /// Inference pass: [`forward_with`](Layer::forward_with), keeping
+    /// nothing, on the caller's buffer pool (same errors).
     fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
-        let _ = scratch;
-        self.forward(input)
+        self.forward_with(input, scratch, false)
     }
 
     /// Structural clone that **shares** frozen parameter buffers with

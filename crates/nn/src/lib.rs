@@ -7,7 +7,7 @@
 //!
 //! - Layers: [`Dense`], [`Conv2d`] (via im2col, Fig. 3), [`Relu`] /
 //!   [`Sigmoid`] / [`Tanh`], [`MaxPool2d`], [`Flatten`], [`Softmax`].
-//! - Losses: [`SoftmaxCrossEntropy`], [`MeanSquaredError`].
+//! - Loss: [`SoftmaxCrossEntropy`].
 //! - Optimizer: [`Sgd`] with momentum (the paper trains with lr 0.001,
 //!   momentum 0.9).
 //! - Container: [`Network`] with forward/backward, mini-batch training,
@@ -60,7 +60,6 @@ mod metrics;
 mod network;
 mod optimizer;
 mod pool;
-mod schedule;
 mod scratch;
 mod serialize;
 mod softmax;
@@ -73,14 +72,13 @@ pub use dense::{dense_from_config, Dense};
 pub use error::NnError;
 pub use flatten::{flatten_from_config, Flatten};
 pub use layer::{Layer, OpCost, ParamRef};
-pub use loss::{MeanSquaredError, SoftmaxCrossEntropy};
+pub use loss::SoftmaxCrossEntropy;
 pub use metrics::ConfusionMatrix;
 pub use network::Network;
 pub use optimizer::Sgd;
 pub use pool::{maxpool2d_from_config, MaxPool2d};
-pub use schedule::{ConstantLr, LinearWarmup, LrSchedule, StepDecay};
 pub use scratch::Scratch;
 pub use serialize::{
-    clone_network, deep_clone_network, load_network, save_network, LayerBuilder, LayerRegistry,
+    clone_network, copy_layer, load_network, save_network, LayerBuilder, LayerRegistry,
 };
-pub use softmax::{softmax_from_config, softmax_rows, Softmax};
+pub use softmax::{argmax_row, softmax_from_config, softmax_rows, Softmax};

@@ -1,4 +1,4 @@
-//! Training losses.
+//! The training loss.
 
 use crate::error::NnError;
 use crate::softmax::softmax_rows;
@@ -69,34 +69,6 @@ impl SoftmaxCrossEntropy {
     }
 }
 
-/// Mean-squared-error loss against a target tensor of the same shape.
-///
-/// Returns `(mean loss, dL/dpred)`. Used by regression-style tests and
-/// gradient checks.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MeanSquaredError;
-
-impl MeanSquaredError {
-    /// Creates the loss.
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// Computes `(mean loss, gradient)` where
-    /// `loss = mean((pred − target)²) / 2`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Tensor`] on shape mismatch.
-    pub fn compute(&self, pred: &Tensor, target: &Tensor) -> Result<(f32, Tensor), NnError> {
-        let diff = pred.sub(target)?;
-        let n = diff.len().max(1) as f32;
-        let loss = diff.as_slice().iter().map(|v| v * v).sum::<f32>() / (2.0 * n);
-        let grad = diff.scale(1.0 / n);
-        Ok((loss, grad))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,35 +132,5 @@ mod tests {
         assert!(ce.compute(&logits, &[0, 3]).is_err()); // out of range
         assert!(ce.compute(&Tensor::zeros(&[3]), &[0]).is_err()); // rank
         assert!(ce.compute(&Tensor::zeros(&[0, 3]), &[]).is_err()); // empty
-    }
-
-    #[test]
-    fn mse_basics() {
-        let mse = MeanSquaredError::new();
-        let pred = Tensor::from_slice(&[1.0, 2.0]);
-        let target = Tensor::from_slice(&[0.0, 2.0]);
-        let (loss, grad) = mse.compute(&pred, &target).unwrap();
-        assert!((loss - 0.25).abs() < 1e-6); // (1 + 0)/(2·2)
-        assert_eq!(grad.as_slice(), &[0.5, 0.0]);
-        assert!(mse.compute(&pred, &Tensor::zeros(&[3])).is_err());
-    }
-
-    #[test]
-    fn mse_gradient_check() {
-        let mse = MeanSquaredError::new();
-        let pred = Tensor::from_slice(&[0.3, -0.9, 2.0]);
-        let target = Tensor::from_slice(&[0.0, 0.0, 1.0]);
-        let (_, grad) = mse.compute(&pred, &target).unwrap();
-        let eps = 1e-3f32;
-        for i in 0..3 {
-            let mut pp = pred.clone();
-            pp.as_mut_slice()[i] += eps;
-            let mut pm = pred.clone();
-            pm.as_mut_slice()[i] -= eps;
-            let num = (mse.compute(&pp, &target).unwrap().0
-                - mse.compute(&pm, &target).unwrap().0)
-                / (2.0 * eps);
-            assert!((num - grad.as_slice()[i]).abs() < 1e-4);
-        }
     }
 }

@@ -1,19 +1,20 @@
 //! The sequential [`Network`] container: forward/backward across layers,
 //! a mini-batch training step, and accuracy evaluation.
 //!
-//! There are exactly two layer loops. [`Network::forward`] is the
-//! training pass ([`Layer::forward`]: every layer records what
-//! `backward` needs); [`Network::forward_infer`] is the inference pass
-//! ([`Layer::forward_infer`]: nothing recorded, activations recycled
-//! through a [`Scratch`] pool), and [`Network::forward_batch_with`] is
-//! that same pass after stacking per-sample tensors. The two are
-//! bit-identical in output.
+//! There is exactly one layer loop (the private `Network::run`). The
+//! training pass ([`Network::forward`]) runs it with `keep` on — every
+//! layer records what `backward` needs — over a throw-away [`Scratch`];
+//! the inference pass ([`Network::forward_infer`], and
+//! [`Network::forward_batch_with`] after stacking per-sample tensors)
+//! runs it with `keep` off over the caller's pool. Each layer has one
+//! body ([`Layer::forward_with`]), so the passes agree bit for bit.
 
 use crate::error::NnError;
 use crate::layer::{Layer, OpCost, ParamRef};
 use crate::loss::SoftmaxCrossEntropy;
 use crate::optimizer::Sgd;
 use crate::scratch::Scratch;
+use crate::softmax::argmax_row;
 use ffdl_tensor::Tensor;
 
 /// A feed-forward stack of [`Layer`]s executed in order.
@@ -98,8 +99,10 @@ impl Network {
             .then(|| ffdl_telemetry::span(&format!("ffdl.nn.layer_forward_ns.{}", layer.type_tag())))
     }
 
-    /// Runs the full training forward pass: every layer caches what
-    /// [`Network::backward`] needs.
+    /// The layer loop under every forward entry point: consumes `x`,
+    /// recycling each layer's input into `scratch` once the layer has
+    /// produced its output (a buffer a layer kept an alias of stays out
+    /// of circulation until that alias drops).
     ///
     /// When global telemetry is enabled (`ffdl_telemetry::enabled()`),
     /// each layer's wall time lands in a
@@ -107,30 +110,12 @@ impl Network {
     /// itself in `ffdl.nn.forward_ns` — the per-stage profile CirCNN's
     /// FFT → elementwise → IFFT pipeline analysis rests on. Disabled
     /// (the default), the cost is one relaxed bool load.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first layer error (shape mismatch etc.).
-    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let telemetry_on = ffdl_telemetry::enabled();
-        let _whole = telemetry_on.then(|| ffdl_telemetry::span("ffdl.nn.forward_ns"));
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            let _span = Self::layer_span(telemetry_on, layer.as_ref());
-            x = layer.forward(&x)?;
-        }
-        Ok(x)
-    }
-
-    /// The inference layer loop: consumes the scratch-owned `x`,
-    /// recycling each layer's input as soon as the layer has produced its
-    /// output. Same spans as [`Network::forward`].
-    fn infer(&mut self, mut x: Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
+    fn run(&mut self, mut x: Tensor, scratch: &mut Scratch, keep: bool) -> Result<Tensor, NnError> {
         let telemetry_on = ffdl_telemetry::enabled();
         let _whole = telemetry_on.then(|| ffdl_telemetry::span("ffdl.nn.forward_ns"));
         for layer in &mut self.layers {
             let span = Self::layer_span(telemetry_on, layer.as_ref());
-            let result = layer.forward_infer(&x, scratch);
+            let result = layer.forward_with(&x, scratch, keep);
             drop(span);
             scratch.recycle(x);
             x = result?;
@@ -138,17 +123,23 @@ impl Network {
         Ok(x)
     }
 
+    /// Runs the training forward pass: every layer keeps what
+    /// [`Network::backward`] needs.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first layer error (shape mismatch etc.).
+    pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+        self.run(input.clone(), &mut Scratch::new(), true)
+    }
+
     /// Runs the inference forward pass over a `[batch, d…]` input: no
     /// layer records anything for `backward`, and every intermediate
-    /// activation is threaded through `scratch`. After a warmup call the
-    /// steady state performs **zero per-request heap allocations** for
-    /// layers whose `forward_infer` is allocation-free (all built-in
-    /// layers on power-of-two FFT blocks).
-    ///
-    /// The result tensor is owned by the caller; recycle it back into
-    /// `scratch` when done to keep the pool warm. Outputs are
-    /// bit-identical to [`Network::forward`]: `forward_infer` runs the
-    /// same arithmetic in the same order.
+    /// activation is threaded through `scratch`, so after a warmup call
+    /// the steady state performs **zero per-request heap allocations**
+    /// (power-of-two FFT blocks). Recycle the result into `scratch` to
+    /// keep the pool warm. Outputs are bit-identical to
+    /// [`Network::forward`]: same loop, same bodies.
     ///
     /// # Errors
     ///
@@ -156,15 +147,14 @@ impl Network {
     pub fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
         let mut x = scratch.take(input.shape());
         x.as_mut_slice().copy_from_slice(input.as_slice());
-        self.infer(x, scratch)
+        self.run(x, scratch, false)
     }
 
     /// [`Network::forward_infer`] over a coalesced batch of per-sample
-    /// tensors: the samples are stacked into a single scratch-owned
-    /// `[n, d…]` tensor and pushed through the layer stack **once**, so
-    /// per-call costs (per-layer dispatch, activation buffers) are paid
-    /// per batch instead of per sample. This is the kernel-level half of
-    /// the serving runtime's dynamic batcher.
+    /// tensors: the samples are stacked into one scratch-owned `[n, d…]`
+    /// tensor and pushed through the layer stack **once**, so per-call
+    /// costs are paid per batch instead of per sample — the kernel-level
+    /// half of the serving runtime's dynamic batcher.
     ///
     /// Row `r` of the output corresponds to `samples[r]`, bit-identically
     /// to running [`Network::forward`] on that sample alone (all layers
@@ -187,7 +177,7 @@ impl Network {
                 message: format!("forward_batch: {e}"),
             });
         }
-        self.infer(x, scratch)
+        self.run(x, scratch, false)
     }
 
     /// Runs the full backward pass, returning the gradient with respect to
@@ -233,29 +223,21 @@ impl Network {
         Ok(loss_value)
     }
 
-    /// Predicted class per sample: row-wise argmax of the network output.
+    /// Predicted class per sample: [`argmax_row`] of each row of the
+    /// inference pass's output.
     ///
     /// # Errors
     ///
     /// Propagates layer errors; the output must be `[batch, classes]`.
     pub fn predict(&mut self, inputs: &Tensor) -> Result<Vec<usize>, NnError> {
-        let logits = self.forward(inputs)?;
+        let logits = self.forward_infer(inputs, &mut Scratch::new())?;
         if logits.ndim() != 2 {
             return Err(NnError::BadInput {
                 layer: "network".into(),
                 message: format!("predict needs [batch, classes] output, got {:?}", logits.shape()),
             });
         }
-        Ok((0..logits.rows())
-            .map(|r| {
-                let row = logits.row(r);
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            .collect())
+        Ok((0..logits.rows()).map(|r| argmax_row(logits.row(r))).collect())
     }
 
     /// Classification accuracy on a labelled batch, in `[0, 1]`.

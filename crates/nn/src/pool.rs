@@ -69,65 +69,12 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        if input.ndim() != 4 {
-            return Err(NnError::BadInput {
-                layer: "maxpool2d".into(),
-                message: format!("expected [batch, C, H, W], got {:?}", input.shape()),
-            });
-        }
-        let (b, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        let (oh, ow) = match (self.out_extent(h), self.out_extent(w)) {
-            (Some(oh), Some(ow)) => (oh, ow),
-            _ => {
-                return Err(NnError::BadInput {
-                    layer: "maxpool2d".into(),
-                    message: format!(
-                        "window {} exceeds spatial size {h}×{w}",
-                        self.kernel
-                    ),
-                })
-            }
-        };
-        let x = input.as_slice();
-        let mut out = Vec::with_capacity(b * c * oh * ow);
-        let mut argmax = Vec::with_capacity(b * c * oh * ow);
-        for bi in 0..b {
-            for ci in 0..c {
-                let plane = (bi * c + ci) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best_idx = plane + (oy * self.stride) * w + ox * self.stride;
-                        let mut best = x[best_idx];
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let idx = plane
-                                    + (oy * self.stride + ky) * w
-                                    + ox * self.stride
-                                    + kx;
-                                if x[idx] > best {
-                                    best = x[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        out.push(best);
-                        argmax.push(best_idx);
-                    }
-                }
-            }
-        }
-        self.last_out_elems = out.len() / b.max(1);
-        self.cache = Some((input.shape().to_vec(), argmax));
-        Ok(Tensor::from_vec(out, &[b, c, oh, ow])?)
-    }
-
-    fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
+    fn forward_with(
+        &mut self,
+        input: &Tensor,
+        scratch: &mut Scratch,
+        keep: bool,
+    ) -> Result<Tensor, NnError> {
         if input.ndim() != 4 {
             return Err(NnError::BadInput {
                 layer: "maxpool2d".into(),
@@ -150,6 +97,8 @@ impl Layer for MaxPool2d {
             }
         };
         let mut out = scratch.take(&[b, c, oh, ow]);
+        // Only a pass that keeps for `backward` builds the argmax vector.
+        let mut argmax = Vec::with_capacity(if keep { out.len() } else { 0 });
         let x = input.as_slice();
         let dst = out.as_mut_slice();
         let mut o = 0;
@@ -158,25 +107,33 @@ impl Layer for MaxPool2d {
                 let plane = (bi * c + ci) * h * w;
                 for oy in 0..oh {
                     for ox in 0..ow {
-                        let mut best = x[plane + (oy * self.stride) * w + ox * self.stride];
+                        let mut best_idx = plane + (oy * self.stride) * w + ox * self.stride;
+                        let mut best = x[best_idx];
                         for ky in 0..self.kernel {
                             for kx in 0..self.kernel {
-                                let v = x[plane
+                                let idx = plane
                                     + (oy * self.stride + ky) * w
                                     + ox * self.stride
-                                    + kx];
-                                if v > best {
-                                    best = v;
+                                    + kx;
+                                if x[idx] > best {
+                                    best = x[idx];
+                                    best_idx = idx;
                                 }
                             }
                         }
                         dst[o] = best;
                         o += 1;
+                        if keep {
+                            argmax.push(best_idx);
+                        }
                     }
                 }
             }
         }
         self.last_out_elems = c * oh * ow;
+        if keep {
+            self.cache = Some((input.shape().to_vec(), argmax));
+        }
         Ok(out)
     }
 

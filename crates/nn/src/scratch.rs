@@ -1,13 +1,14 @@
-//! Reusable forward-pass workspace for the serving hot path.
+//! Reusable forward-pass workspace.
 //!
-//! [`Scratch`] is a free-list of [`Tensor`]s a worker threads through
-//! [`Network::forward_batch_with`](crate::Network::forward_batch_with):
-//! every intermediate activation is drawn from the pool and recycled
-//! after the next layer consumes it, so once each call site has claimed
-//! a buffer of its steady-state size, a forward pass performs **zero
-//! heap allocations**. The pool leans on the tensor's copy-on-write
-//! storage: a recycled tensor whose buffer is still shared (e.g. a
-//! reshape alias of a live response) is simply skipped by
+//! [`Scratch`] is a free-list of [`Tensor`]s threaded through every
+//! forward pass ([`Layer::forward_with`](crate::Layer::forward_with)):
+//! layers draw outputs and intermediates from it, and the network's
+//! layer loop recycles an activation once the next layer has consumed
+//! it. A serving worker keeps one pool warm next to its network clone,
+//! so an inference pass performs **zero heap allocations**; the training
+//! pass runs on a throw-away pool. Copy-on-write storage keeps this
+//! safe: a recycled tensor whose buffer is still shared (an alias a
+//! layer kept for `backward`, or of a live response) is skipped by
 //! [`Scratch::take`] until its co-owner drops.
 
 use ffdl_tensor::Tensor;

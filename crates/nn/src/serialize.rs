@@ -272,45 +272,41 @@ pub fn load_network<R: Read>(reader: R, registry: &LayerRegistry) -> Result<Netw
     Ok(network)
 }
 
-/// Clones a network for serving: each layer is copied via its
-/// [`Layer::clone_layer`] fast path when it has one — a structural
-/// clone whose parameter tensors *share* the original's buffers
-/// (copy-on-write, so a later parameter write on either side detaches a
-/// private copy) — making the whole clone O(layers) pointer bumps with
-/// no serialization. Layers without a fast path fall back to a
-/// per-layer wire round-trip through `registry`, preserving the old
-/// validation semantics: a layer type the registry cannot rebuild fails
-/// the clone with [`NnError::UnknownLayerTag`].
-///
-/// The clone starts with empty forward caches and is safe to run on
-/// another thread — this is how the serving runtime gives each worker
-/// its own copy of the model. For a clone with *independent* parameter
-/// allocations (training, optimizer state), use [`deep_clone_network`].
+/// Clones a network for serving, layer by layer through
+/// [`copy_layer`]: for built-in layers O(layers) pointer bumps with no
+/// serialization. The clone starts with empty forward caches and is
+/// safe to run on another thread — this is how the serving runtime
+/// gives each worker its own copy of the model.
 ///
 /// # Errors
 ///
-/// Returns [`NnError::UnknownLayerTag`] when a fallback layer type is
-/// not in `registry`, and propagates format errors (which indicate a
-/// bug in a layer's `config_bytes`/`load_params` pair rather than a
-/// user input condition).
+/// Those of [`copy_layer`].
 pub fn clone_network(network: &Network, registry: &LayerRegistry) -> Result<Network, NnError> {
     let mut clone = Network::new();
     for layer in network.layers() {
-        let copied = match layer.clone_layer() {
-            Some(copied) => copied,
-            None => clone_layer_via_wire(layer.as_ref(), registry)?,
-        };
-        clone.push_boxed(copied);
+        clone.push_boxed(copy_layer(layer.as_ref(), registry)?);
     }
     Ok(clone)
 }
 
-/// Wire-format fallback for one layer: serialize tag + config + params,
-/// rebuild through the registry.
-fn clone_layer_via_wire(
-    layer: &dyn Layer,
-    registry: &LayerRegistry,
-) -> Result<Box<dyn Layer>, NnError> {
+/// Copies one layer — the routine under every network rewrite
+/// ([`clone_network`], the spectral freeze, the quantizer): the
+/// [`Layer::clone_layer`] fast path when the layer has one — a
+/// structural clone whose parameter tensors *share* the original's
+/// buffers (copy-on-write, so a later parameter write on either side
+/// detaches a private copy) — else a wire round trip (tag + config +
+/// parameters) through `registry`.
+///
+/// # Errors
+///
+/// Returns [`NnError::UnknownLayerTag`] when a layer without a fast
+/// path is not in `registry`, and propagates format errors (which
+/// indicate a bug in a layer's `config_bytes`/`load_params` pair rather
+/// than a user input condition).
+pub fn copy_layer(layer: &dyn Layer, registry: &LayerRegistry) -> Result<Box<dyn Layer>, NnError> {
+    if let Some(copied) = layer.clone_layer() {
+        return Ok(copied);
+    }
     let builder = registry
         .builder(layer.type_tag())
         .ok_or_else(|| NnError::UnknownLayerTag(layer.type_tag().to_string()))?;
@@ -318,24 +314,6 @@ fn clone_layer_via_wire(
     let params: Vec<_> = layer.param_tensors().into_iter().cloned().collect();
     rebuilt.load_params(&params)?;
     Ok(rebuilt)
-}
-
-/// Deep-copies a network by round-tripping it through the wire format:
-/// every layer is serialized (tag + config + parameters) and rebuilt
-/// through `registry`, so the clone owns **fresh parameter
-/// allocations** that share nothing with the original — the right
-/// clone for training and optimizer use, and a full end-to-end exercise
-/// of the model format (what [`clone_network`] did before it grew the
-/// shared-parameter fast path).
-///
-/// # Errors
-///
-/// Returns [`NnError::UnknownLayerTag`] when a layer type is not in
-/// `registry`, and propagates format errors.
-pub fn deep_clone_network(network: &Network, registry: &LayerRegistry) -> Result<Network, NnError> {
-    let mut buf = Vec::new();
-    save_network(network, &mut buf)?;
-    load_network(&buf[..], registry)
 }
 
 #[cfg(test)]
@@ -346,6 +324,7 @@ mod tests {
     use crate::dense::Dense;
     use crate::flatten::Flatten;
     use crate::pool::MaxPool2d;
+    use crate::scratch::Scratch;
     use crate::softmax::Softmax;
     use ffdl_tensor::{ConvGeometry, Tensor};
     use ffdl_rng::rngs::SmallRng;
@@ -517,7 +496,7 @@ mod tests {
         fn type_tag(&self) -> &'static str {
             "test_quant_stub"
         }
-        fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+        fn forward_with(&mut self, input: &Tensor, _: &mut Scratch, _: bool) -> Result<Tensor, NnError> {
             Ok(input.clone())
         }
         fn backward(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {
@@ -685,6 +664,8 @@ mod tests {
         net.push(Dense::new(7, 3, &mut rng));
 
         let mut cloned = clone_network(&net, &LayerRegistry::with_builtin_layers()).unwrap();
+        assert!(cloned.layers()[0].param_tensors()[0]
+            .shares_buffer(net.layers()[0].param_tensors()[0]));
         let x = Tensor::from_fn(&[3, 5], |i| (i as f32 * 0.21).cos());
         let y1 = net.forward(&x).unwrap();
         let y2 = cloned.forward(&x).unwrap();
@@ -713,7 +694,12 @@ mod tests {
             fn type_tag(&self) -> &'static str {
                 "test_foreign"
             }
-            fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+            fn forward_with(
+                &mut self,
+                input: &Tensor,
+                _: &mut Scratch,
+                _: bool,
+            ) -> Result<Tensor, NnError> {
                 Ok(input.clone())
             }
             fn backward(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {
@@ -730,22 +716,6 @@ mod tests {
         registry.register("test_foreign", |_| Ok(Box::new(Foreign)));
         let cloned = clone_network(&net, &registry).unwrap();
         assert_eq!(cloned.layers()[0].type_tag(), "test_foreign");
-    }
-
-    #[test]
-    fn deep_clone_owns_independent_buffers() {
-        let mut rng = rng();
-        let mut net = Network::new();
-        net.push(Dense::new(3, 4, &mut rng));
-        let deep = deep_clone_network(&net, &LayerRegistry::with_builtin_layers()).unwrap();
-        let shared = clone_network(&net, &LayerRegistry::with_builtin_layers()).unwrap();
-        let orig = net.layers()[0].param_tensors();
-        assert!(!deep.layers()[0].param_tensors()[0].shares_buffer(orig[0]));
-        assert!(shared.layers()[0].param_tensors()[0].shares_buffer(orig[0]));
-        assert!(matches!(
-            deep_clone_network(&net, &LayerRegistry::new()),
-            Err(NnError::UnknownLayerTag(_))
-        ));
     }
 
     #[test]

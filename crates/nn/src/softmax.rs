@@ -6,34 +6,21 @@ use crate::layer::{Layer, OpCost};
 use crate::scratch::Scratch;
 use ffdl_tensor::Tensor;
 
-/// Numerically-stable row-wise softmax of a `[batch, classes]` tensor.
+/// Numerically-stable row-wise softmax of a `[batch, classes]` tensor
+/// (the [`Softmax`] layer's pass, keeping nothing).
 pub fn softmax_rows(logits: &Tensor) -> Result<Tensor, NnError> {
-    if logits.ndim() != 2 {
-        return Err(NnError::BadInput {
-            layer: "softmax".into(),
-            message: format!("expected [batch, classes], got {:?}", logits.shape()),
-        });
-    }
-    let mut out = logits.clone();
-    normalize_rows(&mut out);
-    Ok(out)
+    Softmax::new().forward_with(logits, &mut Scratch::new(), false)
 }
 
-/// In-place row normalization shared by [`softmax_rows`] and the
-/// allocation-free inference path.
-fn normalize_rows(out: &mut Tensor) {
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
-    }
+/// Index of the largest value of one output row — the workspace's one
+/// prediction rule, shared by [`Network::predict`](crate::Network::predict),
+/// the deploy and stream engines and the quantizer's agreement figure.
+/// Ties resolve to the **last** maximum; an empty row yields 0.
+pub fn argmax_row(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map_or(0, |(i, _)| i)
 }
 
 /// Softmax as a network layer — used at inference time so the deployment
@@ -46,6 +33,7 @@ fn normalize_rows(out: &mut Tensor) {
 #[derive(Debug, Default)]
 pub struct Softmax {
     cached_output: Option<Tensor>,
+    last_classes: usize,
 }
 
 impl Softmax {
@@ -60,13 +48,12 @@ impl Layer for Softmax {
         "softmax"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let out = softmax_rows(input)?;
-        self.cached_output = Some(out.clone());
-        Ok(out)
-    }
-
-    fn forward_infer(&mut self, input: &Tensor, scratch: &mut Scratch) -> Result<Tensor, NnError> {
+    fn forward_with(
+        &mut self,
+        input: &Tensor,
+        scratch: &mut Scratch,
+        keep: bool,
+    ) -> Result<Tensor, NnError> {
         if input.ndim() != 2 {
             return Err(NnError::BadInput {
                 layer: "softmax".into(),
@@ -75,13 +62,29 @@ impl Layer for Softmax {
         }
         let mut out = scratch.take(input.shape());
         out.as_mut_slice().copy_from_slice(input.as_slice());
-        normalize_rows(&mut out);
+        for r in 0..out.rows() {
+            let row = out.row_mut(r);
+            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0;
+            for v in row.iter_mut() {
+                *v = (*v - max).exp();
+                sum += *v;
+            }
+            for v in row.iter_mut() {
+                *v /= sum;
+            }
+        }
+        self.last_classes = out.cols();
+        if keep {
+            self.cached_output = Some(out.clone());
+        }
         Ok(out)
     }
 
     fn clone_layer(&self) -> Option<Box<dyn Layer>> {
         Some(Box::new(Self {
             cached_output: None,
+            last_classes: self.last_classes,
         }))
     }
 
@@ -114,11 +117,7 @@ impl Layer for Softmax {
     }
 
     fn op_cost(&self) -> OpCost {
-        let n = self
-            .cached_output
-            .as_ref()
-            .map(|t| t.cols() as u64)
-            .unwrap_or(0);
+        let n = self.last_classes as u64;
         OpCost {
             nonlin: 2 * n, // exp + normalize
             adds: n,

@@ -115,7 +115,7 @@ pub const QUANT_SCHEME_SYMMETRIC: u32 = 1;
 /// Quantization sidecar for one layer in a version-3 model file: the
 /// fixed-point weight levels and their block scales, kept out of the
 /// generic f32 tensor path so the stored bytes stay narrow (2 bytes per
-/// level for int16/int12, 1 byte for int8, instead of 4 for `f32`).
+/// level for int16, 1 byte for int8, instead of 4 for `f32`).
 ///
 /// Layers opt in via [`Layer::quant_payload`](crate::Layer::quant_payload)
 /// / [`Layer::load_quant_payload`](crate::Layer::load_quant_payload);

@@ -4,7 +4,7 @@
 //! *real* Rust kernels on the host machine; EXPERIMENTS.md reports both,
 //! so the shape claims never rest on the model alone.
 
-use ffdl_nn::{Network, NnError};
+use ffdl_nn::{Network, NnError, Scratch};
 use ffdl_tensor::Tensor;
 use std::time::Instant;
 
@@ -57,7 +57,9 @@ pub fn time_reps(warmup: usize, reps: usize, mut f: impl FnMut()) -> Timing {
 }
 
 /// Measures per-image inference time of a network on the host: runs the
-/// whole `input` batch per repetition and divides by the batch size.
+/// whole `input` batch through the inference pass
+/// ([`Network::forward_infer`] on a warm [`Scratch`] — what a deployed
+/// engine executes) per repetition and divides by the batch size.
 ///
 /// # Errors
 ///
@@ -68,11 +70,14 @@ pub fn measure_inference_us(
     warmup: usize,
     reps: usize,
 ) -> Result<Timing, NnError> {
-    // Verify the forward pass works before timing it.
-    let _ = network.forward(input)?;
+    let mut scratch = Scratch::new();
+    // Verify the forward pass works (and warm the pool) before timing it.
+    let out = network.forward_infer(input, &mut scratch)?;
+    scratch.recycle(out);
     let batch = input.shape()[0].max(1) as f64;
     let t = time_reps(warmup, reps, || {
-        let _ = network.forward(input).expect("verified above");
+        let out = network.forward_infer(input, &mut scratch).expect("verified above");
+        scratch.recycle(out);
     });
     Ok(Timing {
         mean_us: t.mean_us / batch,

@@ -4,7 +4,7 @@
 //! trained (or already frozen) block-circulant model and rewrites every
 //! spectral FC layer onto
 //! [`QuantizedSpectralDense`] — i16
-//! (or int12/int8) weight spectra with one symmetric scale per output
+//! (or int8) weight spectra with one symmetric scale per output
 //! block, served **without per-batch dequantization of the weight
 //! tensor**. All other layers pass through untouched (structural clone
 //! when available, wire round-trip otherwise), so the quantized network
@@ -46,7 +46,7 @@
 use ffdl_core::{
     full_registry, CirculantDense, QuantBits, QuantizedSpectralDense, SpectralDense,
 };
-use ffdl_nn::{save_network, Network, NnError};
+use ffdl_nn::{argmax_row, copy_layer, save_network, Network, NnError, Scratch};
 use ffdl_tensor::Tensor;
 use std::error::Error;
 use std::fmt;
@@ -153,22 +153,10 @@ pub fn quantize_network(network: &Network, bits: QuantBits) -> Result<Network, Q
                 continue;
             }
         }
-        let copied = match layer.clone_layer() {
-            Some(copied) => copied,
-            None => {
-                let builder = registry.builder(layer.type_tag()).ok_or_else(|| {
-                    QuantError::UnsupportedLayer {
-                        index,
-                        tag: layer.type_tag().to_string(),
-                    }
-                })?;
-                let mut rebuilt = builder(&layer.config_bytes()).map_err(QuantError::Nn)?;
-                let params: Vec<Tensor> =
-                    layer.param_tensors().into_iter().cloned().collect();
-                rebuilt.load_params(&params).map_err(QuantError::Nn)?;
-                rebuilt
-            }
-        };
+        let copied = copy_layer(layer.as_ref(), &registry).map_err(|e| match e {
+            NnError::UnknownLayerTag(tag) => QuantError::UnsupportedLayer { index, tag },
+            e => QuantError::Nn(e),
+        })?;
         out.push_boxed(copied);
     }
     Ok(out)
@@ -188,54 +176,41 @@ pub fn model_bytes(network: &Network) -> Result<usize, NnError> {
     Ok(buf.len())
 }
 
-/// Per-row argmax labels of a `[batch, classes]` logits/probabilities
-/// tensor (ties resolve to the first maximum, matching the deploy
-/// engine's prediction rule).
+/// Per-row labels of a `[batch, classes]` logits/probabilities tensor
+/// under [`argmax_row`], the rule the deploy engine serves by (ties
+/// resolve to the last maximum).
 pub fn argmax_labels(outputs: &Tensor) -> Vec<usize> {
-    let classes = outputs.cols();
     outputs
         .as_slice()
-        .chunks_exact(classes)
-        .map(|row| {
-            row.iter()
-                .enumerate()
-                .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
-                    if v > bv {
-                        (i, v)
-                    } else {
-                        (bi, bv)
-                    }
-                })
-                .0
-        })
+        .chunks_exact(outputs.cols())
+        .map(argmax_row)
         .collect()
 }
 
 /// Fraction of eval rows on which `a` and `b` pick the same top-1 class
 /// — the acceptance criterion for serving a quantized generation in
-/// place of its f32 parent.
+/// place of its f32 parent. Both run the inference pass, as served.
 ///
 /// # Errors
 ///
 /// Propagates forward-pass failures from either network.
 pub fn top1_agreement(a: &mut Network, b: &mut Network, inputs: &Tensor) -> Result<f32, NnError> {
-    let ya = a.forward(inputs)?;
-    let yb = b.forward(inputs)?;
+    let mut scratch = Scratch::new();
+    let ya = a.forward_infer(inputs, &mut scratch)?;
     let la = argmax_labels(&ya);
-    let lb = argmax_labels(&yb);
+    scratch.recycle(ya);
+    let lb = argmax_labels(&b.forward_infer(inputs, &mut scratch)?);
     debug_assert_eq!(la.len(), lb.len());
     let agree = la.iter().zip(&lb).filter(|(x, y)| x == y).count();
     Ok(agree as f32 / la.len().max(1) as f32)
 }
 
 /// The conventional label for a ladder rung: `"f32"` for the unquantized
-/// parent, else the [`QuantBits`] precision (`"int16"`, `"int12"`,
-/// `"int8"`).
+/// parent, else the [`QuantBits`] precision (`"int16"`, `"int8"`).
 pub fn rung_label(bits: Option<QuantBits>) -> &'static str {
     match bits {
         None => "f32",
         Some(QuantBits::Sixteen) => "int16",
-        Some(QuantBits::Twelve) => "int12",
         Some(QuantBits::Eight) => "int8",
     }
 }
@@ -362,7 +337,25 @@ mod tests {
     #[test]
     fn argmax_matches_manual() {
         let t = Tensor::from_vec(vec![0.1, 0.9, 0.0, 0.5, 0.5, 0.2], &[2, 3]).unwrap();
-        assert_eq!(argmax_labels(&t), vec![1, 0]);
+        assert_eq!(argmax_labels(&t), vec![1, 1]);
+    }
+
+    /// The agreement figure is computed under the rule the engines
+    /// serve by: on an all-tie output (zero-weight dense + softmax)
+    /// `argmax_labels`, `Network::predict` and `InferenceEngine` name
+    /// the same class. (They disagreed, `[0, 0]` vs `[2, 2]`, while
+    /// `argmax_labels` kept a first-maximum rule of its own.)
+    #[test]
+    fn ties_resolve_as_the_engine_serves_them() {
+        let mut net = Network::new();
+        net.push(Dense::with_params(Tensor::zeros(&[4, 3]), Tensor::zeros(&[3])).unwrap());
+        net.push(Softmax::new());
+        let x = eval_batch(2, 4);
+        let labels = argmax_labels(&net.forward(&x).unwrap());
+        assert_eq!(labels, net.predict(&x).unwrap());
+        let served = ffdl_deploy::InferenceEngine::new(net).predict(&x).unwrap();
+        assert_eq!(labels, served.iter().map(|p| p.label).collect::<Vec<_>>());
+        assert_eq!(labels, [2, 2]);
     }
 
     #[test]

@@ -16,9 +16,8 @@ use ffdl_rng::{prop_assert, Rng, SeedableRng, SmallRng};
 use ffdl_tensor::ConvGeometry;
 
 fn bits_from(rng: &mut SmallRng) -> QuantBits {
-    match rng.gen_range(0u32..3) {
+    match rng.gen_range(0u32..2) {
         0 => QuantBits::Eight,
-        1 => QuantBits::Twelve,
         _ => QuantBits::Sixteen,
     }
 }

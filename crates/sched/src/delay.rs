@@ -44,12 +44,12 @@ impl Layer for DelayLayer {
         "delay"
     }
 
-    fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        self.nap();
-        Ok(input.clone())
-    }
-
-    fn forward_infer(&mut self, input: &Tensor, _scratch: &mut Scratch) -> Result<Tensor, NnError> {
+    fn forward_with(
+        &mut self,
+        input: &Tensor,
+        _scratch: &mut Scratch,
+        _keep: bool,
+    ) -> Result<Tensor, NnError> {
         self.nap();
         Ok(input.clone())
     }

@@ -57,9 +57,7 @@ mod wdrr;
 
 pub use delay::{delay_from_config, delay_model, delay_registry, DelayLayer};
 pub use driver::{run_open_loop, OpenLoopPlan, OpenLoopSummary};
-pub use pool::{
-    AutoscaleConfig, BrownoutStat, LevelEvent, SchedConfig, SchedReport, ScaleEvent, Scheduler,
-};
+pub use pool::{BrownoutStat, LevelEvent, SchedConfig, SchedReport, ScaleEvent, Scheduler};
 pub use tenant::{PriorityClass, TenantSpec};
 
 // Brownout policy types, re-exported so callers configuring

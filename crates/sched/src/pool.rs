@@ -57,26 +57,14 @@ use std::time::{Duration, Instant};
 /// retirement and shutdown.
 const IDLE_WAIT: Duration = Duration::from_millis(2);
 
-/// Autoscaler policy.
-#[derive(Debug, Clone)]
-pub struct AutoscaleConfig {
-    /// Controller sampling interval.
-    pub interval: Duration,
-    /// Queued requests *per live worker* that trigger a scale-up.
-    pub scale_up_depth: usize,
-    /// How long the queue must stay empty before a scale-down.
-    pub idle_grace: Duration,
-}
+/// Autoscaler sampling interval.
+const SCALE_INTERVAL: Duration = Duration::from_millis(1);
 
-impl Default for AutoscaleConfig {
-    fn default() -> Self {
-        Self {
-            interval: Duration::from_millis(1),
-            scale_up_depth: 8,
-            idle_grace: Duration::from_millis(20),
-        }
-    }
-}
+/// Queued requests *per live worker* that trigger a scale-up.
+const SCALE_UP_DEPTH: usize = 8;
+
+/// How long the queue must stay empty before a scale-down.
+const IDLE_GRACE: Duration = Duration::from_millis(20);
 
 /// Configuration for a scheduler run.
 #[derive(Debug, Clone)]
@@ -100,8 +88,6 @@ pub struct SchedConfig {
     /// Unhealthy request failures on one tenant's current generation
     /// that trip that tenant's quarantine + rollback (0 = never).
     pub unhealthy_threshold: u32,
-    /// Autoscaler policy.
-    pub autoscale: AutoscaleConfig,
     /// Closed-loop brownout policy (`None` disables it). When set,
     /// every tenant carrying a [`TenantSpec::ladder`] gets a
     /// [`LevelController`] that walks it down pre-published cheaper
@@ -125,7 +111,6 @@ impl Default for SchedConfig {
             deadline: None,
             check_finite: false,
             unhealthy_threshold: 0,
-            autoscale: AutoscaleConfig::default(),
             brownout: None,
             breaker: BreakerConfig::default(),
         }
@@ -679,7 +664,6 @@ impl Scheduler {
         // are plain thread-local state — no locks on the policy).
         let controller = {
             let core = Arc::clone(&core);
-            let autoscale = config.autoscale.clone();
             let (min, max) = (config.min_workers, config.max_workers);
             let brownout = config.brownout.clone();
             let mut controllers: Vec<Option<LevelController>> = specs
@@ -698,7 +682,7 @@ impl Scheduler {
                 let mut next_worker = min;
                 let mut last_brownout = Instant::now();
                 while !core.closed.load(Ordering::Acquire) {
-                    thread::sleep(autoscale.interval);
+                    thread::sleep(SCALE_INTERVAL);
                     if let Some(cfg) = &brownout {
                         if last_brownout.elapsed() >= cfg.sample_every {
                             last_brownout = Instant::now();
@@ -708,7 +692,7 @@ impl Scheduler {
                     let depth = core.dispatcher.len();
                     let live = core.live.load(Ordering::Acquire);
                     let target = core.target.load(Ordering::Acquire);
-                    if depth > autoscale.scale_up_depth * live.max(1) && target < max {
+                    if depth > SCALE_UP_DEPTH * live.max(1) && target < max {
                         let new_target = target + 1;
                         core.target.store(new_target, Ordering::Release);
                         core.live.fetch_add(1, Ordering::AcqRel);
@@ -733,7 +717,7 @@ impl Scheduler {
                         let now = Instant::now();
                         match idle_since {
                             None => idle_since = Some(now),
-                            Some(t0) if now.duration_since(t0) >= autoscale.idle_grace => {
+                            Some(t0) if now.duration_since(t0) >= IDLE_GRACE => {
                                 let new_target = target - 1;
                                 core.target.store(new_target, Ordering::Release);
                                 core.scale_downs.fetch_add(1, Ordering::Relaxed);

@@ -14,13 +14,12 @@
 //! * a **dynamic batcher** — a worker waits for the first request, then
 //!   holds the batch open until it reaches `max_batch` or a `max_wait`
 //!   deadline passes, and runs one coalesced forward pass
-//!   ([`ffdl_deploy::InferenceEngine::predict_batch`]). Batching is where
-//!   the throughput comes from: circulant layers recompute their weight
-//!   spectra per forward call, so a batch of `n` rows pays that FFT cost
-//!   once instead of `n` times,
+//!   ([`ffdl_deploy::InferenceEngine::predict_batch`]), paying the
+//!   per-call costs (dispatch, per-layer calls, response bookkeeping)
+//!   once per batch instead of once per request,
 //! * a **stats collector** ([`ServeReport`]) producing throughput and
-//!   p50/p95/p99 latency from the same percentile machinery as the bench
-//!   harness,
+//!   p50/p95/p99 latency from the same percentile function
+//!   ([`ffdl_telemetry::percentile`]) as the bench harness,
 //! * a **fault-tolerance layer**: optional per-request deadlines
 //!   ([`ServeConfig::deadline`] — expired requests are shed at dequeue
 //!   as typed [`ServeError::DeadlineExceeded`] failures, and

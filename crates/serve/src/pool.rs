@@ -904,7 +904,12 @@ softmax
             fn type_tag(&self) -> &'static str {
                 "alien"
             }
-            fn forward(&mut self, input: &Tensor) -> Result<Tensor, ffdl_nn::NnError> {
+            fn forward_with(
+                &mut self,
+                input: &Tensor,
+                _: &mut ffdl_nn::Scratch,
+                _: bool,
+            ) -> Result<Tensor, ffdl_nn::NnError> {
                 Ok(input.clone())
             }
             fn backward(&mut self, grad: &Tensor) -> Result<Tensor, ffdl_nn::NnError> {
@@ -945,7 +950,12 @@ softmax
             fn type_tag(&self) -> &'static str {
                 "test_grenade"
             }
-            fn forward(&mut self, input: &Tensor) -> Result<Tensor, ffdl_nn::NnError> {
+            fn forward_with(
+                &mut self,
+                input: &Tensor,
+                _: &mut ffdl_nn::Scratch,
+                _: bool,
+            ) -> Result<Tensor, ffdl_nn::NnError> {
                 if !FUSE_LIT.swap(true, Ordering::SeqCst) {
                     panic!("poisoned model version");
                 }
@@ -1052,7 +1062,12 @@ softmax
         fn type_tag(&self) -> &'static str {
             "test_tortoise"
         }
-        fn forward(&mut self, input: &Tensor) -> Result<Tensor, ffdl_nn::NnError> {
+        fn forward_with(
+            &mut self,
+            input: &Tensor,
+            _: &mut ffdl_nn::Scratch,
+            _: bool,
+        ) -> Result<Tensor, ffdl_nn::NnError> {
             thread::sleep(Duration::from_millis(40));
             Ok(input.clone())
         }
@@ -1157,7 +1172,12 @@ softmax
         fn type_tag(&self) -> &'static str {
             "test_nan_layer"
         }
-        fn forward(&mut self, input: &Tensor) -> Result<Tensor, ffdl_nn::NnError> {
+        fn forward_with(
+            &mut self,
+            input: &Tensor,
+            _: &mut ffdl_nn::Scratch,
+            _: bool,
+        ) -> Result<Tensor, ffdl_nn::NnError> {
             Ok(Tensor::from_fn(input.shape(), |_| f32::NAN))
         }
         fn backward(&mut self, grad: &Tensor) -> Result<Tensor, ffdl_nn::NnError> {

@@ -4,13 +4,12 @@
 //! moment its prediction is recorded by a worker, so the numbers include
 //! queueing delay and the batching window — the figures a capacity
 //! planner actually needs, not just kernel time. Percentiles come from
-//! the same machinery as the bench harness
-//! ([`ffdl_bench::harness::percentile`]), so `BENCH_serve.json` is
-//! directly comparable with the other `BENCH_*.json` files.
+//! the same function as the bench harness's
+//! ([`ffdl_telemetry::percentile`]), so `BENCH_serve.json` is directly
+//! comparable with the other `BENCH_*.json` files.
 
 use crate::pool::{FailureKind, ServeFailure, ServeResponse};
-use ffdl_bench::harness::percentile;
-use ffdl_telemetry::RegistrySnapshot;
+use ffdl_telemetry::{percentile, RegistrySnapshot};
 use std::fmt::Write as _;
 use std::time::Duration;
 

@@ -10,8 +10,8 @@
 //! replaying the same tokens single-threaded.
 
 use ffdl_core::{CirculantGru, GruScratch};
-use ffdl_deploy::{DeployError, NonFiniteStage, Prediction};
-use ffdl_nn::{softmax_rows, Network, Scratch};
+use ffdl_deploy::{check_finite, predictions_from_output, DeployError, NonFiniteStage, Prediction};
+use ffdl_nn::{Network, Scratch};
 use ffdl_tensor::Tensor;
 
 /// The recurrent state of one session: one hidden vector per
@@ -46,9 +46,6 @@ pub struct StreamEngine {
     net: Network,
     /// Hidden width of each `circulant_gru` layer, in network order.
     gru_dims: Vec<usize>,
-    /// Whether the last layer is a softmax (its rows are already
-    /// probabilities, mirroring the batch engine's prediction logic).
-    softmax_last: bool,
     scratch: Scratch,
     gru_scratch: GruScratch,
     check_finite: bool,
@@ -69,14 +66,9 @@ impl StreamEngine {
             .iter()
             .filter_map(|l| as_gru(l.as_ref()).map(CirculantGru::hidden))
             .collect();
-        let softmax_last = net
-            .layers()
-            .last()
-            .is_some_and(|l| l.type_tag() == "softmax");
         Self {
             net,
             gru_dims,
-            softmax_last,
             scratch: Scratch::new(),
             gru_scratch: GruScratch::new(),
             check_finite,
@@ -125,12 +117,7 @@ impl StreamEngine {
             }));
         }
         if self.check_finite {
-            if let Some(index) = features.as_slice().iter().position(|v| !v.is_finite()) {
-                return Err(DeployError::NonFinite {
-                    stage: NonFiniteStage::Input,
-                    index,
-                });
-            }
+            check_finite(features.as_slice(), NonFiniteStage::Input, 0)?;
         }
         let mut cur = self.scratch.take(&[1, features.as_slice().len()]);
         cur.as_mut_slice().copy_from_slice(features.as_slice());
@@ -139,50 +126,23 @@ impl StreamEngine {
             let next = if let Some(gru) = as_gru(layer.as_ref()) {
                 let h = &mut hidden.states[gru_idx];
                 gru_idx += 1;
-                let stepped = gru.step(cur.row(0), h, &mut self.gru_scratch);
-                if let Err(e) = stepped {
-                    self.scratch.recycle(cur);
-                    return Err(e.into());
-                }
-                let mut out = self.scratch.take(&[1, h.len()]);
-                out.as_mut_slice().copy_from_slice(h);
-                out
+                gru.step(cur.row(0), h, &mut self.gru_scratch).map(|()| {
+                    let mut out = self.scratch.take(&[1, h.len()]);
+                    out.as_mut_slice().copy_from_slice(h);
+                    out
+                })
             } else {
-                match layer.forward_infer(&cur, &mut self.scratch) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        self.scratch.recycle(cur);
-                        return Err(e.into());
-                    }
-                }
+                layer.forward_infer(&cur, &mut self.scratch)
             };
             self.scratch.recycle(cur);
-            cur = next;
+            cur = next?;
         }
-        // Fault-injection point, mirroring the batch engine's logits
-        // screen: an armed NaN budget corrupts the step's output here,
-        // *after* the hidden state advanced — which is exactly why a
-        // faulted session must be quarantined, not retried.
-        if ffdl_fault::enabled() {
-            ffdl_fault::poison(cur.as_mut_slice());
-        }
-        if self.check_finite {
-            if let Some(index) = cur.as_slice().iter().position(|v| !v.is_finite()) {
-                self.scratch.recycle(cur);
-                return Err(DeployError::NonFinite {
-                    stage: NonFiniteStage::Logits,
-                    index,
-                });
-            }
-        }
-        let prediction = if self.softmax_last {
-            prediction_from_probs(cur.row(0))
-        } else {
-            let probs = softmax_rows(&cur)?;
-            prediction_from_probs(probs.row(0))
-        };
+        // The batch engine's tail. Its fault-injection point corrupts the
+        // step's output *after* the hidden state advanced — which is
+        // exactly why a faulted session must be quarantined, not retried.
+        let prediction = predictions_from_output(&self.net, &mut cur, self.check_finite);
         self.scratch.recycle(cur);
-        Ok(prediction)
+        Ok(prediction?.pop().expect("one row in, one prediction out"))
     }
 
     /// Replays a whole session single-threaded from a fresh zero state —
@@ -199,20 +159,6 @@ impl StreamEngine {
             .iter()
             .map(|t| self.step(&mut hidden, t))
             .collect()
-    }
-}
-
-/// Argmax over one probability row (mirrors the batch engine).
-fn prediction_from_probs(row: &[f32]) -> Prediction {
-    let label = row
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    Prediction {
-        label,
-        probabilities: row.to_vec(),
     }
 }
 

@@ -9,13 +9,39 @@
 //! allocation, safe from any thread.
 //!
 //! [`HistogramSnapshot::percentile`] follows the rank convention of
-//! `ffdl_bench::harness::percentile` (linear interpolation at rank
+//! [`percentile`] (linear interpolation at rank
 //! `p/100 · (n−1)` over the sorted multiset), with the j-th recorded
 //! value approximated by a uniform spread across its bucket — so
 //! quantiles are monotone in `p` and read on the same scale as the
 //! bench history.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Linear-interpolated percentile (`p ∈ [0, 100]`) over an
+/// ascending-sorted slice: the one rank convention behind the bench
+/// rows (median/p95), the serving runtime's latency statistics
+/// (p50/p95/p99) and [`HistogramSnapshot::percentile`].
+///
+/// ```
+/// let v = [1.0, 2.0, 3.0, 4.0, 5.0];
+/// assert_eq!(ffdl_telemetry::percentile(&v, 50.0), 3.0);
+/// assert_eq!(ffdl_telemetry::percentile(&v, 95.0), 4.8);
+/// ```
+///
+/// # Panics
+///
+/// Panics on an empty slice.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    assert!(!sorted.is_empty());
+    if sorted.len() == 1 {
+        return sorted[0];
+    }
+    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    let frac = rank - lo as f64;
+    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
+}
 
 /// Number of log₂ buckets: one for zero plus one per power of two up to
 /// `2^63`.
@@ -177,7 +203,7 @@ impl HistogramSnapshot {
     }
 
     /// Percentile `p ∈ [0, 100]`, with the rank convention of
-    /// `ffdl_bench::harness::percentile`: linear interpolation at rank
+    /// [`percentile`]: linear interpolation at rank
     /// `p/100 · (n−1)` over the (approximated) sorted observations.
     /// Returns 0 for an empty histogram. Monotone non-decreasing in `p`.
     pub fn percentile(&self, p: f64) -> f64 {

@@ -30,7 +30,7 @@
 //!   relative to uninstrumented code (`BENCH_telemetry.json`).
 //!
 //! Histogram percentiles follow the same linear-interpolation rank
-//! convention as `ffdl_bench::harness::percentile` (rank
+//! convention as [`percentile`] (rank
 //! `p/100 · (n−1)` over the sorted multiset), with each recorded value
 //! approximated by a uniform spread across its log₂ bucket — so
 //! `ffdl.serve.*` latency quantiles read on the same scale as the
@@ -64,7 +64,9 @@ mod metric;
 mod registry;
 mod span;
 
-pub use histogram::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
+pub use histogram::{
+    bucket_bounds, bucket_index, percentile, Histogram, HistogramSnapshot, BUCKETS,
+};
 pub use metric::{Counter, Gauge};
 pub use registry::{Metric, MetricSnapshot, Registry, RegistrySnapshot};
 pub use span::SpanTimer;

@@ -71,35 +71,9 @@ impl Tensor {
     /// rank 2, and [`TensorError::ShapeMismatch`] if the inner dimensions
     /// disagree.
     pub fn matmul(&self, other: &Self) -> Result<Self, TensorError> {
-        require_rank(self, 2, "matmul")?;
-        require_rank(other, 2, "matmul")?;
-        let (m, k) = (self.rows(), self.cols());
-        let (k2, n) = (other.rows(), other.cols());
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                left: self.shape().to_vec(),
-                right: other.shape().to_vec(),
-                op: "matmul",
-            });
-        }
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let mut out = vec![0.0f32; m * n];
-        // ikj loop order: the inner loop streams rows of `b` and `out`.
-        for i in 0..m {
-            for p in 0..k {
-                let aip = a[i * k + p];
-                if aip == 0.0 {
-                    continue;
-                }
-                let brow = &b[p * n..(p + 1) * n];
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += aip * bv;
-                }
-            }
-        }
-        Tensor::from_vec(out, &[m, n])
+        let mut out = Tensor::zeros(&[0]);
+        self.matmul_into(other, &mut out)?;
+        Ok(out)
     }
 
     /// Like [`matmul`](Self::matmul), but writes the product into `out`,
@@ -127,6 +101,7 @@ impl Tensor {
         let a = self.as_slice();
         let b = other.as_slice();
         let o = out.as_mut_slice();
+        // ikj loop order: the inner loop streams rows of `b` and `out`.
         for i in 0..m {
             for p in 0..k {
                 let aip = a[i * k + p];

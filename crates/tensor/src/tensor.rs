@@ -129,32 +129,9 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] when `samples` is empty or
     /// any sample's shape differs from the first.
     pub fn stack(samples: &[&Tensor]) -> Result<Self, TensorError> {
-        // ok_or_else, not ok_or: an eager error value would heap-allocate
-        // its shape vectors on every call, including the hot success path.
-        let first = samples.first().ok_or_else(|| TensorError::ShapeMismatch {
-            left: vec![0],
-            right: vec![0],
-            op: "stack of zero samples",
-        })?;
-        let sample_shape = first.shape().to_vec();
-        let mut data = Vec::with_capacity(samples.len() * first.len());
-        for s in samples {
-            if s.shape() != sample_shape.as_slice() {
-                return Err(TensorError::ShapeMismatch {
-                    left: sample_shape,
-                    right: s.shape().to_vec(),
-                    op: "stack",
-                });
-            }
-            data.extend_from_slice(s.as_slice());
-        }
-        let mut shape = Vec::with_capacity(sample_shape.len() + 1);
-        shape.push(samples.len());
-        shape.extend_from_slice(&sample_shape);
-        Ok(Self {
-            data: Arc::new(data),
-            shape,
-        })
+        let mut out = Tensor::zeros(&[0]);
+        Self::stack_into(samples, &mut out)?;
+        Ok(out)
     }
 
     /// Like [`stack`](Self::stack), but writes into `out`, reusing its

@@ -1,7 +1,7 @@
 //! Stacking the paper's block-circulant compression with fixed-point
 //! quantization of the stored spectra (the §II "weight precision
 //! reduction" line of related work): dense f32 → circulant f32 →
-//! circulant int16/int12/int8, tracking wire-format model bytes,
+//! circulant int16/int8, tracking wire-format model bytes,
 //! accuracy, and top-1 agreement with the f32 parent.
 //!
 //! The quantized networks are built by `ffdl-quant` — the same
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         "100.00%",
     );
 
-    for bits in [QuantBits::Sixteen, QuantBits::Twelve, QuantBits::Eight] {
+    for bits in [QuantBits::Sixteen, QuantBits::Eight] {
         let mut qnet = quantize_network(&net, bits)?;
         let bytes = model_bytes(&qnet)?;
         let acc = qnet.accuracy(&tx, &ty)?;
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     println!(
-        "\nreading: int16 (and usually int12) spectra are decision-lossless — top-1\n\
+        "\nreading: int16 spectra are decision-lossless — top-1\n\
          agreement with the f32 parent stays at/near 100% while the spectral payload\n\
          halves (the residual f32 dense output layer now dominates the file). int8\n\
          trades a little agreement for another 2x on the circulant payload. The\n\

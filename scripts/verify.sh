@@ -43,11 +43,35 @@ for pattern in 'struct GenRecord' 'const HISTORY_DEPTH' 'fn (handle|report)_unhe
     fi
     echo "'${pattern}' only in ${hits}"
 done
-# Network has one training loop and one inference loop; the telemetry-on
-# copy of the former must not come back.
+# Network has one layer loop; the telemetry-on copy of it must not come
+# back.
 hits="$(non_test_files_matching 'fn forward_instrumented')"
 if [ -n "${hits}" ]; then
     echo "one-mechanism guard: 'fn forward_instrumented' is back in ${hits}" >&2
+    exit 1
+fi
+# One forward pass: a layer writes its arithmetic once, in
+# Layer::forward_with; forward / forward_infer exist only as the trait's
+# provided methods and Network's entry points (DESIGN.md "One forward
+# pass"). A third file defining either is the fork growing back.
+for pattern in 'fn forward_infer' 'fn forward\(&mut self, input: &Tensor\)'; do
+    hits="$(non_test_files_matching "${pattern}" | tr '\n' ' ')"
+    if [ "${hits}" != "crates/nn/src/layer.rs crates/nn/src/network.rs " ]; then
+        echo "one-mechanism guard: '${pattern}' must be defined in nn/src/{layer,network}.rs only, found: ${hits:-(none)}" >&2
+        exit 1
+    fi
+    echo "'${pattern}' only in ${hits}"
+done
+# One prediction rule: the row-argmax lives next to softmax_rows.
+hits="$(non_test_files_matching '\.max_by\(\|a, b\| a\.1\.partial_cmp')"
+if [ "${hits}" != "crates/nn/src/softmax.rs" ]; then
+    echo "one-mechanism guard: the row-argmax must appear in crates/nn/src/softmax.rs only, found: ${hits:-(none)}" >&2
+    exit 1
+fi
+echo "row-argmax only in ${hits}"
+# Layering: the serving runtime does not link the bench harness.
+if grep -q 'ffdl-bench' crates/serve/Cargo.toml; then
+    echo "layering guard: crates/serve/Cargo.toml names ffdl-bench" >&2
     exit 1
 fi
 

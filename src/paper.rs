@@ -17,10 +17,10 @@
 //! FC stack), which is also where our ablation A1 places the
 //! accuracy/compression knee.
 
-use ffdl_core::{CirculantConv2d, CirculantDense};
+use ffdl_core::{CirculantConv2d, CirculantDense, SpectralDense};
 use ffdl_data::Dataset;
 use ffdl_nn::{
-    Conv2d, Dense, Flatten, Network, NnError, Relu, Sgd, Softmax, SoftmaxCrossEntropy,
+    copy_layer, Conv2d, Dense, Flatten, Network, NnError, Relu, Sgd, Softmax, SoftmaxCrossEntropy,
 };
 use ffdl_tensor::ConvGeometry;
 use ffdl_rng::rngs::SmallRng;
@@ -205,46 +205,28 @@ softmax
 ";
 
 /// Freezes a trained network into its deployment form: every
-/// `circulant_dense` layer is replaced by a
-/// [`SpectralDense`](ffdl_core::SpectralDense) holding precomputed
-/// `FFT(wᵢ)` spectra — "we can simply keep the FFT result FFT(wᵢ) …
-/// instead of the whole matrix W" (§IV-A). All other layers are cloned
-/// through the model-format registry.
+/// `circulant_dense` layer is replaced by a [`SpectralDense`] holding
+/// precomputed `FFT(wᵢ)` spectra — "we can simply keep the FFT result
+/// FFT(wᵢ) … instead of the whole matrix W" (§IV-A). All other layers
+/// are copied through [`copy_layer`].
 ///
 /// The frozen network is inference-only (its spectral layers reject
 /// `backward`).
 ///
 /// # Errors
 ///
-/// Returns [`NnError`] when a layer fails to round-trip through its
-/// config (should not happen for well-formed networks).
+/// Returns [`NnError`] when a layer without a structural clone is
+/// unknown to the registry.
 pub fn freeze_spectral(net: &Network) -> Result<Network, NnError> {
-    use ffdl_core::SpectralDense;
     let registry = ffdl_core::full_registry();
     let mut frozen = Network::new();
     for layer in net.layers() {
-        let params: Vec<_> = layer.param_tensors().into_iter().cloned().collect();
-        if layer.type_tag() == "circulant_dense" {
-            let config = layer.config_bytes();
-            let mut c = config.as_slice();
-            let in_dim = ffdl_nn::wire::read_u32(&mut c)? as usize;
-            let out_dim = ffdl_nn::wire::read_u32(&mut c)? as usize;
-            let block = ffdl_nn::wire::read_u32(&mut c)? as usize;
-            let matrix = ffdl_core::BlockCirculantMatrix::from_weights(
-                in_dim,
-                out_dim,
-                block,
-                params[0].clone(),
-            )
-            .map_err(|e| NnError::ModelFormat(e.to_string()))?;
-            frozen.push(SpectralDense::from_matrix(&matrix, params[1].clone()));
-        } else {
-            let builder = registry
-                .builder(layer.type_tag())
-                .ok_or_else(|| NnError::UnknownLayerTag(layer.type_tag().to_string()))?;
-            let mut rebuilt = builder(&layer.config_bytes())?;
-            rebuilt.load_params(&params)?;
-            frozen.push_boxed(rebuilt);
+        let circulant = layer
+            .as_any()
+            .and_then(|any| any.downcast_ref::<CirculantDense>());
+        match circulant {
+            Some(cd) => frozen.push(SpectralDense::from_matrix(cd.matrix(), cd.bias().clone())),
+            None => frozen.push_boxed(copy_layer(layer.as_ref(), &registry)?),
         }
     }
     Ok(frozen)
