@@ -131,7 +131,6 @@ fn main() {
         min_workers: 1,
         max_workers: 1,
         max_batch: MAX_BATCH,
-        quantum: 4,
         deadline: Some(Duration::from_millis(100)),
         ..SchedConfig::default()
     };

@@ -52,8 +52,9 @@ fn deployment_model(seed: u64) -> Network {
 
 fn main() {
     let net = deployment_model(9);
-    // The f32 payload: the storable time-domain parent (SpectralDense
-    // holds the same weights but only the circulant form serializes).
+    // The f32 payload: the time-domain parent the quantizer starts from
+    // (the frozen form ships b/2 + 1 complex bins per block instead of b
+    // reals, a few bytes more).
     let f32_bytes = model_bytes(&net).expect("serialize f32 model") as u64;
     let mut frozen = paper::freeze_spectral(&net).expect("freeze");
 

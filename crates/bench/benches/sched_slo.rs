@@ -157,7 +157,6 @@ fn pinned(workers: usize, deadline: Option<Duration>) -> SchedConfig {
         min_workers: workers,
         max_workers: workers,
         max_batch: MAX_BATCH,
-        quantum: 4,
         deadline,
         ..SchedConfig::default()
     }
@@ -217,7 +216,6 @@ fn main() {
         min_workers: 1,
         max_workers: 4,
         max_batch: MAX_BATCH,
-        quantum: 4,
         deadline: Some(Duration::from_millis(50)),
         ..SchedConfig::default()
     };

@@ -862,7 +862,6 @@ fn serve_bench_tenants(
         min_workers: workers,
         max_workers,
         max_batch,
-        quantum: 4,
         deadline: Some(std::time::Duration::from_millis(slo_ms)),
         check_finite: false,
         unhealthy_threshold: 0,

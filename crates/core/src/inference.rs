@@ -14,7 +14,7 @@ use crate::dense_layer::check_batch_input;
 use crate::spectral::{CirculantScratch, InputSpectra, SpectralKernel, Spectrum};
 use ffdl_nn::{wire, Layer, NnError, OpCost, Scratch};
 use ffdl_tensor::Tensor;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Frozen block-circulant FC layer holding precomputed weight spectra.
 ///
@@ -31,6 +31,10 @@ pub struct SpectralDense {
     /// `spectra[out_block][in_block]`, each of length `b/2 + 1`.
     /// Reference-counted: worker clones share one table.
     spectra: Arc<Vec<Vec<Spectrum>>>,
+    /// [`spectra_tensor`](Self::spectra_tensor), built on the first
+    /// [`Layer::param_tensors`] call (a served layer never pays for it)
+    /// and dropped by `load_params`.
+    wire_spectra: OnceLock<Tensor>,
     bias: Tensor,
     kernel: SpectralKernel,
     /// Per-layer FFT scratch for the inference path (never cloned).
@@ -52,6 +56,7 @@ impl SpectralDense {
             kb_in: matrix.in_blocks(),
             kb_out: matrix.out_blocks(),
             spectra: matrix.shared_weight_spectra(),
+            wire_spectra: OnceLock::new(),
             bias,
             kernel: SpectralKernel::new(matrix.block()),
             infer_scratch: CirculantScratch::new(),
@@ -119,6 +124,7 @@ impl Layer for SpectralDense {
             kb_in: self.kb_in,
             kb_out: self.kb_out,
             spectra: Arc::clone(&self.spectra),
+            wire_spectra: OnceLock::new(),
             bias: self.bias.clone(),
             kernel: self.kernel.clone(),
             infer_scratch: CirculantScratch::new(),
@@ -169,11 +175,10 @@ impl Layer for SpectralDense {
         buf
     }
 
+    /// `[spectra, bias]`, exactly what `load_params` parses: the wire
+    /// form of "store FFT(w)".
     fn param_tensors(&self) -> Vec<&Tensor> {
-        // Serialized lazily through interleaved re/im; see spectra_tensor.
-        // The bias is the only plain tensor; spectra are encoded in
-        // `load_params`/`spectra_tensor` order as one tensor.
-        Vec::new()
+        vec![self.wire_spectra.get_or_init(|| self.spectra_tensor()), &self.bias]
     }
 
     fn load_params(&mut self, params: &[Tensor]) -> Result<(), NnError> {
@@ -204,6 +209,7 @@ impl Layer for SpectralDense {
             spectra.push(row);
         }
         self.spectra = Arc::new(spectra);
+        self.wire_spectra = OnceLock::new();
         self.bias = params[1].clone();
         Ok(())
     }
@@ -303,9 +309,9 @@ mod tests {
         let m = BlockCirculantMatrix::random(10, 6, 4, &mut rng()).unwrap();
         let mut layer = SpectralDense::from_matrix(&m, Tensor::from_fn(&[6], |i| i as f32 * 0.1));
         let mut rebuilt = spectral_dense_from_config(&layer.config_bytes()).unwrap();
-        rebuilt
-            .load_params(&[layer.spectra_tensor(), layer.bias().clone()])
-            .unwrap();
+        let params: Vec<Tensor> = layer.param_tensors().into_iter().cloned().collect();
+        assert_eq!(params, [layer.spectra_tensor(), layer.bias().clone()]);
+        rebuilt.load_params(&params).unwrap();
         let x = input(2, 10);
         let y1 = layer.forward(&x).unwrap();
         let y2 = rebuilt.forward(&x).unwrap();

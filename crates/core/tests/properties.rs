@@ -4,18 +4,19 @@
 //! training, frozen and fixed-point forms, which all run the one
 //! Algorithm 1 routine. And, for every registered layer type: the
 //! inference pass equals the training pass bit for bit and keeps nothing
-//! for `backward`.
+//! for `backward`, and the layer survives the model format and
+//! `copy_layer` bit for bit.
 //!
 //! Runs on the in-house `ffdl_rng::prop` harness (seeded cases,
 //! replayable failures).
 
 use ffdl_core::{
-    BlockCirculantMatrix, CirculantConv2d, CirculantDense, CirculantGru, FftConv2d, QuantBits,
-    QuantizedSpectralDense, SpectralDense,
+    full_registry, BlockCirculantMatrix, CirculantConv2d, CirculantDense, CirculantGru, FftConv2d,
+    QuantBits, QuantizedSpectralDense, SpectralDense,
 };
 use ffdl_nn::{
-    AvgPool2d, Conv2d, Dense, Flatten, Layer, MaxPool2d, NnError, Relu, Scratch, Sigmoid, Softmax,
-    Tanh,
+    copy_layer, load_network, save_network, AvgPool2d, Conv2d, Dense, Flatten, Layer, MaxPool2d,
+    Network, NnError, Relu, Scratch, Sigmoid, Softmax, Tanh,
 };
 use ffdl_rng::prop::{check, PropResult};
 use ffdl_rng::{prop_assert, prop_assert_eq, Rng, SeedableRng, SmallRng};
@@ -112,6 +113,57 @@ fn passes_agree(layer: &mut dyn Layer, shape: &[usize], trainable: bool, seed: u
     Ok(())
 }
 
+/// A case of the all-layers properties: a dense [`geometry`], then
+/// (channels, height, width), filters and (kernel, stride, pad) for the
+/// image layers.
+type FormsCase = (
+    (usize, usize, usize, usize, u64),
+    (usize, usize, usize),
+    usize,
+    (usize, usize, usize),
+);
+
+fn forms_case(rng: &mut SmallRng) -> FormsCase {
+    (
+        geometry(rng),
+        (rng.gen_range(1usize..=3), rng.gen_range(5usize..=8), rng.gen_range(5usize..=8)),
+        rng.gen_range(1usize..=4),
+        (rng.gen_range(2usize..=3), rng.gen_range(1usize..=2), rng.gen_range(0usize..=1)),
+    )
+}
+
+/// Every registered layer type in every deployable form (both quant
+/// widths), with the input shape it takes and whether it can train.
+fn layer_forms(case: &FormsCase) -> Vec<(Box<dyn Layer>, Vec<usize>, bool)> {
+    let &((width, out, block, batch, seed), (c, h, w), filters, (kernel, stride, pad)) = case;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let rng = &mut rng;
+    let geom = ConvGeometry { kernel, stride, pad };
+    let circ = CirculantDense::new(width, out, block, rng).unwrap();
+    let quantized =
+        |bits| QuantizedSpectralDense::from_matrix(circ.matrix(), circ.bias().clone(), bits);
+    let (flat, image) = (vec![batch, width], vec![batch, c, h, w]);
+    let mut layers: Vec<(Box<dyn Layer>, Vec<usize>, bool)> = vec![
+        (Box::new(Dense::new(width, out, rng)), flat.clone(), true),
+        (Box::new(Conv2d::new(c, filters, h, w, geom, rng).unwrap()), image.clone(), true),
+        (Box::new(MaxPool2d::with_stride(kernel, stride)), image.clone(), true),
+        (Box::new(AvgPool2d::with_stride(kernel, stride)), image.clone(), true),
+        (Box::new(Relu::new()), flat.clone(), true),
+        (Box::new(Sigmoid::new()), flat.clone(), true),
+        (Box::new(Tanh::new()), image.clone(), true),
+        (Box::new(Softmax::new()), flat.clone(), true),
+        (Box::new(Flatten::new()), image.clone(), true),
+        (Box::new(SpectralDense::from_matrix(circ.matrix(), circ.bias().clone())), flat.clone(), false),
+        (Box::new(quantized(QuantBits::Eight)), flat.clone(), false),
+        (Box::new(quantized(QuantBits::Sixteen)), flat.clone(), false),
+        (Box::new(CirculantConv2d::new(c, filters, h, w, geom, block, rng).unwrap()), image.clone(), true),
+        (Box::new(FftConv2d::new(c, filters, h, w, kernel, rng).unwrap()), image, true),
+        (Box::new(CirculantGru::new(width, out, block, rng).unwrap()), flat.clone(), false),
+    ];
+    layers.push((Box::new(circ), flat, true));
+    layers
+}
+
 /// Every registered layer type writes its arithmetic once: see
 /// [`passes_agree`].
 #[test]
@@ -119,45 +171,57 @@ fn inference_pass_equals_training_pass_on_every_layer_type() {
     check(
         "inference_pass_equals_training_pass_on_every_layer_type",
         25,
-        |rng| {
-            (
-                geometry(rng),
-                // channels, height, width, filters
-                (rng.gen_range(1usize..=3), rng.gen_range(5usize..=8), rng.gen_range(5usize..=8)),
-                rng.gen_range(1usize..=4),
-                // kernel, stride, pad
-                (rng.gen_range(2usize..=3), rng.gen_range(1usize..=2), rng.gen_range(0usize..=1)),
-            )
+        forms_case,
+        |case| {
+            for (layer, shape, trainable) in &mut layer_forms(case) {
+                passes_agree(layer.as_mut(), shape, *trainable, case.0 .4)?;
+            }
+            Ok(())
         },
-        |&((width, out, block, batch, seed), (c, h, w), filters, (kernel, stride, pad))| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let rng = &mut rng;
-            let geom = ConvGeometry { kernel, stride, pad };
-            let circ = CirculantDense::new(width, out, block, rng).unwrap();
-            let quantized = |bits| {
-                QuantizedSpectralDense::from_matrix(circ.matrix(), circ.bias().clone(), bits)
-            };
-            let (flat, image) = (vec![batch, width], vec![batch, c, h, w]);
-            let mut layers: Vec<(Box<dyn Layer>, &Vec<usize>, bool)> = vec![
-                (Box::new(Dense::new(width, out, rng)), &flat, true),
-                (Box::new(Conv2d::new(c, filters, h, w, geom, rng).unwrap()), &image, true),
-                (Box::new(MaxPool2d::with_stride(kernel, stride)), &image, true),
-                (Box::new(AvgPool2d::with_stride(kernel, stride)), &image, true),
-                (Box::new(Relu::new()), &flat, true),
-                (Box::new(Sigmoid::new()), &flat, true),
-                (Box::new(Tanh::new()), &image, true),
-                (Box::new(Softmax::new()), &flat, true),
-                (Box::new(Flatten::new()), &image, true),
-                (Box::new(SpectralDense::from_matrix(circ.matrix(), circ.bias().clone())), &flat, false),
-                (Box::new(quantized(QuantBits::Eight)), &flat, false),
-                (Box::new(quantized(QuantBits::Sixteen)), &flat, false),
-                (Box::new(CirculantConv2d::new(c, filters, h, w, geom, block, rng).unwrap()), &image, true),
-                (Box::new(FftConv2d::new(c, filters, h, w, kernel, rng).unwrap()), &image, true),
-                (Box::new(CirculantGru::new(width, out, block, rng).unwrap()), &flat, false),
-            ];
-            layers.push((Box::new(circ), &flat, true));
-            for (layer, shape, trainable) in &mut layers {
-                passes_agree(layer.as_mut(), shape, *trainable, seed)?;
+    );
+}
+
+/// Every registered layer type is deployable as built: through the
+/// model format (`load_network(save_network(..))`) and through
+/// [`copy_layer`] it forwards bit-identically to the original and
+/// reports the same `param_count`.
+#[test]
+fn every_layer_type_survives_the_wire_and_the_copy() {
+    check(
+        "every_layer_type_survives_the_wire_and_the_copy",
+        25,
+        forms_case,
+        |case| {
+            let registry = full_registry();
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            for (layer, shape, _) in layer_forms(case) {
+                let tag = layer.type_tag();
+                let x = input_tensor(1, shape.iter().product(), case.0 .4.wrapping_add(31))
+                    .reshape(&shape)
+                    .unwrap();
+                let mut copied = Network::new();
+                match copy_layer(layer.as_ref(), &registry) {
+                    Ok(copy) => copied.push_boxed(copy),
+                    Err(e) => return Err(format!("{tag}: copy_layer: {e}")),
+                }
+                let mut original = Network::new();
+                original.push_boxed(layer);
+                let mut file = Vec::new();
+                save_network(&original, &mut file).unwrap();
+                let mut loaded = load_network(&file[..], &registry)
+                    .map_err(|e| format!("{tag}: load_network: {e}"))?;
+
+                let y = bits(&original.forward(&x).unwrap());
+                for (route, rebuilt) in [("wire", &mut loaded), ("copy", &mut copied)] {
+                    prop_assert!(
+                        rebuilt.param_count() == original.param_count(),
+                        "{tag}: {route}: param_count {} vs {}",
+                        rebuilt.param_count(),
+                        original.param_count()
+                    );
+                    let y_rebuilt = rebuilt.forward(&x).unwrap();
+                    prop_assert!(bits(&y_rebuilt) == y, "{tag}: {route}: output differs");
+                }
             }
             Ok(())
         },

@@ -7,7 +7,10 @@
 //! topology, the parameters file carries only numbers.
 //!
 //! Format: magic `FFDP`, version u32, tensor count u32, then tensors in
-//! the `ffdl_nn::wire` encoding.
+//! the `ffdl_nn::wire` encoding. The format has no section for
+//! fixed-point levels ([`Layer::quant_payload`](ffdl_nn::Layer::quant_payload)):
+//! a network holding a quantized layer is refused in both directions —
+//! it ships through [`ffdl_nn::save_network`].
 
 use crate::error::DeployError;
 use ffdl_nn::{wire, Network};
@@ -17,14 +20,32 @@ use std::io::{Read, Write};
 const MAGIC: &[u8; 4] = b"FFDP";
 const VERSION: u32 = 1;
 
+/// The parameters file carries tensors only: refuses a network whose
+/// weights live (partly) in a quantization payload, which the file
+/// would silently drop on write and leave in place on read.
+fn refuse_quantized(network: &Network) -> Result<(), DeployError> {
+    for (index, layer) in network.layers().iter().enumerate() {
+        if layer.quant_payload().is_some() {
+            return Err(DeployError::ParamsMismatch(format!(
+                "layer {index} ({}) keeps fixed-point levels, which a parameters file cannot \
+                 carry; ship the network with save_network",
+                layer.type_tag()
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Writes every parameter tensor of `network` (in layer order).
 ///
 /// A `&mut` reference can be passed for `writer`.
 ///
 /// # Errors
 ///
-/// Returns [`DeployError::Io`] on write failure.
+/// Returns [`DeployError::ParamsMismatch`] for a network holding a
+/// quantized layer, and [`DeployError::Io`] on write failure.
 pub fn write_parameters<W: Write>(network: &Network, mut writer: W) -> Result<(), DeployError> {
+    refuse_quantized(network)?;
     let tensors: Vec<&Tensor> = network
         .layers()
         .iter()
@@ -54,12 +75,13 @@ fn nn_to_deploy(e: ffdl_nn::NnError) -> DeployError {
 /// # Errors
 ///
 /// Returns [`DeployError::ParamsMismatch`] when the tensor count or any
-/// shape disagrees with the network, and [`DeployError::Io`] on truncated
-/// input.
+/// shape disagrees with the network or the network holds a quantized
+/// layer, and [`DeployError::Io`] on truncated input.
 pub fn read_parameters_into<R: Read>(
     network: &mut Network,
     mut reader: R,
 ) -> Result<(), DeployError> {
+    refuse_quantized(network)?;
     let mut magic = [0u8; 4];
     reader.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -143,6 +165,58 @@ softmax
         for (a, b) in y_loaded.as_slice().iter().zip(y_trained.as_slice()) {
             assert!((a - b).abs() < 1e-6);
         }
+    }
+
+    /// The two deployable forms of a block-circulant layer. The
+    /// fixed-point one keeps its levels in `quant_payload`, which the
+    /// file has no section for, so both directions refuse it instead of
+    /// dropping (write) or keeping stale (read) weights; the frozen one
+    /// is all tensors and round-trips.
+    #[test]
+    fn quantized_form_is_refused_and_frozen_form_roundtrips() {
+        use ffdl_core::{BlockCirculantMatrix, QuantBits, QuantizedSpectralDense, SpectralDense};
+        use ffdl_rng::{rngs::SmallRng, SeedableRng};
+        let matrix = |seed| {
+            BlockCirculantMatrix::random(16, 8, 4, &mut SmallRng::seed_from_u64(seed)).unwrap()
+        };
+        let bias = |seed: u64| Tensor::from_fn(&[8], |i| (i as f32 + seed as f32) * 0.1);
+
+        let quantized = |seed| {
+            let mut net = Network::new();
+            net.push(ffdl_nn::Relu::new());
+            let (weights, bits) = (matrix(seed), QuantBits::Eight);
+            net.push(QuantizedSpectralDense::from_matrix(&weights, bias(seed), bits));
+            net
+        };
+        let refused = |result: Result<(), DeployError>| match result {
+            Err(DeployError::ParamsMismatch(msg)) => {
+                assert!(msg.contains("layer 1"), "{msg}");
+                assert!(msg.contains("quantized_spectral_dense"), "{msg}");
+                assert!(msg.contains("save_network"), "{msg}");
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        };
+        refused(write_parameters(&quantized(1), Vec::new()));
+        // All a quantized layer would have written is "no tensors": a
+        // file of none must not pass for the weights of another one.
+        let mut no_tensors = Vec::new();
+        write_parameters(&Network::new(), &mut no_tensors).unwrap();
+        refused(read_parameters_into(&mut quantized(2), &no_tensors[..]));
+
+        let frozen = |seed| {
+            let mut net = Network::new();
+            net.push(SpectralDense::from_matrix(&matrix(seed), bias(seed)));
+            net
+        };
+        let (mut shipped, mut device) = (frozen(1), frozen(2));
+        let mut file = Vec::new();
+        write_parameters(&shipped, &mut file).unwrap();
+        read_parameters_into(&mut device, &file[..]).unwrap();
+        let x = Tensor::from_fn(&[2, 16], |i| (i as f32 * 0.31).sin());
+        assert_eq!(
+            device.forward(&x).unwrap().as_slice(),
+            shipped.forward(&x).unwrap().as_slice()
+        );
     }
 
     #[test]

@@ -20,10 +20,13 @@
 //! Every tenant owns a [`ModelSlot`] of the supervised worker core
 //! ([`ffdl_serve::supervise`], DESIGN.md "Supervised worker core"), so
 //! swap, quarantine and auto-rollback are tenant-local: a NaN model in
-//! tenant A rolls back A's slot and never touches B's engines. What
-//! this module adds is what is tenant-specific: admission (token
-//! bucket, brownout shed latch), WDRR dispatch, the autoscaler and the
-//! brownout ladder with its circuit breakers.
+//! tenant A rolls back A's slot and never touches B's engines. A worker
+//! loops retire → pop → adopt the tenant's engine → shed what expired →
+//! [`Worker::step`], the core's batch step, and acts on what it hands
+//! back. What this module adds is what is tenant-specific: admission
+//! (token bucket, brownout shed latch), WDRR dispatch, SLO and per-tenant
+//! bookkeeping, the autoscaler and the brownout ladder with its circuit
+//! breakers (whose offline probe is this file's one `run_supervised`).
 //!
 //! # Autoscaling
 //!
@@ -37,14 +40,15 @@
 //! bench row can prove the pool actually moved.
 
 use crate::tenant::{TenantSpec, TokenBucket};
-use crate::wdrr::{Dispatcher, Popped, PushRefused, QueuedRequest};
+use crate::wdrr::{Dispatch, Dispatcher, QueuedRequest};
 use ffdl_brownout::{BrownoutConfig, Ladder, LevelController, Sample, Step};
 use ffdl_core::full_registry;
 use ffdl_deploy::InferenceEngine;
 use ffdl_nn::LayerRegistry;
 use ffdl_registry::{BreakerConfig, BreakerState, CircuitBreaker, ModelStore};
+use ffdl_serve::queue::{Popped, PushError, IDLE_WAIT};
 use ffdl_serve::supervise::{
-    run_supervised, Adopted, HealthAction, ModelSlot, Supervised, Worker, WorkerPool,
+    run_supervised, Adopted, HealthAction, ModelSlot, Stepped, Supervised, Worker, WorkerPool,
 };
 use ffdl_serve::{FailureKind, RunCounts, ServeError, ServeFailure, ServeReport};
 use ffdl_telemetry::Registry;
@@ -53,9 +57,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How long an idle worker waits in one pop before re-checking
-/// retirement and shutdown.
-const IDLE_WAIT: Duration = Duration::from_millis(2);
+/// Base WDRR quantum: a tenant's turn is `weight × QUANTUM` requests.
+const QUANTUM: u64 = 4;
 
 /// Autoscaler sampling interval.
 const SCALE_INTERVAL: Duration = Duration::from_millis(1);
@@ -76,9 +79,6 @@ pub struct SchedConfig {
     pub max_workers: usize,
     /// Largest batch dispatched to one worker (always single-tenant).
     pub max_batch: usize,
-    /// Base WDRR quantum: a tenant's turn is `weight × quantum`
-    /// requests.
-    pub quantum: u64,
     /// Per-request deadline measured from admission — the SLO responses
     /// are judged against, and the shed threshold for requests expiring
     /// in a queue. `None` disables both.
@@ -107,7 +107,6 @@ impl Default for SchedConfig {
             min_workers: 1,
             max_workers: 1,
             max_batch: 16,
-            quantum: 4,
             deadline: None,
             check_finite: false,
             unhealthy_threshold: 0,
@@ -129,9 +128,6 @@ impl SchedConfig {
         }
         if self.max_batch == 0 {
             return Err(ServeError::InvalidConfig("max_batch must be >= 1".into()));
-        }
-        if self.quantum == 0 {
-            return Err(ServeError::InvalidConfig("quantum must be >= 1".into()));
         }
         if self.unhealthy_threshold > 0 && !self.check_finite {
             return Err(ServeError::InvalidConfig(
@@ -276,12 +272,6 @@ fn spawn_worker(core: &Arc<Core>, index: usize) {
 }
 
 fn worker_loop(core: &Core, worker: &mut Worker) -> Result<(), ServeError> {
-    let batches = worker.telemetry.counter("ffdl.sched.batches");
-    let requests = worker.telemetry.counter("ffdl.sched.requests");
-    let unhealthy_counter = worker.telemetry.counter("ffdl.sched.unhealthy_batches");
-    let quarantine_counter = worker.telemetry.counter("ffdl.sched.quarantines");
-    let rollback_counter = worker.telemetry.counter("ffdl.sched.auto_rollbacks");
-    let batch_size_hist = worker.telemetry.histogram("ffdl.sched.batch_size");
     // Per-tenant labels: one served counter per tenant name, so a
     // snapshot shows exactly which tenants this worker served.
     let served_counters: Vec<_> = core
@@ -292,6 +282,7 @@ fn worker_loop(core: &Core, worker: &mut Worker) -> Result<(), ServeError> {
     // Engine cache: one lazily-adopted engine per tenant.
     let mut engines: Vec<Adopted<InferenceEngine>> =
         core.slots.iter().map(|_| Adopted::empty()).collect();
+    let mut dispatch = Dispatch::default();
     'serve: loop {
         // Retirement: while the pool is over target, workers peel off
         // one CAS at a time — the one that wins the decrement exits.
@@ -308,15 +299,15 @@ fn worker_loop(core: &Core, worker: &mut Worker) -> Result<(), ServeError> {
                 break 'serve;
             }
         }
-        let (tenant, mut batch, mut queue_expired) =
-            match core.dispatcher.pop(core.max_batch, IDLE_WAIT) {
-                Popped::Closed => break,
-                Popped::Idle => continue,
-                Popped::Batch(t, batch, queue_expired) => (t, batch, queue_expired),
-            };
+        match core.dispatcher.pop(&mut dispatch, core.max_batch, IDLE_WAIT) {
+            Popped::Closed => break,
+            Popped::Idle => continue,
+            Popped::Batch => {}
+        }
+        let tenant = dispatch.tenant;
+        let (batch, queue_expired) = (&mut dispatch.batch, &mut dispatch.expired);
         let slot = &core.slots[tenant];
         let name = Some(&slot.name);
-        let telemetry_on = ffdl_telemetry::enabled();
         // Per-tenant engine adoption: rebuild only when this tenant's
         // generation moved (or first use on this worker). Other
         // tenants' swaps never invalidate this engine.
@@ -332,23 +323,18 @@ fn worker_loop(core: &Core, worker: &mut Worker) -> Result<(), ServeError> {
         // deadlines to lapse. Expired requests are SLO misses by
         // definition: feed the brownout pressure signal.
         let now = Instant::now();
-        let expired = worker.split_expired(&mut queue_expired, now, generation, name)
-            + worker.split_expired(&mut batch, now, generation, name);
+        let expired = worker.split_expired(queue_expired, now, generation, name)
+            + worker.split_expired(batch, now, generation, name);
         if expired > 0 {
             slot.slo_misses.fetch_add(expired as u64, Ordering::Relaxed);
         }
         if batch.is_empty() {
             continue;
         }
-        if telemetry_on {
-            batches.inc();
-            requests.add(batch.len() as u64);
-            batch_size_hist.record(batch.len() as u64);
-        }
-        let refs: Vec<&ffdl_tensor::Tensor> = batch.iter().map(|r| &r.features).collect();
-        match run_supervised("sched.worker.batch", || engine.predict_batch(&refs)) {
-            Supervised::Served(predictions) => {
-                let done = Instant::now();
+        let predict = |rows: &[&ffdl_tensor::Tensor]| engine.predict_batch(rows);
+        let threshold = core.unhealthy_threshold;
+        match worker.step(batch, predict, generation, name, &slot.model, threshold)? {
+            Stepped::Served(done) => {
                 // SLO accounting for the brownout controller: a
                 // response that completed past its deadline is a miss
                 // even though it was served.
@@ -360,41 +346,16 @@ fn worker_loop(core: &Core, worker: &mut Worker) -> Result<(), ServeError> {
                 if misses > 0 {
                     slot.slo_misses.fetch_add(misses, Ordering::Relaxed);
                 }
-                for (request, prediction) in batch.iter().zip(predictions) {
-                    worker.respond(request, prediction, done, batch.len(), generation, name);
-                }
                 slot.served.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                if telemetry_on {
+                if ffdl_telemetry::enabled() {
                     served_counters[tenant].add(batch.len() as u64);
                 }
             }
-            Supervised::Unhealthy => {
-                worker.fail_all(&batch, FailureKind::UnhealthyModel, generation, name);
-                let action = slot.model.report_unhealthy(
-                    generation,
-                    batch.len() as u32,
-                    core.unhealthy_threshold,
-                );
-                if action != HealthAction::None {
-                    // Quarantine counts against the circuit breaker of
-                    // the ladder rung the guilty weights descend from.
-                    slot.record_breaker_trip(generation, Instant::now());
-                }
-                if telemetry_on {
-                    unhealthy_counter.inc();
-                    if action != HealthAction::None {
-                        quarantine_counter.inc();
-                    }
-                    if action == HealthAction::RolledBack {
-                        rollback_counter.inc();
-                    }
-                }
-            }
-            Supervised::Fatal(e) => return Err(e.into()),
-            Supervised::Panicked => {
-                worker.panicked(&batch, generation, name);
-                engines[tenant].invalidate(); // rebuild from the slot next time
-            }
+            // Quarantine counts against the circuit breaker of the
+            // ladder rung the guilty weights descend from.
+            Stepped::Unhealthy(HealthAction::None) => {}
+            Stepped::Unhealthy(_) => slot.record_breaker_trip(generation, Instant::now()),
+            Stepped::Panicked => engines[tenant].invalidate(), // rebuild from the slot next time
         }
     }
     Ok(())
@@ -626,7 +587,7 @@ impl Scheduler {
             });
         }
         let core = Arc::new(Core {
-            dispatcher: Dispatcher::new(specs, config.quantum),
+            dispatcher: Dispatcher::new(specs, QUANTUM),
             slots,
             max_batch: config.max_batch,
             check_finite: config.check_finite,
@@ -794,9 +755,8 @@ impl Scheduler {
                 "tenant index {tenant} out of range"
             )));
         };
-        let now = Instant::now();
         if let Some(bucket) = &slot.bucket {
-            if !bucket.lock().expect("token bucket poisoned").admit(now) {
+            if !bucket.lock().expect("token bucket poisoned").admit(Instant::now()) {
                 self.record_admission_failure(tenant, id, FailureKind::OverLimit);
                 return Err(ServeError::TenantOverLimit {
                     tenant: slot.name.to_string(),
@@ -838,12 +798,7 @@ impl Scheduler {
                 level,
             });
         }
-        let request = QueuedRequest {
-            id,
-            features,
-            enqueued: now,
-            deadline: self.config.deadline.map(|d| now + d),
-        };
+        let request = QueuedRequest::new(id, features, self.config.deadline);
         match self.core.dispatcher.push(tenant, request) {
             Ok(()) => {
                 if ffdl_telemetry::enabled() {
@@ -851,13 +806,13 @@ impl Scheduler {
                 }
                 Ok(())
             }
-            Err(PushRefused::Full) => {
+            Err(PushError::Full) => {
                 self.record_admission_failure(tenant, id, FailureKind::Shed);
                 Err(ServeError::QueueFull {
                     tenant: Some(slot.name.to_string()),
                 })
             }
-            Err(PushRefused::Closed) => Err(ServeError::Closed),
+            Err(PushError::Closed) => Err(ServeError::Closed),
         }
     }
 

@@ -1,8 +1,10 @@
 //! Weighted-deficit-round-robin dispatch over per-tenant bounded queues.
 //!
 //! One mutex guards all tenant queues plus the scheduling state; workers
-//! block on a condvar when every queue is empty. Dispatch picks the
-//! batch's tenant in two steps:
+//! [`park`] on a condvar when every queue is empty — the wake protocol of
+//! [`ffdl_serve::queue`]: a parked-worker count inside the mutex gates
+//! every `notify_one` — and speak its [`Popped`] / [`PushError`].
+//! Dispatch picks the batch's tenant in two steps:
 //!
 //! 1. **Priority preemption** — classes are scanned in strict order
 //!    (high → normal → low); the first class with any backlog wins, so
@@ -18,8 +20,7 @@
 //!    proportion to their weights, independent of arrival order.
 
 use crate::tenant::TenantSpec;
-#[allow(unused_imports)] // the inline tests build requests through `super::*`
-use ffdl_tensor::Tensor;
+use ffdl_serve::queue::{park, Popped, PushError};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -27,27 +28,19 @@ use std::time::{Duration, Instant};
 /// A request parked in a tenant queue: the worker core's request type.
 pub(crate) use ffdl_serve::supervise::Request as QueuedRequest;
 
-/// Why a push was refused.
-pub(crate) enum PushRefused {
-    /// The tenant's bounded queue is at its configured depth.
-    Full,
-    /// The dispatcher is shut down.
-    Closed,
-}
-
-/// What a worker's pop produced.
-pub(crate) enum Popped {
-    /// A dispatch for one tenant (index into the spec slice): the live
-    /// batch to predict, plus any requests found already past their
-    /// deadline at the front of the queue — drained **without charging
-    /// the tenant's deficit** (an expired request consumed no service)
-    /// and returned so the worker records them as typed failures.
-    Batch(usize, Vec<QueuedRequest>, Vec<QueuedRequest>),
-    /// Nothing arrived within the wait — the worker should re-check
-    /// retirement/shutdown and pop again.
-    Idle,
-    /// Closed and fully drained: the worker should exit.
-    Closed,
+/// What one [`Dispatcher::pop`] dispatched, in buffers the worker owns
+/// and reuses.
+#[derive(Default)]
+pub(crate) struct Dispatch {
+    /// The tenant (index into the spec slice) both buffers belong to.
+    pub(crate) tenant: usize,
+    /// The live batch to predict.
+    pub(crate) batch: Vec<QueuedRequest>,
+    /// Requests found already past their deadline at the front of the
+    /// queue — drained **without charging the tenant's deficit** (an
+    /// expired request consumed no service) and handed back so the
+    /// worker records them as typed failures.
+    pub(crate) expired: Vec<QueuedRequest>,
 }
 
 struct TenantQueue {
@@ -66,6 +59,8 @@ struct State {
     cursors: Vec<usize>,
     total: usize,
     closed: bool,
+    /// Workers parked on `available`; `push` notifies only when non-zero.
+    parked: usize,
 }
 
 pub(crate) struct Dispatcher {
@@ -97,6 +92,7 @@ impl Dispatcher {
                 cursors: vec![0; 3],
                 total: 0,
                 closed: false,
+                parked: 0,
             }),
             available: Condvar::new(),
             quantum: quantum.max(1),
@@ -104,61 +100,50 @@ impl Dispatcher {
     }
 
     /// Enqueues onto the tenant's bounded queue.
-    pub(crate) fn push(
-        &self,
-        tenant: usize,
-        request: QueuedRequest,
-    ) -> Result<(), PushRefused> {
+    pub(crate) fn push(&self, tenant: usize, request: QueuedRequest) -> Result<(), PushError> {
         let mut state = self.state.lock().expect("dispatcher lock poisoned");
         if state.closed {
-            return Err(PushRefused::Closed);
+            return Err(PushError::Closed);
         }
         let q = &mut state.tenants[tenant];
         if q.queue.len() >= q.depth {
-            return Err(PushRefused::Full);
+            return Err(PushError::Full);
         }
         q.queue.push_back(request);
         state.total += 1;
+        let wake = state.parked > 0;
         drop(state);
-        self.available.notify_one();
+        if wake {
+            self.available.notify_one();
+        }
         Ok(())
     }
 
-    /// Dispatches up to `max_batch` requests from one tenant, waiting up
-    /// to `wait` for work to arrive.
-    pub(crate) fn pop(&self, max_batch: usize, wait: Duration) -> Popped {
-        let mut state = self.state.lock().expect("dispatcher lock poisoned");
-        let deadline = Instant::now() + wait;
-        while state.total == 0 {
-            if state.closed {
+    /// Dispatches up to `max_batch` requests of one tenant into `out`
+    /// (cleared first), waiting up to `wait` for work to arrive.
+    pub(crate) fn pop(&self, out: &mut Dispatch, max_batch: usize, wait: Duration) -> Popped {
+        out.batch.clear();
+        out.expired.clear();
+        let mut guard = self.state.lock().expect("dispatcher lock poisoned");
+        let mut idle_until = None;
+        while guard.total == 0 {
+            if guard.closed {
                 return Popped::Closed;
             }
             let now = Instant::now();
-            if now >= deadline {
+            let until = *idle_until.get_or_insert(now + wait);
+            if now >= until {
                 return Popped::Idle;
             }
-            let (next, timeout) = self
-                .available
-                .wait_timeout(state, deadline - now)
-                .expect("dispatcher lock poisoned");
-            state = next;
-            if timeout.timed_out() && state.total == 0 {
-                return if state.closed { Popped::Closed } else { Popped::Idle };
-            }
+            guard = park(&self.available, guard, |s| &mut s.parked, Some(until - now));
         }
+        let state = &mut *guard;
         // Priority preemption: the first class with backlog dispatches.
         let now = Instant::now();
-        for class in 0..state.classes.len() {
-            let members = state.classes[class].clone();
-            if members.is_empty() {
-                continue;
-            }
-            let n = members.len();
-            let cursor = state.cursors[class];
-            for step in 0..n {
-                let pos = (cursor + step) % n;
+        for (members, cursor) in state.classes.iter().zip(&mut state.cursors) {
+            let (n, first) = (members.len(), *cursor);
+            for pos in (0..n).map(|step| (first + step) % n) {
                 let idx = members[pos];
-                let quantum = self.quantum * state.tenants[idx].weight;
                 let tq = &mut state.tenants[idx];
                 if tq.queue.is_empty() {
                     // No backlog, no banking: an idle tenant forfeits
@@ -166,50 +151,41 @@ impl Dispatcher {
                     tq.deficit = 0;
                     continue;
                 }
+                out.tenant = idx;
                 // Dead-on-arrival drain: requests already past their
                 // deadline at the front of the queue are removed
                 // *before* the DRR turn is charged — they will never
                 // be predicted, so they must not consume the tenant's
                 // weighted share.
-                let mut expired = Vec::new();
-                while tq
-                    .queue
-                    .front()
-                    .is_some_and(|r| r.deadline.is_some_and(|d| now >= d))
-                {
-                    expired.push(tq.queue.pop_front().expect("front checked"));
+                while tq.queue.front().is_some_and(|r| r.expired(now)) {
+                    out.expired.push(tq.queue.pop_front().expect("front checked"));
                 }
-                state.total -= expired.len();
-                let tq = &mut state.tenants[idx];
+                state.total -= out.expired.len();
                 if tq.queue.is_empty() {
                     // The whole backlog was expired: forfeit the
                     // deficit and hand the failures back without
                     // starting a turn.
                     tq.deficit = 0;
-                    state.cursors[class] = (pos + 1) % n;
-                    return Popped::Batch(idx, Vec::new(), expired);
+                    *cursor = (pos + 1) % n;
+                    return Popped::Batch;
                 }
                 if tq.deficit == 0 {
-                    tq.deficit = quantum; // a fresh turn starts
+                    tq.deficit = self.quantum * tq.weight; // a fresh turn starts
                 }
                 let take = (tq.deficit.min(max_batch as u64) as usize).min(tq.queue.len());
-                let batch: Vec<QueuedRequest> = tq.queue.drain(..take).collect();
+                out.batch.extend(tq.queue.drain(..take));
                 tq.deficit -= take as u64;
-                let emptied = tq.queue.is_empty();
-                if emptied {
+                if tq.queue.is_empty() {
                     tq.deficit = 0;
                 }
-                if tq.deficit == 0 {
-                    // Turn over: the cursor moves past this tenant.
-                    state.cursors[class] = (pos + 1) % n;
-                } else {
-                    // Deficit remains and backlog remains: the tenant
-                    // keeps the turn, so consecutive pops serve it until
-                    // its weighted share is spent.
-                    state.cursors[class] = pos;
-                }
+                // Deficit spent (or queue emptied): the turn is over and
+                // the cursor moves past this tenant. Otherwise deficit
+                // and backlog remain: the tenant keeps the turn, so
+                // consecutive pops serve it until its weighted share is
+                // spent.
+                *cursor = if tq.deficit == 0 { (pos + 1) % n } else { pos };
                 state.total -= take;
-                return Popped::Batch(idx, batch, expired);
+                return Popped::Batch;
             }
         }
         unreachable!("total > 0 but no tenant had backlog");
@@ -244,12 +220,20 @@ impl Dispatcher {
         self.state.lock().expect("dispatcher lock poisoned").closed = true;
         self.available.notify_all();
     }
+
+    /// Workers currently parked in [`pop`](Self::pop) — test-only
+    /// introspection for the waiter-gated notify.
+    #[cfg(test)]
+    fn parked(&self) -> usize {
+        self.state.lock().expect("dispatcher lock poisoned").parked
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tenant::PriorityClass;
+    use ffdl_tensor::Tensor;
 
     fn spec(name: &str, weight: u64, class: PriorityClass) -> TenantSpec {
         let mut s = TenantSpec::new(name, "m");
@@ -259,12 +243,7 @@ mod tests {
     }
 
     fn req(id: u64) -> QueuedRequest {
-        QueuedRequest {
-            id,
-            features: Tensor::zeros(&[1]),
-            enqueued: Instant::now(),
-            deadline: None,
-        }
+        QueuedRequest::new(id, Tensor::zeros(&[1]), None)
     }
 
     fn fill(d: &Dispatcher, tenant: usize, n: u64) {
@@ -277,11 +256,12 @@ mod tests {
     /// each dispatched request belonged to.
     fn drain_order(d: &Dispatcher, max_batch: usize) -> Vec<usize> {
         let mut order = Vec::new();
+        let mut out = Dispatch::default();
         while d.len() > 0 {
-            match d.pop(max_batch, Duration::from_millis(10)) {
-                Popped::Batch(t, batch, expired) => {
-                    assert!(expired.is_empty(), "deadline-free requests expired");
-                    order.extend(std::iter::repeat_n(t, batch.len()));
+            match d.pop(&mut out, max_batch, Duration::from_millis(10)) {
+                Popped::Batch => {
+                    assert!(out.expired.is_empty(), "deadline-free requests expired");
+                    order.extend(std::iter::repeat_n(out.tenant, out.batch.len()));
                 }
                 _ => break,
             }
@@ -358,21 +338,50 @@ mod tests {
         let d = Dispatcher::new(&[s], 4);
         assert!(d.push(0, req(0)).is_ok());
         assert!(d.push(0, req(1)).is_ok());
-        assert!(matches!(d.push(0, req(2)), Err(PushRefused::Full)));
+        assert_eq!(d.push(0, req(2)), Err(PushError::Full));
         assert_eq!(d.tenant_len(0), 2);
         d.close();
-        assert!(matches!(d.push(0, req(3)), Err(PushRefused::Closed)));
+        assert_eq!(d.push(0, req(3)), Err(PushError::Closed));
         // Drains, then reports Closed.
-        assert!(matches!(d.pop(8, Duration::ZERO), Popped::Batch(0, _, _)));
-        assert!(matches!(d.pop(8, Duration::ZERO), Popped::Closed));
+        let mut out = Dispatch::default();
+        assert_eq!(d.pop(&mut out, 8, Duration::ZERO), Popped::Batch);
+        assert_eq!((out.tenant, out.batch.len()), (0, 2));
+        assert_eq!(d.pop(&mut out, 8, Duration::ZERO), Popped::Closed);
+        assert!(out.batch.is_empty(), "a pop clears the worker's buffers first");
     }
 
     #[test]
     fn idle_pop_times_out() {
         let d = Dispatcher::new(&[spec("a", 1, PriorityClass::Normal)], 4);
         let started = Instant::now();
-        assert!(matches!(d.pop(8, Duration::from_millis(5)), Popped::Idle));
+        let mut out = Dispatch::default();
+        assert_eq!(d.pop(&mut out, 8, Duration::from_millis(5)), Popped::Idle);
         assert!(started.elapsed() >= Duration::from_millis(5));
+    }
+
+    #[test]
+    fn parked_count_is_balanced_and_a_gated_push_still_wakes() {
+        let d = std::sync::Arc::new(Dispatcher::new(&[spec("a", 1, PriorityClass::Normal)], 4));
+        // A pop that parks and times out leaves no count behind, so the
+        // next push skips its notify.
+        let mut out = Dispatch::default();
+        assert_eq!(d.pop(&mut out, 8, Duration::from_millis(2)), Popped::Idle);
+        assert_eq!(d.parked(), 0);
+        // A parked worker is counted, and the push it gates wakes it.
+        let worker = {
+            let d = std::sync::Arc::clone(&d);
+            std::thread::spawn(move || {
+                let mut out = Dispatch::default();
+                let popped = d.pop(&mut out, 8, Duration::from_secs(30));
+                (popped, out.tenant, out.batch.len())
+            })
+        };
+        while d.parked() == 0 {
+            std::thread::yield_now();
+        }
+        assert!(d.push(0, req(0)).is_ok());
+        assert_eq!(worker.join().unwrap(), (Popped::Batch, 0, 1));
+        assert_eq!(d.parked(), 0);
     }
 
     #[test]
@@ -399,10 +408,10 @@ mod tests {
         fill(&d, 1, 4);
         // First pop surfaces the dead front plus the head of the live
         // backlog in one dispatch; none of the expired charge deficit.
-        let (live0, dead0) = match d.pop(8, Duration::ZERO) {
-            Popped::Batch(0, live, dead) => (live, dead),
-            _ => panic!("expected tenant a batch"),
-        };
+        let mut out = Dispatch::default();
+        assert_eq!(d.pop(&mut out, 8, Duration::ZERO), Popped::Batch);
+        assert_eq!(out.tenant, 0, "expected tenant a batch");
+        let (live0, dead0) = (out.batch, out.expired);
         assert_eq!(dead0.len(), 4, "expired requests not drained");
         assert!(dead0.iter().all(|r| r.id < 4));
         assert_eq!(live0.len(), 8);
@@ -420,7 +429,9 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         let sojourn = d.head_sojourn(0).expect("queued request has a sojourn");
         assert!(sojourn >= Duration::from_millis(2), "sojourn {sojourn:?}");
-        assert!(matches!(d.pop(8, Duration::ZERO), Popped::Batch(0, _, _)));
+        let mut out = Dispatch::default();
+        assert_eq!(d.pop(&mut out, 8, Duration::ZERO), Popped::Batch);
+        assert_eq!(out.tenant, 0);
         assert_eq!(d.head_sojourn(0), None);
     }
 }

@@ -46,7 +46,6 @@ fn start_two_tenants(
         min_workers: 1,
         max_workers: 1, // pinned pool: fairness is the dispatcher's doing
         max_batch: 4,
-        quantum: 4,
         ..SchedConfig::default()
     };
     Scheduler::start_with_registry(store, &[a, b], &config, delay_registry())

@@ -34,10 +34,10 @@
 //!   is dropped silently.
 //!
 //! The parts of that list that are not dispatch — the hot-swappable
-//! model slot, batch supervision, quarantine and rollback, the
+//! model slot, the supervised batch step, quarantine and rollback, the
 //! per-worker ledger and the worker lifecycle — live in [`supervise`],
-//! the worker core this crate shares with `ffdl-sched` and
-//! `ffdl-stream`.
+//! and the bounded queue with its wake protocol in [`queue`]: the
+//! request path this crate shares with `ffdl-sched` and `ffdl-stream`.
 //!
 //! Served predictions are bit-identical to single-sample
 //! [`ffdl_deploy::InferenceEngine::predict`] calls, and the report's
@@ -68,7 +68,7 @@
 
 mod error;
 mod pool;
-mod queue;
+pub mod queue;
 mod stats;
 pub mod supervise;
 

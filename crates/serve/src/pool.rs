@@ -2,20 +2,21 @@
 //! batching in front of the [supervised worker core](crate::supervise).
 //!
 //! [`Server::start`] spawns `workers` OS threads over one
-//! [`BoundedQueue`]. Each worker loops on [`BoundedQueue::pop_batch`],
-//! runs one coalesced [`InferenceEngine::predict_batch`] forward pass
-//! per batch on its *own clone* of the network, and records a
-//! [`ServeResponse`] or a typed [`ServeFailure`] per request into its
-//! private ledger. Closing the queue is the shutdown signal: workers
-//! drain what is left and exit.
+//! [`BoundedQueue`]. Each worker loops: adopt the active model, pop a
+//! batch, shed what expired in the queue, and hand the rest to
+//! [`Worker::step`](crate::supervise::Worker::step) — one coalesced
+//! [`InferenceEngine::predict_batch`] forward pass on the worker's *own
+//! clone* of the network, a [`ServeResponse`] or a typed
+//! [`ServeFailure`] per request in its private ledger. Closing the queue
+//! is the shutdown signal: workers drain what is left and exit.
 //!
-//! Everything that is not dispatch — the generation-tagged
-//! [`ModelSlot`] behind [`Server::swap_model`] /
-//! [`Server::swap_from_store`], engine adoption between batches,
-//! `catch_unwind` batch supervision, numerical-health quarantine and
-//! auto-rollback, the per-worker ledger and the join/merge at
-//! [`Server::finish`] — is the shared core; see [`crate::supervise`]
-//! and DESIGN.md "Supervised worker core".
+//! Everything that is not dispatch — the queue and its wake protocol
+//! ([`crate::queue`]), the generation-tagged [`ModelSlot`] behind
+//! [`Server::swap_model`] / [`Server::swap_from_store`], engine adoption
+//! between batches, the supervised batch step with numerical-health
+//! quarantine and auto-rollback, the per-worker ledger and the
+//! join/merge at [`Server::finish`] — is the shared core; see
+//! [`crate::supervise`] and DESIGN.md "Supervised worker core".
 //!
 //! # Deadlines
 //!
@@ -28,16 +29,14 @@
 //! fast with [`ServeError::QueueFull`].
 
 use crate::error::ServeError;
-use crate::queue::{BoundedQueue, PushError};
+use crate::queue::{BoundedQueue, Popped, PushError, IDLE_WAIT};
 use crate::stats::{RunCounts, ServeReport};
-use crate::supervise::{
-    duration_ns, run_supervised, Adopted, HealthAction, ModelSlot, Request, Supervised, WorkerPool,
-};
+use crate::supervise::{Adopted, ModelSlot, Request, Stepped, WorkerPool};
 use ffdl_core::full_registry;
 use ffdl_deploy::{InferenceEngine, Prediction};
 use ffdl_nn::{LayerRegistry, Network};
 use ffdl_registry::ModelStore;
-use ffdl_telemetry::{Registry, SpanTimer};
+use ffdl_telemetry::Registry;
 use ffdl_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -306,7 +305,7 @@ impl Server {
         // reported before any thread spawns.
         let model = Arc::new(ModelSlot::new(network, Arc::new(layers), &registry)?);
         let check_finite = config.health.check_finite;
-        let unhealthy_threshold = config.health.unhealthy_threshold;
+        let threshold = config.health.unhealthy_threshold;
 
         let queue = Arc::new(BoundedQueue::<Request>::new(config.queue_depth));
         let recorded = Arc::new(AtomicU64::new(0));
@@ -320,94 +319,38 @@ impl Server {
             let model = Arc::clone(&model);
             let tenant = tenant.clone();
             pool.spawn(index, move |worker| {
-                // Handles are registered once here and recorded
-                // lock-free in the loop.
-                let batches = worker.telemetry.counter("ffdl.serve.batches");
-                let requests = worker.telemetry.counter("ffdl.serve.requests");
-                let unhealthy_counter = worker.telemetry.counter("ffdl.serve.unhealthy_batches");
-                let quarantine_counter = worker.telemetry.counter("ffdl.serve.quarantines");
-                let rollback_counter = worker.telemetry.counter("ffdl.serve.auto_rollbacks");
-                let batch_size_hist = worker.telemetry.histogram("ffdl.serve.batch_size");
-                let queue_wait_hist = worker.telemetry.histogram("ffdl.serve.queue_wait_ns");
-                let infer_hist = worker.telemetry.histogram("ffdl.serve.infer_ns");
                 let depth_hist = worker.telemetry.histogram("ffdl.serve.queue_depth_at_pop");
                 let tenant = tenant.as_ref();
                 let mut adopted = Adopted::empty();
+                let mut batch = Vec::new();
                 loop {
-                    // Hot-swap check, between batches only. The queue
-                    // keeps filling while a new engine is cloned.
+                    // Hot-swap check, between batches only (an idle pop
+                    // comes back here too). The queue keeps filling
+                    // while a new engine is cloned.
                     let (generation, engine) = adopted.refresh(&model, |network| {
                         let mut engine = InferenceEngine::new(network);
                         engine.set_finite_check(check_finite);
                         engine
                     })?;
-                    let mut batch = queue.pop_batch(max_batch, max_wait);
-                    if batch.is_empty() {
-                        return Ok(()); // closed and drained
+                    match queue.pop(&mut batch, max_batch, max_wait, IDLE_WAIT) {
+                        Popped::Closed => return Ok(()), // and drained
+                        Popped::Idle => continue,
+                        Popped::Batch => {}
                     }
-                    let telemetry_on = ffdl_telemetry::enabled();
                     worker.split_expired(&mut batch, Instant::now(), generation, tenant);
                     if batch.is_empty() {
                         continue;
                     }
-                    if telemetry_on {
-                        let received = Instant::now();
-                        batches.inc();
-                        requests.add(batch.len() as u64);
-                        batch_size_hist.record(batch.len() as u64);
+                    if ffdl_telemetry::enabled() {
                         depth_hist.record(queue.len() as u64);
-                        for request in &batch {
-                            queue_wait_hist
-                                .record(duration_ns(received.duration_since(request.enqueued)));
-                        }
                     }
-                    let refs: Vec<&Tensor> = batch.iter().map(|r| &r.features).collect();
-                    let span = SpanTimer::start_if(telemetry_on, &infer_hist);
-                    let outcome =
-                        run_supervised("serve.worker.batch", || engine.predict_batch(&refs));
-                    drop(span);
-                    match outcome {
-                        Supervised::Served(predictions) => {
-                            let done = Instant::now();
-                            for (request, prediction) in batch.iter().zip(predictions) {
-                                worker.respond(
-                                    request,
-                                    prediction,
-                                    done,
-                                    batch.len(),
-                                    generation,
-                                    tenant,
-                                );
-                            }
+                    let predict = |rows: &[&Tensor]| engine.predict_batch(rows);
+                    match worker.step(&batch, predict, generation, tenant, &model, threshold)? {
+                        Stepped::Served(_) => {
                             recorded.fetch_add(batch.len() as u64, Ordering::Relaxed);
                         }
-                        Supervised::Unhealthy => {
-                            // The model — not the requests — is bad: the
-                            // whole batch fails typed, carrying the
-                            // guilty generation; a rollback is adopted
-                            // like any other swap.
-                            worker.fail_all(&batch, FailureKind::UnhealthyModel, generation, tenant);
-                            let action = model.report_unhealthy(
-                                generation,
-                                batch.len() as u32,
-                                unhealthy_threshold,
-                            );
-                            if telemetry_on {
-                                unhealthy_counter.inc();
-                                if action != HealthAction::None {
-                                    quarantine_counter.inc();
-                                }
-                                if action == HealthAction::RolledBack {
-                                    rollback_counter.inc();
-                                }
-                            }
-                        }
-                        Supervised::Fatal(e) => return Err(e.into()),
-                        Supervised::Panicked => {
-                            // The batch is lost (but accounted).
-                            worker.panicked(&batch, generation, tenant);
-                            adopted.invalidate();
-                        }
+                        Stepped::Unhealthy(_) => {}
+                        Stepped::Panicked => adopted.invalidate(),
                     }
                 }
             });
@@ -438,31 +381,7 @@ impl Server {
     /// carries `now + deadline` and is shed at dequeue if it expires in
     /// the queue.
     pub fn try_submit(&self, id: u64, features: Tensor) -> Result<(), ServeError> {
-        let now = Instant::now();
-        let request = Request {
-            id,
-            features,
-            enqueued: now,
-            deadline: self.deadline.map(|d| now + d),
-        };
-        match self.queue.try_push(request) {
-            Ok(()) => {
-                if ffdl_telemetry::enabled() {
-                    self.depth_gauge.set(self.queue.len() as i64);
-                }
-                Ok(())
-            }
-            Err(PushError::Full) => {
-                self.rejections.fetch_add(1, Ordering::Relaxed);
-                if ffdl_telemetry::enabled() {
-                    self.rejections_counter.inc();
-                }
-                Err(ServeError::QueueFull {
-                    tenant: self.tenant.as_ref().map(|t| t.to_string()),
-                })
-            }
-            Err(PushError::Closed) => Err(ServeError::Closed),
-        }
+        self.admit(Request::new(id, features, self.deadline), false)
     }
 
     /// Submits with bounded-wait admission: when the queue is full, the
@@ -473,34 +392,41 @@ impl Server {
     /// `ffdl.serve.shed`. Without a configured deadline this is
     /// identical to [`try_submit`](Self::try_submit).
     pub fn submit(&self, id: u64, features: Tensor) -> Result<(), ServeError> {
-        let Some(deadline) = self.deadline else {
-            return self.try_submit(id, features);
+        self.admit(Request::new(id, features, self.deadline), true)
+    }
+
+    /// Pushes an admitted request; `wait` makes a full queue a bounded
+    /// wait until the request's own deadline, when it has one.
+    fn admit(&self, request: Request, wait: bool) -> Result<(), ServeError> {
+        let until = request.deadline.filter(|_| wait);
+        let pushed = match until {
+            Some(_) => self.queue.push_wait(request, until),
+            None => self.queue.try_push(request),
         };
-        let now = Instant::now();
-        let absolute = now + deadline;
-        let request = Request {
-            id,
-            features,
-            enqueued: now,
-            deadline: Some(absolute),
-        };
-        match self.queue.push_deadline(request, absolute) {
+        let telemetry_on = ffdl_telemetry::enabled();
+        let tenant = || self.tenant.as_ref().map(|t| t.to_string());
+        match pushed {
             Ok(()) => {
-                if ffdl_telemetry::enabled() {
+                if telemetry_on {
                     self.depth_gauge.set(self.queue.len() as i64);
                 }
                 Ok(())
             }
-            Err(PushError::Full) => {
+            Err(PushError::Closed) => Err(ServeError::Closed),
+            Err(PushError::Full) if until.is_some() => {
                 self.shed.fetch_add(1, Ordering::Relaxed);
-                if ffdl_telemetry::enabled() {
+                if telemetry_on {
                     self.shed_counter.inc();
                 }
-                Err(ServeError::DeadlineExceeded {
-                    tenant: self.tenant.as_ref().map(|t| t.to_string()),
-                })
+                Err(ServeError::DeadlineExceeded { tenant: tenant() })
             }
-            Err(PushError::Closed) => Err(ServeError::Closed),
+            Err(PushError::Full) => {
+                self.rejections.fetch_add(1, Ordering::Relaxed);
+                if telemetry_on {
+                    self.rejections_counter.inc();
+                }
+                Err(ServeError::QueueFull { tenant: tenant() })
+            }
         }
     }
 

@@ -3,7 +3,8 @@
 //!
 //! The front ends differ only in *dispatch* (FIFO batcher / WDRR over
 //! tenant queues / sticky session hash) and *state* (stateless /
-//! per-session hidden state). Everything else lives here, once:
+//! per-session hidden state). Everything else lives here and in
+//! [`crate::queue`], once:
 //!
 //! * [`ModelSlot`] — the generation-tagged model slot: hot-swap,
 //!   numerical-health accounting and quarantine → rollback
@@ -16,16 +17,20 @@
 //!   `Acquire` load.
 //! * [`run_supervised`] — `catch_unwind` plus the `ffdl-fault` hooks
 //!   around one engine call, classified into a [`Supervised`] outcome.
+//! * [`Request`] — what waits in every queue, stamped by the one
+//!   [`Request::new`] at admission.
 //! * [`Worker`] — a worker thread's private telemetry registry and its
-//!   response/failure ledger; [`WorkerPool`] spawns workers, joins them
-//!   and merges what they recorded.
+//!   response/failure ledger, and [`Worker::step`]: the one place where a
+//!   sealed batch meets the engine and every request of it gets its
+//!   response or typed failure. [`WorkerPool`] spawns workers, joins
+//!   them and merges what they recorded.
 
 use crate::error::ServeError;
 use crate::pool::{FailureKind, ServeFailure, ServeResponse};
 use ffdl_deploy::{DeployError, NonFiniteStage, Prediction};
 use ffdl_nn::{clone_network, LayerRegistry, Network};
 use ffdl_registry::{ModelStore, ModelVersion};
-use ffdl_telemetry::{Counter, Histogram, Registry, RegistrySnapshot};
+use ffdl_telemetry::{Counter, Histogram, Registry, RegistrySnapshot, SpanTimer};
 use ffdl_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -479,6 +484,12 @@ pub struct Request {
 }
 
 impl Request {
+    /// A request admitted now; `deadline` is relative to this instant.
+    pub fn new(id: u64, features: Tensor, deadline: Option<Duration>) -> Self {
+        let enqueued = Instant::now();
+        Self { id, features, enqueued, deadline: deadline.map(|d| enqueued + d) }
+    }
+
     /// Whether the deadline has passed at `now`.
     pub fn expired(&self, now: Instant) -> bool {
         self.deadline.is_some_and(|d| now >= d)
@@ -498,8 +509,32 @@ pub struct Worker {
     responses: Vec<ServeResponse>,
     failures: Vec<ServeFailure>,
     restarts: Arc<AtomicU64>,
+    /// `<pool>.worker.batch`, the fault-injection site of [`Worker::step`].
+    site: String,
     restarts_counter: Arc<Counter>,
     expired_counter: Arc<Counter>,
+    unhealthy_counter: Arc<Counter>,
+    quarantine_counter: Arc<Counter>,
+    rollback_counter: Arc<Counter>,
+    batches: Arc<Counter>,
+    requests: Arc<Counter>,
+    batch_size_hist: Arc<Histogram>,
+    queue_wait_hist: Arc<Histogram>,
+    infer_hist: Arc<Histogram>,
+}
+
+/// What [`Worker::step`] leaves for the front end to act on; every
+/// request of the batch is already in the ledger.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stepped {
+    /// Every request was answered, stamped at this instant.
+    Served(Instant),
+    /// The batch failed typed as unhealthy; what reporting it to the
+    /// slot triggered.
+    Unhealthy(HealthAction),
+    /// The batch was lost to a panicking engine call: the engine may be
+    /// mid-write and must be [`Adopted::invalidate`]d.
+    Panicked,
 }
 
 impl Worker {
@@ -573,6 +608,87 @@ impl Worker {
         before - batch.len()
     }
 
+    /// Records a batch whose logits failed the finiteness scan: the model
+    /// — not the requests — is bad, so every request fails typed
+    /// [`FailureKind::UnhealthyModel`] carrying the guilty generation,
+    /// and the batch counts against it in `slot` (a rollback is adopted
+    /// like any other swap). Bumps `ffdl.<pool>.unhealthy_batches`,
+    /// `.quarantines` and `.auto_rollbacks`.
+    pub fn unhealthy(
+        &mut self,
+        batch: &[Request],
+        generation: u64,
+        tenant: Option<&Arc<str>>,
+        slot: &ModelSlot,
+        threshold: u32,
+    ) -> HealthAction {
+        self.fail_all(batch, FailureKind::UnhealthyModel, generation, tenant);
+        let action = slot.report_unhealthy(generation, batch.len() as u32, threshold);
+        if ffdl_telemetry::enabled() {
+            self.unhealthy_counter.inc();
+            if action != HealthAction::None {
+                self.quarantine_counter.inc();
+            }
+            if action == HealthAction::RolledBack {
+                self.rollback_counter.inc();
+            }
+        }
+        action
+    }
+
+    /// The batch step of the stateless pools: runs `call` on the rows of
+    /// a sealed, non-empty `batch` under [`run_supervised`] and records a
+    /// response or a typed failure for every request — served at one
+    /// instant, [`unhealthy`](Self::unhealthy), or
+    /// [`panicked`](Self::panicked). Records `ffdl.<pool>.{batches,
+    /// requests, batch_size, queue_wait_ns, infer_ns}`.
+    ///
+    /// # Errors
+    ///
+    /// Any other engine error (a shape mismatch, a non-finite *input*)
+    /// is a caller bug, not a fault to supervise: it fails the worker.
+    pub fn step(
+        &mut self,
+        batch: &[Request],
+        call: impl FnOnce(&[&Tensor]) -> Result<Vec<Prediction>, DeployError>,
+        generation: u64,
+        tenant: Option<&Arc<str>>,
+        slot: &ModelSlot,
+        threshold: u32,
+    ) -> Result<Stepped, ServeError> {
+        let telemetry_on = ffdl_telemetry::enabled();
+        if telemetry_on {
+            let sealed = Instant::now();
+            self.batches.inc();
+            self.requests.add(batch.len() as u64);
+            self.batch_size_hist.record(batch.len() as u64);
+            for request in batch {
+                self.queue_wait_hist.record(duration_ns(sealed.duration_since(request.enqueued)));
+            }
+        }
+        let rows: Vec<&Tensor> = batch.iter().map(|r| &r.features).collect();
+        let span = SpanTimer::start_if(telemetry_on, &self.infer_hist);
+        let outcome = run_supervised(&self.site, || call(&rows));
+        drop(span);
+        Ok(match outcome {
+            Supervised::Served(predictions) => {
+                let done = Instant::now();
+                for (request, prediction) in batch.iter().zip(predictions) {
+                    self.respond(request, prediction, done, batch.len(), generation, tenant);
+                }
+                Stepped::Served(done)
+            }
+            Supervised::Unhealthy => {
+                Stepped::Unhealthy(self.unhealthy(batch, generation, tenant, slot, threshold))
+            }
+            Supervised::Fatal(e) => return Err(e.into()),
+            Supervised::Panicked => {
+                self.panicked(batch, generation, tenant);
+                Stepped::Panicked
+            }
+        })
+    }
+
     /// Records a batch lost to a panicking engine call: one restart
     /// (`ffdl.<pool>.worker_restarts`), every request a typed
     /// [`FailureKind::WorkerPanic`] failure.
@@ -612,8 +728,8 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// An empty pool whose workers register `ffdl.<prefix>.expired` and
-    /// `ffdl.<prefix>.worker_restarts`.
+    /// An empty pool whose workers register their ledger-side metrics
+    /// under `ffdl.<prefix>.`.
     pub fn new(prefix: &'static str) -> Self {
         Self {
             prefix,
@@ -630,10 +746,21 @@ impl WorkerPool {
         body: impl FnOnce(&mut Worker) -> Result<(), ServeError> + Send + 'static,
     ) {
         let telemetry = Registry::new();
+        let counter = |name: &str| telemetry.counter(&format!("ffdl.{}.{name}", self.prefix));
+        let histogram = |name: &str| telemetry.histogram(&format!("ffdl.{}.{name}", self.prefix));
         let mut worker = Worker {
             index,
-            restarts_counter: telemetry.counter(&format!("ffdl.{}.worker_restarts", self.prefix)),
-            expired_counter: telemetry.counter(&format!("ffdl.{}.expired", self.prefix)),
+            site: format!("{}.worker.batch", self.prefix),
+            restarts_counter: counter("worker_restarts"),
+            expired_counter: counter("expired"),
+            unhealthy_counter: counter("unhealthy_batches"),
+            quarantine_counter: counter("quarantines"),
+            rollback_counter: counter("auto_rollbacks"),
+            batches: counter("batches"),
+            requests: counter("requests"),
+            batch_size_hist: histogram("batch_size"),
+            queue_wait_hist: histogram("queue_wait_ns"),
+            infer_hist: histogram("infer_ns"),
             telemetry,
             responses: Vec::new(),
             failures: Vec::new(),
@@ -929,7 +1056,7 @@ mod tests {
     }
 
     fn request(id: u64, deadline: Option<Instant>) -> Request {
-        Request { id, features: Tensor::zeros(&[1]), enqueued: Instant::now(), deadline }
+        Request { deadline, ..Request::new(id, Tensor::zeros(&[1]), None) }
     }
 
     #[test]
@@ -969,6 +1096,46 @@ mod tests {
         );
         assert_eq!(joined.telemetry.counter("ffdl.unit.worker_restarts"), Some(1));
         assert!(joined.telemetry.counter("ffdl.unit.expired").is_some());
+    }
+
+    /// The batch step's four outcomes: what lands in the ledger and the
+    /// slot, and what the front end gets back to act on.
+    #[test]
+    fn step_records_every_request_and_returns_what_is_left_to_do() {
+        let slot = Arc::new(slot());
+        slot.swap_model(&marked(2.0)).expect("swap");
+        let pool = WorkerPool::new("unit");
+        let non_finite = |stage| DeployError::NonFinite { stage, index: 0 };
+        let shared = Arc::clone(&slot);
+        pool.spawn(0, move |worker| {
+            let batch = [request(0, None), request(1, None)];
+            let prediction = || Prediction { label: 0, probabilities: vec![1.0] };
+            let answer = |rows: &[&Tensor]| Ok(rows.iter().map(|_| prediction()).collect());
+            let served = worker.step(&batch, answer, 2, None, &shared, 1)?;
+            assert!(matches!(served, Stepped::Served(_)));
+            let nan = |_: &[&Tensor]| Err(non_finite(NonFiniteStage::Logits));
+            let unhealthy = worker.step(&batch, nan, 2, None, &shared, 1)?;
+            assert_eq!(unhealthy, Stepped::Unhealthy(HealthAction::RolledBack));
+            let panicked = worker.step(&batch, |_| panic!("poisoned"), 3, None, &shared, 1)?;
+            assert_eq!(panicked, Stepped::Panicked);
+            Ok(())
+        });
+        let joined = pool.join(RegistrySnapshot::default()).expect("join");
+        assert_eq!((slot.generation(), slot.health_counts()), (3, (1, 1)));
+        assert_eq!(pool.restarts(), 1);
+        let responses = joined.responses.iter().map(|r| (r.generation, r.batch_size));
+        assert_eq!(responses.collect::<Vec<_>>(), [(2, 2), (2, 2)]);
+        let failures: Vec<_> = joined.failures.iter().map(|f| (f.kind, f.generation)).collect();
+        let (nan, panic) = (FailureKind::UnhealthyModel, FailureKind::WorkerPanic);
+        assert_eq!(failures, [(nan, 2), (nan, 2), (panic, 3), (panic, 3)]);
+
+        // Any other engine error is a caller bug: it fails the worker.
+        let shared = Arc::clone(&slot);
+        pool.spawn(1, move |worker| {
+            let bad_input = |_: &[&Tensor]| Err(non_finite(NonFiniteStage::Input));
+            worker.step(&[request(2, None)], bad_input, 3, None, &shared, 1).map(|_| ())
+        });
+        assert!(matches!(pool.join(RegistrySnapshot::default()), Err(ServeError::Inference(_))));
     }
 
     #[test]

@@ -55,7 +55,6 @@
 #![warn(missing_docs)]
 
 mod engine;
-mod queue;
 mod server;
 
 pub use engine::{SessionHidden, StreamEngine};

@@ -14,9 +14,14 @@
 //!   submission order. Hidden state is owned by that thread's local map
 //!   and **never crosses a thread boundary** — no lock protects it
 //!   because no other thread can reach it.
-//! * **Bounded queues** — each worker has its own bounded queue;
-//!   admission control is per-worker ([`StreamError::QueueFull`]) plus
-//!   a per-session in-flight cap ([`StreamError::SessionBusy`]).
+//! * **Bounded queues** — each worker has its own
+//!   [`BoundedQueue`] (the serving stack's one queue, popped with
+//!   `max_batch` 1 and no batching window, so every step is taken and
+//!   processed alone, in queue order); admission control is per-worker
+//!   ([`StreamError::QueueFull`]) plus a per-session in-flight cap
+//!   ([`StreamError::SessionBusy`]). FIFO order per queue is what the
+//!   session lifecycle leans on: a `Close` control message enqueued
+//!   after a session's last step is processed after it, never before.
 //! * **TTL eviction** — with [`StreamConfig::idle_ttl`] set, a worker
 //!   sweeps its sessions whenever its queue goes idle and drops any
 //!   session whose last step is older than the TTL (and has nothing in
@@ -34,8 +39,10 @@
 //! later step is refused typed ([`FailureKind::SessionQuarantined`] for
 //! queued steps, [`StreamError::SessionQuarantined`] at submit). Other
 //! sessions on the same worker are untouched — their state was not
-//! reachable from the faulted step. NaN steps also count against the
-//! serving *generation* in the shared [`ModelSlot`]: past
+//! reachable from the faulted step. NaN steps are also recorded through
+//! the core's [`Worker::unhealthy`], like an unhealthy batch of the
+//! stateless pools: they count against the serving *generation* in the
+//! shared [`ModelSlot`], and past
 //! [`HealthConfig::unhealthy_threshold`] the generation is quarantined
 //! and the pool auto-rolls-back through the registry binding.
 //!
@@ -53,11 +60,11 @@
 //! matches the served outputs bit for bit.
 
 use crate::engine::StreamEngine;
-use crate::queue::{Popped, PushError, WorkQueue};
 use ffdl_core::full_registry;
 use ffdl_deploy::{DeployError, Prediction};
 use ffdl_nn::{LayerRegistry, Network};
 use ffdl_registry::ModelStore;
+use ffdl_serve::queue::{BoundedQueue, Popped, PushError, IDLE_WAIT};
 use ffdl_serve::supervise::{
     duration_ns, run_supervised, Adopted, ModelSlot, Request, Supervised, Worker, WorkerPool,
 };
@@ -70,10 +77,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// How long a worker waits on an empty queue before running idle
-/// housekeeping (TTL eviction) and re-checking for shutdown.
-const IDLE_WAIT: Duration = Duration::from_millis(2);
 
 /// Configuration for a streaming run.
 #[derive(Debug, Clone)]
@@ -251,7 +254,7 @@ fn sticky_worker(session: u64, workers: usize) -> usize {
 /// A running streaming server. See the module docs for the lifecycle,
 /// fault, and hot-swap semantics.
 pub struct StreamServer {
-    queues: Vec<Arc<WorkQueue<Work>>>,
+    queues: Vec<Arc<BoundedQueue<Work>>>,
     shared: Arc<Shared>,
     pool: WorkerPool,
     workers: usize,
@@ -330,8 +333,8 @@ impl StreamServer {
             sessions_evicted: AtomicU64::new(0),
             sessions_quarantined: AtomicU64::new(0),
         });
-        let queues: Vec<Arc<WorkQueue<Work>>> = (0..config.workers)
-            .map(|_| Arc::new(WorkQueue::new(config.queue_depth)))
+        let queues: Vec<Arc<BoundedQueue<Work>>> = (0..config.workers)
+            .map(|_| Arc::new(BoundedQueue::new(config.queue_depth)))
             .collect();
         let pool = WorkerPool::new("stream");
         for (index, queue) in queues.iter().enumerate() {
@@ -439,16 +442,10 @@ impl StreamServer {
             meta.inflight.fetch_sub(1, Ordering::AcqRel);
             return Err(StreamError::SessionBusy { session, inflight });
         }
-        let now = Instant::now();
         let request = StepRequest {
             session,
             meta: Arc::clone(&meta),
-            request: Request {
-                id,
-                features,
-                enqueued: now,
-                deadline: self.deadline.map(|d| now + d),
-            },
+            request: Request::new(id, features, self.deadline),
         };
         match self.queues[sticky_worker(session, self.workers)].try_push(Work::Step(request)) {
             Ok(()) => Ok(()),
@@ -492,7 +489,7 @@ impl StreamServer {
             return Err(StreamError::UnknownSession(session));
         }
         self.queues[sticky_worker(session, self.workers)]
-            .push_wait(Work::Close { session })
+            .push_wait(Work::Close { session }, None)
             .map_err(|_| StreamError::Closed)
     }
 
@@ -582,7 +579,7 @@ impl StreamServer {
 /// hidden state for life.
 fn worker_loop(
     shared: &Shared,
-    queue: &WorkQueue<Work>,
+    queue: &BoundedQueue<Work>,
     worker: &mut Worker,
 ) -> Result<(), ServeError> {
     let steps_counter = worker.telemetry.counter("ffdl.stream.steps");
@@ -600,17 +597,18 @@ fn worker_loop(
     };
     let mut adopted = Adopted::empty();
     let mut sessions: HashMap<u64, SessionState> = HashMap::new();
+    let mut taken = Vec::with_capacity(1);
 
     loop {
-        let work = match queue.pop(IDLE_WAIT) {
+        match queue.pop(&mut taken, 1, Duration::ZERO, IDLE_WAIT) {
             Popped::Closed => return Ok(()),
             Popped::Idle => {
                 evict_idle(shared, &mut sessions, &evicted_counter);
                 continue;
             }
-            Popped::Item(work) => work,
-        };
-        let step = match work {
+            Popped::Batch => {}
+        }
+        let step = match taken.pop().expect("a batch holds at least one item") {
             Work::Close { session } => {
                 sessions.remove(&session);
                 continue;
@@ -668,9 +666,8 @@ fn worker_loop(
                 // The hidden state advanced before the NaN was caught:
                 // the session is untrusted from here on, and the step
                 // counts against the serving generation.
-                worker.fail_all(one, FailureKind::UnhealthyModel, generation, None);
                 quarantine_session(&step.meta);
-                shared.model.report_unhealthy(generation, 1, shared.unhealthy_threshold);
+                worker.unhealthy(one, generation, None, &shared.model, shared.unhealthy_threshold);
             }
             // A non-finite *input* is refused before it touches the
             // state: the step fails typed without indicting the session

@@ -18,11 +18,12 @@ cargo test -q --offline --workspace
 echo "== lint: clippy (warnings are errors) =="
 cargo clippy --offline --workspace -- -D warnings
 
-echo "== guard: one mechanism (worker core and Algorithm 1 each written once) =="
+echo "== guard: one mechanism (worker core, request path and Algorithm 1 each written once) =="
 # serve, sched and stream share one model slot, one quarantine ->
-# rollback routine and one request-path catch_unwind
-# (crates/serve/src/supervise.rs, DESIGN.md "Supervised worker core"),
-# and every circulant layer shares one block-spectral product: the two
+# rollback routine, one request-path catch_unwind and one batch step
+# (crates/serve/src/supervise.rs) behind one bounded queue and one wake
+# protocol (crates/serve/src/queue.rs; DESIGN.md "Supervised worker
+# core"), and every circulant layer shares one block-spectral product: the two
 # multiply-accumulate kernels are *called* from one file only
 # (crates/core/src/spectral.rs, DESIGN.md "Algorithm 1, once"). Each
 # pattern must match in exactly one non-test source file: a second match
@@ -43,6 +44,28 @@ for pattern in 'struct GenRecord' 'const HISTORY_DEPTH' 'fn (handle|report)_unhe
     fi
     echo "'${pattern}' only in ${hits}"
 done
+# One request path: the only condvar queues are the shared BoundedQueue
+# and the WDRR dispatcher (which parks through the queue's protocol), and
+# only the shared batch step, stream's per-session step and sched's
+# offline breaker probe run an engine under supervision.
+only_in() {
+    hits="$(non_test_files_matching "$1" | tr '\n' ' ')"
+    if [ "${hits}" != "$2 " ]; then
+        echo "one-mechanism guard: '$1' must appear in $2 only, found: ${hits:-(none)}" >&2
+        exit 1
+    fi
+    echo "'$1' only in ${hits}"
+}
+only_in 'Condvar::new\(' 'crates/sched/src/wdrr.rs crates/serve/src/queue.rs'
+only_in 'run_supervised\(' 'crates/sched/src/pool.rs crates/serve/src/supervise.rs crates/stream/src/server.rs'
+if grep 'run_supervised(' crates/sched/src/pool.rs | grep -v '"sched.breaker.probe"' > /dev/null; then
+    echo "one-mechanism guard: crates/sched/src/pool.rs may call run_supervised( from the breaker probe only" >&2
+    exit 1
+fi
+if [ -e crates/stream/src/queue.rs ]; then
+    echo "one-mechanism guard: crates/stream/src/queue.rs is back (the stack has one queue: crates/serve/src/queue.rs)" >&2
+    exit 1
+fi
 # Network has one layer loop; the telemetry-on copy of it must not come
 # back.
 hits="$(non_test_files_matching 'fn forward_instrumented')"
@@ -167,45 +190,46 @@ awk -v a="${agreement}" 'BEGIN {
     if (a + 0 < 99) { print "quant smoke test: top-1 agreement below 99%" > "/dev/stderr"; exit 1 }
 }'
 
+# bench_field FILE LABEL_REGEX FIELD: the number after "FIELD": in the
+# (last) row of FILE that matches LABEL_REGEX — empty when no row has it.
+# The guards below read the committed JSON through this one function and
+# keep their own thresholds and messages.
+bench_field() {
+    awk -v row="$2" -v field="\"$3\": " '
+        $0 ~ row && match($0, field "-?[0-9.]+") { v = substr($0, RSTART + length(field), RLENGTH - length(field)) }
+        END { print v }
+    ' "$1"
+}
+
 echo "== bench guard: quantized forward latency + model bytes in BENCH_quant.json =="
 # The dequantization-free serving claim (DESIGN.md §14): int16 spectra
 # must forward within 15% of the f32 spectral path (the scale is applied
 # once per output block, never per MAC) while the model file shrinks to
 # at most 55% of the f32 payload. Sizes ride in the bench rows' "size"
 # field as exact wire-format bytes.
-awk '
-    /"label": "forward\/f32_spectral"/ {
-        if (match($0, /"median_ns": [0-9.]+/)) f32_ns    = substr($0, RSTART + 13, RLENGTH - 13)
-        if (match($0, /"size": [0-9]+/))       f32_bytes = substr($0, RSTART + 8,  RLENGTH - 8)
-    }
-    /"label": "forward\/int16"/ {
-        if (match($0, /"median_ns": [0-9.]+/)) q_ns    = substr($0, RSTART + 13, RLENGTH - 13)
-        if (match($0, /"size": [0-9]+/))       q_bytes = substr($0, RSTART + 8,  RLENGTH - 8)
-    }
-    END {
+awk -v f32_ns="$(bench_field BENCH_quant.json '"label": "forward/f32_spectral"' median_ns)" \
+    -v f32_bytes="$(bench_field BENCH_quant.json '"label": "forward/f32_spectral"' size)" \
+    -v q_ns="$(bench_field BENCH_quant.json '"label": "forward/int16"' median_ns)" \
+    -v q_bytes="$(bench_field BENCH_quant.json '"label": "forward/int16"' size)" 'BEGIN {
         if (f32_ns == "" || q_ns == "" || f32_bytes == "" || q_bytes == "") { print "bench guard: forward/f32_spectral or forward/int16 rows missing from BENCH_quant.json" > "/dev/stderr"; exit 1 }
         lat = q_ns / f32_ns; bytes = q_bytes / f32_bytes
         printf "int16/f32 forward median ratio: %.3fx, model bytes ratio: %.3f\n", lat, bytes
         if (lat > 1.15)    { print "bench guard: int16 forward latency above 1.15x the f32 spectral path" > "/dev/stderr"; exit 1 }
         if (bytes > 0.55)  { print "bench guard: int16 model bytes above 55% of the f32 payload" > "/dev/stderr"; exit 1 }
-    }
-' BENCH_quant.json
+    }'
 
 echo "== bench guard: frozen spectral Arch. 1 vs dense in BENCH_inference.json =="
 # The paper's claim as a committed measurement (ROADMAP "make the FFT
 # path win"): at Arch. 1's own size the frozen block-circulant network
 # — FFT, multiply-accumulate, IFFT — must forward in at most 0.7x the
 # time of its dense equivalent.
-awk '
-    /"label": "arch1_spectral_frozen"/ { if (match($0, /"median_ns": [0-9.]+/)) frozen = substr($0, RSTART + 13, RLENGTH - 13) }
-    /"label": "arch1_dense_baseline"/  { if (match($0, /"median_ns": [0-9.]+/)) dense  = substr($0, RSTART + 13, RLENGTH - 13) }
-    END {
+awk -v frozen="$(bench_field BENCH_inference.json '"label": "arch1_spectral_frozen"' median_ns)" \
+    -v dense="$(bench_field BENCH_inference.json '"label": "arch1_dense_baseline"' median_ns)" 'BEGIN {
         if (frozen == "" || dense == "") { print "bench guard: arch1_spectral_frozen/arch1_dense_baseline rows missing from BENCH_inference.json" > "/dev/stderr"; exit 1 }
         ratio = frozen / dense
         printf "arch1_spectral_frozen / arch1_dense_baseline median ratio: %.3fx\n", ratio
         if (ratio > 0.7) { print "bench guard: frozen spectral Arch. 1 above 0.7x the dense baseline" > "/dev/stderr"; exit 1 }
-    }
-' BENCH_inference.json
+    }'
 
 echo "== chaos smoke test (--chaos: deterministic fault injection) =="
 # One seeded campaign over a swapping run: a worker panic (restart), a
@@ -264,16 +288,13 @@ echo "== bench guard: priority-tenant SLO attainment in BENCH_sched.json =="
 # pool with a saturating bulk tenant while the autoscaler grows 1->4.
 # Priority preemption must hold the prio tenant at >= 0.95 attainment,
 # and the autoscaler must actually have fired (scale_ups >= 1).
-awk '
-    /"label": "overload", "tenant": "prio"/ { if (match($0, /"slo_attainment": [0-9.]+/)) prio = substr($0, RSTART + 18, RLENGTH - 18) }
-    /"label": "overload", "tenants":/       { if (match($0, /"scale_ups": [0-9]+/))      ups  = substr($0, RSTART + 13, RLENGTH - 13) }
-    END {
+awk -v prio="$(bench_field BENCH_sched.json '"label": "overload", "tenant": "prio"' slo_attainment)" \
+    -v ups="$(bench_field BENCH_sched.json '"label": "overload", "tenants":' scale_ups)" 'BEGIN {
         if (prio == "" || ups == "") { print "bench guard: overload rows missing from BENCH_sched.json" > "/dev/stderr"; exit 1 }
         printf "overload prio slo_attainment: %.4f, scale_ups: %d\n", prio, ups
         if (prio + 0 < 0.95) { print "bench guard: priority tenant attainment below 0.95 under overload" > "/dev/stderr"; exit 1 }
         if (ups + 0 < 1)     { print "bench guard: autoscaler never scaled up under overload" > "/dev/stderr"; exit 1 }
-    }
-' BENCH_sched.json
+    }'
 
 echo "== brownout smoke test (--brownout on: ladder publish + controller) =="
 # Two tenants with a pre-published f32/int16/int8 ladder on tenant 0 and
@@ -301,59 +322,46 @@ echo "== bench guard: brownout isolation + recovery in BENCH_sched.json =="
 # high-class light tenant >= 0.9, and the committed brownout row must
 # show a real round trip: peak_level >= 1 degraded, final_level == 0
 # recovered.
-awk '
-    /"label": "skewed_8to1_brownout", "tenant": "heavy", "requests"/ { if (match($0, /"slo_attainment": [0-9.]+/)) heavy = substr($0, RSTART + 18, RLENGTH - 18) }
-    /"label": "skewed_8to1_brownout", "tenant": "light", "requests"/ { if (match($0, /"slo_attainment": [0-9.]+/)) light = substr($0, RSTART + 18, RLENGTH - 18) }
-    /"label": "skewed_8to1_brownout", "tenant": "heavy", "peak_level"/ {
-        if (match($0, /"peak_level": [0-9]+/))  peak  = substr($0, RSTART + 14, RLENGTH - 14)
-        if (match($0, /"final_level": [0-9]+/)) final = substr($0, RSTART + 15, RLENGTH - 15)
-    }
-    END {
+awk -v heavy="$(bench_field BENCH_sched.json '"label": "skewed_8to1_brownout", "tenant": "heavy", "requests"' slo_attainment)" \
+    -v light="$(bench_field BENCH_sched.json '"label": "skewed_8to1_brownout", "tenant": "light", "requests"' slo_attainment)" \
+    -v peak="$(bench_field BENCH_sched.json '"label": "skewed_8to1_brownout", "tenant": "heavy", "peak_level"' peak_level)" \
+    -v final="$(bench_field BENCH_sched.json '"label": "skewed_8to1_brownout", "tenant": "heavy", "peak_level"' final_level)" 'BEGIN {
         if (heavy == "" || light == "" || peak == "") { print "bench guard: skewed_8to1_brownout rows missing from BENCH_sched.json" > "/dev/stderr"; exit 1 }
         printf "brownout skew: heavy slo_attainment %.4f, light %.4f, peak level %d -> final %d\n", heavy, light, peak, final
         if (heavy + 0 < 0.5)  { print "bench guard: heavy tenant attainment below 0.5 despite the ladder" > "/dev/stderr"; exit 1 }
         if (light + 0 < 0.9)  { print "bench guard: light tenant attainment below 0.9 under brownout" > "/dev/stderr"; exit 1 }
         if (peak + 0 < 1)     { print "bench guard: controller never degraded (peak_level 0)" > "/dev/stderr"; exit 1 }
         if (final + 0 != 0)   { print "bench guard: controller never recovered to full precision" > "/dev/stderr"; exit 1 }
-    }
-' BENCH_sched.json
+    }'
 
 echo "== bench guard: ladder win + recovery in BENCH_brownout.json =="
 # The same 2.5x one-second spike with and without the ladder: the ladder
 # run must beat the baseline attainment by >= 0.3 absolute, reach
 # peak_level >= 1, and end recovered (final_level 0, recovery_ms >= 0).
-awk '
-    /"label": "spike_no_ladder"/ { if (match($0, /"slo_attainment": [0-9.]+/)) base = substr($0, RSTART + 18, RLENGTH - 18) }
-    /"label": "spike_ladder"/ {
-        if (match($0, /"slo_attainment": [0-9.]+/)) ladder   = substr($0, RSTART + 18, RLENGTH - 18)
-        if (match($0, /"peak_level": [0-9]+/))      peak     = substr($0, RSTART + 14, RLENGTH - 14)
-        if (match($0, /"final_level": [0-9]+/))     final    = substr($0, RSTART + 15, RLENGTH - 15)
-        if (match($0, /"recovery_ms": -?[0-9.]+/))  recovery = substr($0, RSTART + 15, RLENGTH - 15)
-    }
-    END {
+awk -v base="$(bench_field BENCH_brownout.json '"label": "spike_no_ladder"' slo_attainment)" \
+    -v ladder="$(bench_field BENCH_brownout.json '"label": "spike_ladder"' slo_attainment)" \
+    -v peak="$(bench_field BENCH_brownout.json '"label": "spike_ladder"' peak_level)" \
+    -v final="$(bench_field BENCH_brownout.json '"label": "spike_ladder"' final_level)" \
+    -v recovery="$(bench_field BENCH_brownout.json '"label": "spike_ladder"' recovery_ms)" 'BEGIN {
         if (base == "" || ladder == "" || recovery == "") { print "bench guard: spike rows missing from BENCH_brownout.json" > "/dev/stderr"; exit 1 }
         printf "spike attainment: no ladder %.4f -> ladder %.4f, peak level %d, recovery %.0f ms\n", base, ladder, peak, recovery
         if (ladder - base < 0.3) { print "bench guard: ladder attainment win below 0.3 over the no-ladder baseline" > "/dev/stderr"; exit 1 }
         if (peak + 0 < 1)        { print "bench guard: spike never degraded the ladder" > "/dev/stderr"; exit 1 }
         if (final + 0 != 0)      { print "bench guard: ladder never recovered after the spike" > "/dev/stderr"; exit 1 }
         if (recovery + 0 < 0)    { print "bench guard: recovery_ms missing (controller never returned to level 0)" > "/dev/stderr"; exit 1 }
-    }
-' BENCH_brownout.json
+    }'
 
 echo "== bench guard: monotone worker scaling in BENCH_sched.json =="
 # With the delay layer pinning service time, added workers must add real
 # concurrency: throughput w4 >= w2 >= w1 (2% tolerance for the load
 # generator sharing the box).
-awk '
-    /"label": "scale_w1", "tenants":/ { if (match($0, /"throughput_rps": [0-9.]+/)) w1 = substr($0, RSTART + 18, RLENGTH - 18) }
-    /"label": "scale_w2", "tenants":/ { if (match($0, /"throughput_rps": [0-9.]+/)) w2 = substr($0, RSTART + 18, RLENGTH - 18) }
-    /"label": "scale_w4", "tenants":/ { if (match($0, /"throughput_rps": [0-9.]+/)) w4 = substr($0, RSTART + 18, RLENGTH - 18) }
-    END {
+awk -v w1="$(bench_field BENCH_sched.json '"label": "scale_w1", "tenants":' throughput_rps)" \
+    -v w2="$(bench_field BENCH_sched.json '"label": "scale_w2", "tenants":' throughput_rps)" \
+    -v w4="$(bench_field BENCH_sched.json '"label": "scale_w4", "tenants":' throughput_rps)" 'BEGIN {
         if (w1 == "" || w2 == "" || w4 == "") { print "bench guard: scale_w* rows missing from BENCH_sched.json" > "/dev/stderr"; exit 1 }
         printf "worker scaling: w1 %.0f -> w2 %.0f -> w4 %.0f req/s\n", w1, w2, w4
         if (w2 + 0 < 0.98 * w1 || w4 + 0 < 0.98 * w2) { print "bench guard: worker scaling not monotone" > "/dev/stderr"; exit 1 }
-    }
-' BENCH_sched.json
+    }'
 
 echo "== bench guard: deadline bookkeeping in BENCH_registry.json =="
 # Deadline-aware serving (DESIGN.md §11): with a deadline configured,
@@ -361,16 +369,13 @@ echo "== bench guard: deadline bookkeeping in BENCH_registry.json =="
 # committed serve_64req_deadline row must stay within 5% of the no-swap
 # row. Compared at min_ns — the noise floor — because the medians of
 # these ~0.5 ms closed-loop rows jitter more than the effect measured.
-awk '
-    /"label": "serve_64req_no_swap"/  { if (match($0, /"min_ns": [0-9.]+/)) base     = substr($0, RSTART + 10, RLENGTH - 10) }
-    /"label": "serve_64req_deadline"/ { if (match($0, /"min_ns": [0-9.]+/)) deadline = substr($0, RSTART + 10, RLENGTH - 10) }
-    END {
+awk -v base="$(bench_field BENCH_registry.json '"label": "serve_64req_no_swap"' min_ns)" \
+    -v deadline="$(bench_field BENCH_registry.json '"label": "serve_64req_deadline"' min_ns)" 'BEGIN {
         if (base == "" || deadline == "") { print "bench guard: serve_64req_no_swap/serve_64req_deadline rows missing from BENCH_registry.json" > "/dev/stderr"; exit 1 }
         ratio = deadline / base
         printf "serve_64req_deadline / serve_64req_no_swap min ratio: %.3fx\n", ratio
         if (ratio > 1.05) { print "bench guard: deadline bookkeeping above 5%" > "/dev/stderr"; exit 1 }
-    }
-' BENCH_registry.json
+    }'
 
 echo "== bench guard: batching win in BENCH_serve.json =="
 # The dynamic-batching claim (DESIGN.md §7): batching must still beat
@@ -380,51 +385,42 @@ echo "== bench guard: batching win in BENCH_serve.json =="
 # cache eliminated — unbatched serving got ~3x faster, so batching's
 # remaining (real) win is dispatch amortization, and the single-core CI
 # box adds scheduling noise to any individual multi-worker row.
-awk '
-    /"label": "w1_b1"/   { if (match($0, /"throughput_rps": [0-9.]+/)) base = substr($0, RSTART + 18, RLENGTH - 18) }
-    /"label": "w[124]_b16"/ {
-        if (match($0, /"throughput_rps": [0-9.]+/)) {
-            v = substr($0, RSTART + 18, RLENGTH - 18) + 0
-            if (v > batched) batched = v
-        }
-    }
-    END {
+awk -v base="$(bench_field BENCH_serve.json '"label": "w1_b1"' throughput_rps)" \
+    -v b1="$(bench_field BENCH_serve.json '"label": "w1_b16"' throughput_rps)" \
+    -v b2="$(bench_field BENCH_serve.json '"label": "w2_b16"' throughput_rps)" \
+    -v b4="$(bench_field BENCH_serve.json '"label": "w4_b16"' throughput_rps)" 'BEGIN {
+        batched = b1 + 0
+        if (b2 + 0 > batched) batched = b2 + 0
+        if (b4 + 0 > batched) batched = b4 + 0
         if (base == "" || batched == 0) { print "bench guard: w1_b1/w*_b16 rows missing from BENCH_serve.json" > "/dev/stderr"; exit 1 }
         ratio = batched / base
         printf "best batched / w1_b1 throughput ratio: %.2fx\n", ratio
         if (ratio < 1.05) { print "bench guard: batching win below 1.05x" > "/dev/stderr"; exit 1 }
-    }
-' BENCH_serve.json
+    }'
 
 echo "== bench guard: hot-swap overhead in BENCH_registry.json =="
 # The zero-copy swap claim: a swap is an O(1) Arc+generation exchange,
 # and each worker adopts it with a structural clone that only bumps
 # parameter refcounts. Swapping every 16 requests must therefore keep
 # the closed-loop median within 15% of the no-swap run.
-awk '
-    /"label": "serve_64req_no_swap"/       { if (match($0, /"median_ns": [0-9.]+/)) base = substr($0, RSTART + 13, RLENGTH - 13) }
-    /"label": "serve_64req_swap_every_16"/ { if (match($0, /"median_ns": [0-9.]+/)) swap = substr($0, RSTART + 13, RLENGTH - 13) }
-    END {
+awk -v base="$(bench_field BENCH_registry.json '"label": "serve_64req_no_swap"' median_ns)" \
+    -v swap="$(bench_field BENCH_registry.json '"label": "serve_64req_swap_every_16"' median_ns)" 'BEGIN {
         if (base == "" || swap == "") { print "bench guard: serve_64req_no_swap/serve_64req_swap_every_16 rows missing from BENCH_registry.json" > "/dev/stderr"; exit 1 }
         ratio = swap / base
         printf "serve_64req_swap_every_16 / serve_64req_no_swap median ratio: %.3fx\n", ratio
         if (ratio > 1.15) { print "bench guard: hot-swap overhead above 15%" > "/dev/stderr"; exit 1 }
-    }
-' BENCH_registry.json
+    }'
 
 echo "== bench guard: disabled telemetry path in BENCH_telemetry.json =="
 # The contract that lets metric hooks live in hot loops (DESIGN.md §8):
 # with telemetry off, a guarded hook is one relaxed atomic load plus a
 # branch. The streaming worker's per-step hook pattern (counter bump +
 # latency record) must stay under 5 ns/op absolute when disabled.
-awk '
-    /"label": "disabled\/stream_step_hooks"/ { if (match($0, /"median_ns": [0-9.]+/)) ns = substr($0, RSTART + 13, RLENGTH - 13) }
-    END {
+awk -v ns="$(bench_field BENCH_telemetry.json '"label": "disabled/stream_step_hooks"' median_ns)" 'BEGIN {
         if (ns == "") { print "bench guard: disabled/stream_step_hooks row missing from BENCH_telemetry.json" > "/dev/stderr"; exit 1 }
         printf "disabled stream step hooks: %.1f ns/op\n", ns
         if (ns + 0 > 5) { print "bench guard: disabled telemetry path above 5 ns/op" > "/dev/stderr"; exit 1 }
-    }
-' BENCH_telemetry.json
+    }'
 
 echo "== stream smoke test (--stream: open -> step x16 -> close) =="
 # One sticky session stepped 16 times through the block-circulant GRU.
@@ -468,15 +464,12 @@ echo "== bench guard: sticky-routed worker scaling in BENCH_stream.json =="
 # inherently serial), and the bench pins per-step service time with the
 # delay layer: adding a second worker must add real concurrency,
 # throughput w2 >= w1 (2% tolerance for the submitter sharing the box).
-awk '
-    /"label": "stream_w1"/ { if (match($0, /"throughput_rps": [0-9.]+/)) w1 = substr($0, RSTART + 18, RLENGTH - 18) }
-    /"label": "stream_w2"/ { if (match($0, /"throughput_rps": [0-9.]+/)) w2 = substr($0, RSTART + 18, RLENGTH - 18) }
-    END {
+awk -v w1="$(bench_field BENCH_stream.json '"label": "stream_w1"' throughput_rps)" \
+    -v w2="$(bench_field BENCH_stream.json '"label": "stream_w2"' throughput_rps)" 'BEGIN {
         if (w1 == "" || w2 == "") { print "bench guard: stream_w* rows missing from BENCH_stream.json" > "/dev/stderr"; exit 1 }
         printf "sticky-session scaling: w1 %.0f -> w2 %.0f steps/s\n", w1, w2
         if (w2 + 0 < 0.98 * w1) { print "bench guard: streaming throughput not monotone 1->2 workers" > "/dev/stderr"; exit 1 }
-    }
-' BENCH_stream.json
+    }'
 
 echo "== docs =="
 cargo doc --no-deps --offline --workspace

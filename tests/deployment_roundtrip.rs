@@ -137,6 +137,34 @@ fn corrupted_artifacts_are_rejected_cleanly() {
     assert!(read_parameters_into(&mut net, &params[..]).is_err());
 }
 
+/// §IV-A's deployable form ("simply keep the FFT result FFT(wᵢ)") ships:
+/// a frozen network predicts bit-identically after the model format and
+/// after a registry publish → load — the store must not accept a model
+/// its own `load` then refuses.
+#[test]
+fn frozen_network_survives_the_model_format_and_the_registry() {
+    use ffdl_registry::ModelStore;
+    let trained = paper::arch1(5);
+    let frozen = || paper::freeze_spectral(&trained).unwrap();
+    let x = Tensor::from_fn(&[3, 256], |i| (i as f32 * 0.37).sin());
+    let predict = |net: Network| InferenceEngine::new(net).predict(&x).unwrap();
+    let expected = predict(frozen());
+
+    let mut file = Vec::new();
+    save_network(&frozen(), &mut file).unwrap();
+    let loaded = load_network(&file[..], &full_registry()).unwrap();
+    assert_eq!(loaded.param_count(), frozen().param_count());
+    assert_eq!(predict(loaded), expected);
+
+    let dir = std::env::temp_dir().join(format!("ffdl-frozen-roundtrip-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ModelStore::open(&dir).unwrap();
+    store.publish("arch1", &frozen(), "arch1-frozen").unwrap();
+    let (stored, _) = store.load("arch1", None, &full_registry()).unwrap();
+    assert_eq!(predict(stored), expected);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A serving engine retains no training state: `predict` runs the
 /// inference pass, so a following `backward` finds no forward cache — on
 /// the network as a whole and on every trainable layer in it.
