@@ -1,7 +1,7 @@
 //! Bench behind Fig. 3 / §IV-B: direct convolution vs the im2col
 //! lowering vs the block-circulant CONV layer (layer rows: the inference
-//! pass on a warm `Scratch`). Runs on the in-house harness and writes
-//! `BENCH_conv_reformulation.json`.
+//! pass on a warm `Scratch`), at a small shape and at Arch. 3's. Runs on
+//! the in-house harness and writes `BENCH_conv_reformulation.json`.
 
 use ffdl::core::{CirculantConv2d, FftConv2d};
 use ffdl::nn::{Conv2d, Layer, Scratch};
@@ -48,6 +48,23 @@ fn main() {
     let mut fft_layer = FftConv2d::new(ch, p, h, w, 3, &mut rng).expect("valid dims");
     set.bench("fft_conv_baseline", || {
         let y = fft_layer.forward_infer(black_box(&batch), &mut scratch).expect("valid");
+        scratch.recycle(black_box(y));
+    });
+
+    // Arch. 3's first circulant CONV layer (Table III: 64 → 128 on 28², 3×3,
+    // b = 64) against its dense equivalent. b | C, so the circulant row
+    // reads a spectral image (one transform a pixel); `verify.sh` guards
+    // the ratio of the two rows.
+    let (ch, h, w, p, block) = (64usize, 28usize, 28usize, 128usize, 64usize);
+    let batch = Tensor::from_fn(&[1, ch, h, w], |i| ((i * 7 + 1) % 13) as f32 * 0.1);
+    let mut dense_layer = Conv2d::new(ch, p, h, w, geom, &mut rng).expect("valid dims");
+    set.bench("arch3_dense_conv_layer", || {
+        let y = dense_layer.forward_infer(black_box(&batch), &mut scratch).expect("valid");
+        scratch.recycle(black_box(y));
+    });
+    let mut circ = CirculantConv2d::new(ch, p, h, w, geom, block, &mut rng).expect("valid dims");
+    set.bench_with_size("arch3_circulant_conv_layer", block as u64, || {
+        let y = circ.forward_infer(black_box(&batch), &mut scratch).expect("valid");
         scratch.recycle(black_box(y));
     });
 

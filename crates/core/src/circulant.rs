@@ -8,9 +8,10 @@
 //!
 //! The forward product is not written here: `forward_batch`,
 //! `forward_batch_infer` and `matvec` (and the FC, CONV and GRU layers on
-//! top) all call [`SpectralKernel::block_product`] on the cached weight
-//! spectra, differing only in whether each row's input spectra are kept
-//! for `backward_batch` (Algorithm 2, which is written here).
+//! top) all end in [`SpectralKernel::product`] on the cached weight
+//! spectra, differing only in which input spectra a row reads and whether
+//! they are kept for `backward_batch` (Algorithm 2, which is written
+//! here).
 //!
 //! Conventions (documented in DESIGN.md §3): a circulant block `C` defined
 //! by `w` acts as `C·x = w ⊛ x` (circular convolution). In the row-vector
@@ -21,6 +22,7 @@
 
 use crate::error::CirculantError;
 use crate::spectral::{BlockBuffers, CirculantScratch, InputSpectra, SpectralKernel, Spectrum};
+use ffdl_fft::Complex32;
 use ffdl_tensor::{Init, Tensor};
 use ffdl_rng::Rng;
 use std::sync::{Arc, OnceLock};
@@ -266,25 +268,46 @@ impl BlockCirculantMatrix {
         Ok(())
     }
 
-    /// `out = epilogue(x·W)` through [`SpectralKernel::block_product`] on
-    /// the cached weight spectra — the body of every forward entry point
-    /// below and of the FC, CONV and recurrent layers built on this
-    /// matrix. The caller has checked that `x` is `[batch, in_dim]` and
-    /// shaped `out` as `[batch, out_dim]`.
+    /// The transform engine of this matrix's block size.
+    pub(crate) fn kernel(&self) -> &SpectralKernel {
+        &self.kernel
+    }
+
+    /// `out = epilogue(X̂·Ŵ)`: [`SpectralKernel::product`] on the cached
+    /// weight spectra, over input spectra the caller transformed (the
+    /// CONV layer's spectral image, the GRU's shared `x̂` and `ĥ`). `out`
+    /// holds rows of `out_dim` values.
     pub(crate) fn product(
         &self,
-        x: &Tensor,
-        x_spec: InputSpectra<'_>,
+        x_hat: (&[Complex32], impl Fn(usize, &mut Vec<usize>)),
+        out: &mut [f32],
+        keep: InputSpectra<'_>,
         bufs: &mut BlockBuffers,
+        epilogue: impl Fn(usize, usize, f32) -> f32,
+    ) {
+        let weights = self.shared_weight_spectra();
+        self.kernel
+            .product(&weights[..], x_hat, (out, self.out_dim), keep, bufs, epilogue);
+    }
+
+    /// `out = epilogue(x·W)`, both halves of Algorithm 1 over the rows of
+    /// `x` — the body of every forward entry point below and of the FC
+    /// layer built on this matrix. The caller has checked that `x` is
+    /// `[batch, in_dim]` and shaped `out` as `[batch, out_dim]`.
+    pub(crate) fn rows_product(
+        &self,
+        x: &Tensor,
+        keep: InputSpectra<'_>,
+        scratch: &mut CirculantScratch,
         out: &mut Tensor,
         epilogue: impl Fn(usize, usize, f32) -> f32,
     ) {
-        self.kernel.block_product(
+        self.kernel.rows_product(
             &self.shared_weight_spectra()[..],
             (x.as_slice(), self.in_dim),
             (out.as_mut_slice(), self.out_dim),
-            x_spec,
-            bufs,
+            keep,
+            scratch,
             epilogue,
         );
     }
@@ -302,7 +325,7 @@ impl BlockCirculantMatrix {
         let mut out = Tensor::zeros(&[x.rows(), self.out_dim]);
         let mut cache = ForwardCache::default();
         let keep = InputSpectra::Keep(&mut cache.input_spectra);
-        self.product(x, keep, &mut BlockBuffers::default(), &mut out, |_, _, v| v);
+        self.rows_product(x, keep, &mut CirculantScratch::new(), &mut out, |_, _, v| v);
         Ok((out, cache))
     }
 
@@ -310,9 +333,8 @@ impl BlockCirculantMatrix {
     /// same call as [`Self::forward_batch`] (bit-identical), except that
     /// each row's input spectra are overwritten by the next row's instead
     /// of kept, and every intermediate lives in `scratch`. After a warmup
-    /// call, steady-state invocations perform zero heap allocations for
-    /// power-of-two blocks (Bluestein block sizes still allocate inside
-    /// the planned transform).
+    /// call, steady-state invocations perform zero heap allocations, at
+    /// any block size.
     ///
     /// # Errors
     ///
@@ -326,8 +348,7 @@ impl BlockCirculantMatrix {
     ) -> Result<(), CirculantError> {
         self.check_rows("input", x, self.in_dim)?;
         out.reuse_as(&[x.rows(), self.out_dim]);
-        let reuse = InputSpectra::Reuse(&mut scratch.x_spec);
-        self.product(x, reuse, &mut scratch.bufs, out, |_, _, v| v);
+        self.rows_product(x, InputSpectra::Reuse, scratch, out, |_, _, v| v);
         Ok(())
     }
 
@@ -366,28 +387,28 @@ impl BlockCirculantMatrix {
             .map(|_| (0..self.kb_in).map(|_| self.kernel.zero_accumulator()).collect())
             .collect();
 
-        let mut g_spec = Vec::new();
-        let mut bufs = BlockBuffers::default();
+        // Pad and transform the gradient blocks: Algorithm 1's first half,
+        // on the other side of the matrix.
+        let (mut g_hat, bins) = (Vec::new(), self.kernel.bins());
+        let g_rows = (grad_out.as_slice(), self.out_dim);
+        self.kernel.spectra_of(g_rows, &mut BlockBuffers::default(), &mut g_hat);
         for s in 0..batch {
-            // Pad and transform the gradient blocks: Algorithm 1's first
-            // stage, on the other side of the matrix.
-            self.kernel.row_spectra(grad_out.row(s), &mut bufs, &mut g_spec);
-
+            let g_spec = g_hat[s * self.kb_out * bins..(s + 1) * self.kb_out * bins].chunks_exact(bins);
             let x_spec = &cache.input_spectra[s];
             let mut gx_padded = vec![0.0f32; self.kb_in * b];
             for j in 0..self.kb_in {
                 let mut acc = self.kernel.zero_accumulator();
-                for i in 0..self.kb_out {
+                for (gs, w_row) in g_spec.clone().zip(w_spec.iter()) {
                     // ∂L/∂x_j += corr(g_i, w_ij) = IFFT(G_i ∘ conj(W_ij)).
-                    SpectralKernel::mul_conj_accumulate(&mut acc, &g_spec[i], &w_spec[i][j]);
-                    // ∂L/∂w_ij += corr(g_i, x_j) = IFFT(G_i ∘ conj(X_j)).
+                    SpectralKernel::mul_conj_accumulate(&mut acc, gs, &w_row[j]);
                 }
                 let gx_block = self.kernel.inverse(&acc);
                 gx_padded[j * b..(j + 1) * b].copy_from_slice(&gx_block);
             }
-            for (i, gs) in g_spec.iter().enumerate() {
-                for (j, xs) in x_spec.iter().enumerate() {
-                    SpectralKernel::mul_conj_accumulate(&mut grad_w_spec[i][j], gs, xs);
+            for (gs, grad_row) in g_spec.zip(grad_w_spec.iter_mut()) {
+                for (grad, xs) in grad_row.iter_mut().zip(x_spec) {
+                    // ∂L/∂w_ij += corr(g_i, x_j) = IFFT(G_i ∘ conj(X_j)).
+                    SpectralKernel::mul_conj_accumulate(grad, gs, xs);
                 }
             }
             grad_x.extend_from_slice(&gx_padded[..self.in_dim]);

@@ -145,8 +145,8 @@ impl Layer for CirculantDense {
 
     /// Algorithm 1 with the output drawn from `scratch`. With `keep`
     /// every row's input spectra are recorded for
-    /// [`backward`](Layer::backward) (Algorithm 2); without it they are
-    /// overwritten row by row and nothing is left behind.
+    /// [`backward`](Layer::backward) (Algorithm 2); without it nothing is
+    /// left behind.
     fn forward_with(
         &mut self,
         input: &Tensor,
@@ -155,16 +155,15 @@ impl Layer for CirculantDense {
     ) -> Result<Tensor, NnError> {
         check_batch_input("circulant_dense", input, self.matrix.in_dim())?;
         let mut y = scratch.take(&[input.rows(), self.matrix.out_dim()]);
-        let sc = &mut self.infer_scratch;
         let mut cache = ForwardCache::default();
         let x_spec = if keep {
             InputSpectra::Keep(&mut cache.input_spectra)
         } else {
-            InputSpectra::Reuse(&mut sc.x_spec)
+            InputSpectra::Reuse
         };
         let bias = self.bias.as_slice();
         self.matrix
-            .product(input, x_spec, &mut sc.bufs, &mut y, |_, k, v| v + bias[k]);
+            .rows_product(input, x_spec, &mut self.infer_scratch, &mut y, |_, k, v| v + bias[k]);
         if keep {
             self.cache = Some(cache);
         }

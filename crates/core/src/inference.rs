@@ -5,7 +5,7 @@
 //! This is what the deployment pipeline ships to the embedded target: the
 //! forward pass skips the weight-side FFTs entirely, leaving one FFT per
 //! input block, the spectral MACs, and one IFFT per output block — the
-//! shared Algorithm 1 routine (`SpectralKernel::block_product`) on the
+//! shared Algorithm 1 routine (`SpectralKernel::product`) on the
 //! stored spectra with a `+ bias` epilogue. There is nothing to record
 //! for a backward pass, so `forward` and `forward_infer` are one route.
 
@@ -105,12 +105,12 @@ impl Layer for SpectralDense {
         check_batch_input("spectral_dense", input, self.in_dim)?;
         let mut out = scratch.take(&[input.rows(), self.out_dim]);
         let bias = self.bias.as_slice();
-        self.kernel.block_product(
+        self.kernel.rows_product(
             &self.spectra[..],
             (input.as_slice(), self.in_dim),
             (out.as_mut_slice(), self.out_dim),
-            InputSpectra::Reuse(&mut self.infer_scratch.x_spec),
-            &mut self.infer_scratch.bufs,
+            InputSpectra::Reuse,
+            &mut self.infer_scratch,
             |_, k, v| v + bias[k],
         );
         Ok(out)

@@ -9,7 +9,7 @@
 //! more symmetric scale of its own (reconstructed once at load time,
 //! never per batch). Inference never
 //! dequantizes the weight tensor — the forward pass is the shared
-//! Algorithm 1 routine (`SpectralKernel::block_product`) reading integer
+//! Algorithm 1 routine (`SpectralKernel::product`) reading integer
 //! levels ([`SpectralKernel::mul_accumulate_levels`]): pure level-valued
 //! products accumulate across all input blocks, and the epilogue applies
 //! the block scale exactly once per output value (the IFFT is linear, so
@@ -348,15 +348,15 @@ impl Layer for QuantizedSpectralDense {
         // Pure level-valued products accumulate over all input blocks;
         // the block scale is applied once per output value, after the
         // IFFT (which is linear).
-        self.kernel.block_product(
+        self.kernel.rows_product(
             &LevelGrid {
                 levels: &self.levels,
                 kb_in: self.kb_in,
             },
             (input.as_slice(), self.in_dim),
             (out.as_mut_slice(), self.out_dim),
-            InputSpectra::Reuse(&mut self.infer_scratch.x_spec),
-            &mut self.infer_scratch.bufs,
+            InputSpectra::Reuse,
+            &mut self.infer_scratch,
             |i, k, v| v * scales[i] + bias[k],
         );
         Ok(out)

@@ -23,7 +23,8 @@
 
 use crate::circulant::BlockCirculantMatrix;
 use crate::dense_layer::check_batch_input;
-use crate::spectral::CirculantScratch;
+use crate::spectral::{identity_view, CirculantScratch, InputSpectra};
+use ffdl_fft::Complex32;
 use ffdl_nn::{wire, Layer, NnError, OpCost, Scratch};
 use ffdl_rng::Rng;
 use ffdl_tensor::Tensor;
@@ -55,39 +56,26 @@ pub struct CirculantGru {
     infer_scratch: GruScratch,
 }
 
-/// Reusable buffers for one GRU step: the FFT workspace plus the row
-/// tensors the six matrix products read and write. One per driver (the
-/// stream engine keeps one per worker); after warmup a step touches no
-/// heap.
+/// Reusable buffers for one GRU step: the FFT workspace with the token's
+/// spectra `x̂`, the hidden state's spectra `ĥ`, and the rows the six
+/// matrix products write. One per driver (the stream engine keeps one
+/// per worker); after warmup a step touches no heap.
+#[derive(Default)]
 pub struct GruScratch {
+    /// Transform buffers, and `x̂` in `x_spec`.
     circ: CirculantScratch,
-    /// `[1, in_dim]` input row.
-    x_in: Tensor,
-    /// `[1, hidden]` hidden-state row.
-    h_in: Tensor,
-    /// `x·W_g` products, `[1, hidden]` each.
-    xg: [Tensor; 3],
-    /// `h·U_g` products, `[1, hidden]` each.
-    hg: [Tensor; 3],
+    /// `ĥ`, flat `[blocks, bins]` like `x̂`.
+    h_spec: Vec<Complex32>,
+    /// `x·W_g` products, `hidden` values each.
+    xg: [Vec<f32>; 3],
+    /// `h·U_g` products, `hidden` values each.
+    hg: [Vec<f32>; 3],
 }
 
 impl GruScratch {
     /// Creates an empty scratch set; buffers grow on first use.
     pub fn new() -> Self {
-        let t = || Tensor::zeros(&[1]);
-        Self {
-            circ: CirculantScratch::new(),
-            x_in: t(),
-            h_in: t(),
-            xg: [t(), t(), t()],
-            hg: [t(), t(), t()],
-        }
-    }
-}
-
-impl Default for GruScratch {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -171,13 +159,19 @@ impl CirculantGru {
                 ),
             });
         }
-        scratch.x_in.reuse_as(&[1, self.in_dim]);
-        scratch.x_in.as_mut_slice().copy_from_slice(x);
-        scratch.h_in.reuse_as(&[1, self.hidden]);
-        scratch.h_in.as_mut_slice().copy_from_slice(h);
+        // One transform of the token and one of the state serve all three
+        // gates: the six products read x̂ and ĥ through the identity view.
+        let GruScratch { circ, h_spec, xg, hg } = scratch;
+        let kernel = self.w[0].kernel();
+        kernel.spectra_of((x, self.in_dim), &mut circ.bufs, &mut circ.x_spec);
+        kernel.spectra_of((h, self.hidden), &mut circ.bufs, h_spec);
         for g in 0..3 {
-            self.w[g].forward_batch_infer(&scratch.x_in, &mut scratch.circ, &mut scratch.xg[g])?;
-            self.u[g].forward_batch_infer(&scratch.h_in, &mut scratch.circ, &mut scratch.hg[g])?;
+            let sides = [(&self.w[g], &circ.x_spec, &mut xg[g]), (&self.u[g], &*h_spec, &mut hg[g])];
+            for (m, spec, y) in sides {
+                y.resize(self.hidden, 0.0);
+                let view = identity_view(m.in_blocks());
+                m.product((spec, view), y, InputSpectra::Reuse, &mut circ.bufs, |_, _, v| v);
+            }
         }
         let (bz, br, bn) = (
             self.b[0].as_slice(),
@@ -185,10 +179,9 @@ impl CirculantGru {
             self.b[2].as_slice(),
         );
         for k in 0..self.hidden {
-            let z = sigmoid(scratch.xg[0].as_slice()[k] + scratch.hg[0].as_slice()[k] + bz[k]);
-            let r = sigmoid(scratch.xg[1].as_slice()[k] + scratch.hg[1].as_slice()[k] + br[k]);
-            let n =
-                (scratch.xg[2].as_slice()[k] + r * scratch.hg[2].as_slice()[k] + bn[k]).tanh();
+            let z = sigmoid(xg[0][k] + hg[0][k] + bz[k]);
+            let r = sigmoid(xg[1][k] + hg[1][k] + br[k]);
+            let n = (xg[2][k] + r * hg[2][k] + bn[k]).tanh();
             h[k] = (1.0 - z) * n + z * h[k];
         }
         Ok(())

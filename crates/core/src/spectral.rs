@@ -8,13 +8,19 @@
 //! - `acc += FFT(w) ∘ FFT(x)` — forward (circular convolution),
 //! - `acc += FFT(g) ∘ conj(FFT(·))` — both gradients (circular correlation).
 //!
-//! [`SpectralKernel::block_product`] is the one block-spectral product
-//! under every circulant layer — training and frozen, `f32` and
-//! fixed-point, FC, CONV and recurrent (DESIGN.md "Algorithm 1, once").
-//! The layers differ only in what they hand it: where a weight bin comes
-//! from ([`BlockWeights`]), what is done to an output value (the
-//! epilogue) and whether a row's input spectra are kept for the backward
-//! pass ([`InputSpectra`]).
+//! Algorithm 1 is cut in two halves (DESIGN.md "Algorithm 1, once").
+//! [`SpectralKernel::spectra_of`] transforms contiguous `b`-blocks into one
+//! flat buffer of spectra `X̂`; [`SpectralKernel::product`] is the one
+//! block-spectral product under every circulant layer — training and
+//! frozen, `f32` and fixed-point, FC, CONV and recurrent — and reads
+//! "input block `j` of output row `s`" through a view, by *index* into
+//! `X̂`. So one transform can serve several rows, several kernel offsets
+//! (the CONV layer's spectral image) or several weight matrices (the
+//! GRU's gates). The layers differ only in what they hand it: where a
+//! weight bin comes from ([`BlockWeights`]), which spectra a row reads
+//! (the view), what is done to an output value (the epilogue) and whether
+//! a row's input spectra are kept for the backward pass
+//! ([`InputSpectra`]).
 
 use ffdl_fft::{Complex32, RealFft};
 
@@ -22,14 +28,15 @@ use ffdl_fft::{Complex32, RealFft};
 pub type Spectrum = Vec<Complex32>;
 
 /// Reusable buffers of the block-circulant product (Algorithm 1): the
-/// per-block input spectra of the current row plus the transform
-/// intermediates. After a warmup call, steady-state inference reuses all
-/// of them without touching the heap.
+/// input spectra of the current call plus the transform intermediates.
+/// After a warmup call, steady-state inference reuses all of them
+/// without touching the heap.
 #[derive(Default)]
 pub struct CirculantScratch {
-    /// Per-input-block spectra of the current row.
-    pub(crate) x_spec: Vec<Spectrum>,
-    /// Everything else the product writes through.
+    /// The input spectra `X̂`, flat `[slots, bins]`, grow-only: a scratch
+    /// shared by calls of different sizes keeps its warm length.
+    pub(crate) x_spec: Vec<Complex32>,
+    /// Everything else the two halves write through.
     pub(crate) bufs: BlockBuffers,
 }
 
@@ -40,28 +47,37 @@ impl CirculantScratch {
     }
 }
 
-/// The transform-side buffers of Algorithm 1 (everything but the input
-/// spectra, which the training pass keeps and the inference pass reuses).
+/// The buffers of Algorithm 1 other than the input spectra (which the
+/// GRU holds two sets of at once).
 #[derive(Default)]
 pub(crate) struct BlockBuffers {
     /// Packing intermediate for the real FFT.
     fft: Vec<Complex32>,
-    /// Zero-padded input row (`blocks · b` long).
+    /// Zero-padded input rows (`blocks · b` each).
     padded: Vec<f32>,
+    /// The view of the current output row: the slot in `X̂` of each of
+    /// its input blocks.
+    slots: Vec<usize>,
     /// Frequency-domain accumulator for one output block.
     acc: Spectrum,
     /// Time-domain output block.
     y_block: Vec<f32>,
 }
 
-/// Where the input spectra of a row go: the one difference between the
+/// What becomes of a row's input spectra: the one difference between the
 /// inference pass and "the pass that records what `backward` needs".
 pub(crate) enum InputSpectra<'a> {
-    /// Inference: one row's spectra, overwritten by the next row.
-    Reuse(&'a mut Vec<Spectrum>),
-    /// Training: every row's spectra kept, `[row][input_block]` —
+    /// Inference: they stay in `X̂` until the next call overwrites it.
+    Reuse,
+    /// Training: every row's spectra copied out, `[row][input_block]` —
     /// Algorithm 2 reuses `FFT(x)`.
     Keep(&'a mut Vec<Vec<Spectrum>>),
+}
+
+/// The view of a row that reads its own `kb_in` spectra, rows laid out
+/// one after another in `X̂` — every FC-shaped product.
+pub(crate) fn identity_view(kb_in: usize) -> impl Fn(usize, &mut Vec<usize>) {
+    move |s, slots| slots.extend(s * kb_in..(s + 1) * kb_in)
 }
 
 /// Where Algorithm 1 reads the weight bins of block `(i, j)` from — the
@@ -151,8 +167,7 @@ impl SpectralKernel {
     /// Allocation-reusing variant of [`SpectralKernel::spectrum`]: writes
     /// the half spectrum into `out`, using `fft_scratch` for the packed
     /// intermediate. Steady-state calls perform no heap allocation once
-    /// both vectors are warm (power-of-two blocks; Bluestein lengths
-    /// still allocate inside the planned transform).
+    /// both vectors are warm, at any block size.
     ///
     /// # Panics
     ///
@@ -181,55 +196,77 @@ impl SpectralKernel {
             .expect("bin count is fixed");
     }
 
-    /// First stage of Algorithms 1 and 2: zero-pads `row` to whole
-    /// blocks and writes one half spectrum per block into `spec`.
-    pub(crate) fn row_spectra(&self, row: &[f32], bufs: &mut BlockBuffers, spec: &mut Vec<Spectrum>) {
-        let blocks = row.len().div_ceil(self.block);
-        bufs.padded.clear();
-        bufs.padded.extend_from_slice(row);
-        bufs.padded.resize(blocks * self.block, 0.0);
-        // Grow only: a scratch shared by matrices of different widths
-        // (the GRU's six) keeps its warm spectra instead of dropping them.
-        spec.resize_with(blocks.max(spec.len()), Spectrum::new);
-        for (chunk, s) in bufs.padded.chunks_exact(self.block).zip(spec.iter_mut()) {
-            self.spectrum_into(chunk, &mut bufs.fft, s);
+    /// First half of Algorithms 1 and 2, and their only forward-transform
+    /// loop: the rows of `x` (`in_dim` values each, zero-padded to whole
+    /// blocks first when `b ∤ in_dim`) are transformed block by block into
+    /// `spec`, flat `[slots, bins]` — block `j` of row `s` into slot
+    /// `s · kb_in + j`.
+    pub(crate) fn spectra_of(
+        &self,
+        (x, in_dim): (&[f32], usize),
+        bufs: &mut BlockBuffers,
+        spec: &mut Vec<Complex32>,
+    ) {
+        let BlockBuffers { fft, padded, .. } = bufs;
+        let (bins, width) = (self.bins(), in_dim.div_ceil(self.block) * self.block);
+        let blocks = if width == in_dim {
+            x
+        } else {
+            padded.clear();
+            for row in x.chunks_exact(in_dim) {
+                padded.extend_from_slice(row);
+                padded.resize(padded.len() + width - in_dim, 0.0);
+            }
+            &padded[..]
+        };
+        let blocks = blocks.chunks_exact(self.block);
+        if spec.len() < blocks.len() * bins {
+            spec.resize(blocks.len() * bins, Complex32::zero());
+        }
+        for (block, slot) in blocks.zip(spec.chunks_exact_mut(bins)) {
+            self.plan
+                .forward_into_slice(block, fft, slot)
+                .expect("block and bin counts are fixed");
         }
     }
 
-    /// Algorithm 1 over a batch of rows, `y = epilogue(x · W)`: per row,
-    /// pad and transform the input blocks (into `x_spec`), then for each
-    /// output block `i` zero the accumulator, add `Ŵᵢⱼ ⊙ X̂ⱼ` over `j`
-    /// ascending, invert, and write `epilogue(i, k, value)` to output
-    /// position `k` of the un-padded row. `x` holds rows of `in_dim`
-    /// values, `y` rows of `out_dim`.
+    /// Second half of Algorithm 1, `y = epilogue(X̂ · Ŵ)`: for output row
+    /// `s`, `view(s, slots)` names the slot in `spec` of each input block
+    /// `j`; then for each output block `i` zero the accumulator, add
+    /// `Ŵᵢⱼ ⊙ X̂[slots[j]]` over `j` ascending, invert, and write
+    /// `epilogue(i, k, value)` to position `k` of the un-padded row. `y`
+    /// holds rows of `out_dim` values.
     ///
-    /// Every circulant layer's forward pass is a call to this function,
-    /// so the arithmetic and its order — and therefore every output bit —
+    /// Every circulant layer's forward pass ends in this function, so
+    /// the arithmetic and its order — and therefore every output bit —
     /// are the same on all of them.
-    pub(crate) fn block_product<W: BlockWeights + ?Sized>(
+    pub(crate) fn product<W: BlockWeights + ?Sized>(
         &self,
         weights: &W,
-        (x, in_dim): (&[f32], usize),
+        (spec, view): (&[Complex32], impl Fn(usize, &mut Vec<usize>)),
         (y, out_dim): (&mut [f32], usize),
-        mut x_spec: InputSpectra<'_>,
+        mut keep: InputSpectra<'_>,
         bufs: &mut BlockBuffers,
         epilogue: impl Fn(usize, usize, f32) -> f32,
     ) {
-        let (kb_in, bins) = (in_dim.div_ceil(self.block), self.bins());
-        if let InputSpectra::Keep(rows) = &mut x_spec {
-            rows.resize_with(x.len() / in_dim, Vec::new);
+        let bins = self.bins();
+        let x_hat = |at: usize| &spec[at..at + bins];
+        if let InputSpectra::Keep(rows) = &mut keep {
+            rows.clear();
         }
-        for (s, (x_row, y_row)) in x.chunks_exact(in_dim).zip(y.chunks_exact_mut(out_dim)).enumerate() {
-            let spec = match &mut x_spec {
-                InputSpectra::Reuse(spec) => &mut **spec,
-                InputSpectra::Keep(rows) => &mut rows[s],
-            };
-            self.row_spectra(x_row, bufs, spec);
+        for (s, y_row) in y.chunks_exact_mut(out_dim).enumerate() {
+            bufs.slots.clear();
+            view(s, &mut bufs.slots);
+            // Slot → offset once a row, not once a multiply-accumulate.
+            bufs.slots.iter_mut().for_each(|slot| *slot *= bins);
+            if let InputSpectra::Keep(rows) = &mut keep {
+                rows.push(bufs.slots.iter().map(|&at| x_hat(at).to_vec()).collect());
+            }
             for (i, y_chunk) in y_row.chunks_mut(self.block).enumerate() {
                 bufs.acc.clear();
                 bufs.acc.resize(bins, Complex32::zero());
-                for (j, x_j) in spec[..kb_in].iter().enumerate() {
-                    weights.accumulate(&mut bufs.acc, i, j, x_j);
+                for (j, &at) in bufs.slots.iter().enumerate() {
+                    weights.accumulate(&mut bufs.acc, i, j, x_hat(at));
                 }
                 self.inverse_into(&bufs.acc, &mut bufs.fft, &mut bufs.y_block);
                 for (k, (o, &v)) in y_chunk.iter_mut().zip(&bufs.y_block).enumerate() {
@@ -237,6 +274,22 @@ impl SpectralKernel {
                 }
             }
         }
+    }
+
+    /// Both halves over whole rows, `y = epilogue(x · W)`: the forward
+    /// pass of every FC-shaped layer. `x` holds rows of `in_dim` values.
+    pub(crate) fn rows_product<W: BlockWeights + ?Sized>(
+        &self,
+        weights: &W,
+        (x, in_dim): (&[f32], usize),
+        y: (&mut [f32], usize),
+        keep: InputSpectra<'_>,
+        sc: &mut CirculantScratch,
+        epilogue: impl Fn(usize, usize, f32) -> f32,
+    ) {
+        self.spectra_of((x, in_dim), &mut sc.bufs, &mut sc.x_spec);
+        let view = identity_view(in_dim.div_ceil(self.block));
+        self.product(weights, (&sc.x_spec, view), y, keep, &mut sc.bufs, epilogue);
     }
 
     /// `acc[k] += a[k] · b[k]` — the component-wise multiplication at the
@@ -307,6 +360,64 @@ mod tests {
 
     fn signal(n: usize, seed: f32) -> Vec<f32> {
         (0..n).map(|k| (k as f32 * seed).sin() + 0.2).collect()
+    }
+
+    /// Values that are exact in `f32`, so the pinned bits below depend on
+    /// the transform alone, not on the platform's `sin`.
+    fn exact(n: usize, salt: usize) -> Vec<f32> {
+        (0..n).map(|i| ((i * 7 + salt * 5 + 3) % 19) as f32 * 0.125 - 1.0).collect()
+    }
+
+    /// Output bits of the monolithic `block_product` this file had before
+    /// it was cut in two halves, on padded, non-dividing widths (two rows
+    /// each; power-of-two, odd and chirp-transform blocks).
+    #[test]
+    fn product_under_the_identity_view_keeps_the_bits_of_the_one_piece_product() {
+        pinned((10, 7, 4), &[
+            0xc04f0000, 0x3e100000, 0x405e0000, 0x40ad8000, 0x40d28000, 0x40b00000, 0x40958000,
+            0x40310000, 0x3d000000, 0x3f5c0000, 0x40520000, 0x40c78000, 0x40cf0000, 0x410c8000,
+        ]);
+        pinned((7, 5, 3), &[
+            0x3fa80002, 0x3ed80004, 0x3fbbfffe, 0x4069ffff, 0x40ca8000, 0x401c0002, 0x3da00010,
+            0x4014ffff, 0x408d8000, 0x40b40000,
+        ]);
+        pinned((13, 11, 6), &[
+            0x3fbe0002, 0x3fb9ffff, 0x3f91fffb, 0x404e0001, 0x40750001, 0x408e8000, 0x40ca7fff,
+            0x40b68000, 0x41270001, 0x4105c000, 0x41520000, 0x3f33fffb, 0x40010001, 0x3f2bfffe,
+            0x40830000, 0x409b8000, 0x408e8000, 0x40ea0001, 0x41008000, 0x413bc000, 0x411d0000,
+            0x41248000,
+        ]);
+        pinned((70, 9, 64), &[
+            0xbf180008, 0x416cffff, 0xc173c000, 0x415c3fff, 0x410e4000, 0xc11f7fff, 0x41a08000,
+            0x40e10002, 0x40c4ffff, 0xc1e10000, 0x4179ffff, 0x40bd0001, 0xc1000000, 0x4195e000,
+            0x3c800100, 0x41234000, 0x41868000, 0xc0e58000,
+        ]);
+    }
+
+    fn pinned((in_dim, out_dim, b): (usize, usize, usize), bits: &[u32]) {
+        let kernel = SpectralKernel::new(b);
+        let (kb_in, kb_out) = (in_dim.div_ceil(b), out_dim.div_ceil(b));
+        let weights: Vec<Vec<Spectrum>> = (0..kb_out)
+            .map(|i| (0..kb_in).map(|j| kernel.spectrum(&exact(b, 1 + i * kb_in + j))).collect())
+            .collect();
+        let x = exact(2 * in_dim, 0);
+        let mut y = vec![0.0f32; 2 * out_dim];
+        let mut kept = Vec::new();
+        kernel.rows_product(
+            &weights[..],
+            (&x, in_dim),
+            (&mut y, out_dim),
+            InputSpectra::Keep(&mut kept),
+            &mut CirculantScratch::new(),
+            |i, k, v| v + (i + k) as f32,
+        );
+        let got: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, bits, "in {in_dim} out {out_dim} block {b}");
+        // What Algorithm 2 is handed: each row's own zero-padded blocks.
+        let mut last_block = x[in_dim + (kb_in - 1) * b..].to_vec();
+        last_block.resize(b, 0.0);
+        assert_eq!((kept.len(), kept[1].len()), (2, kb_in));
+        assert_eq!(kept[1][kb_in - 1], kernel.spectrum(&last_block));
     }
 
     #[test]

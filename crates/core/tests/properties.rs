@@ -11,8 +11,8 @@
 //! replayable failures).
 
 use ffdl_core::{
-    full_registry, BlockCirculantMatrix, CirculantConv2d, CirculantDense, CirculantGru, FftConv2d,
-    QuantBits, QuantizedSpectralDense, SpectralDense,
+    full_registry, BlockCirculantMatrix, CirculantConv2d, CirculantDense, CirculantGru,
+    CirculantScratch, FftConv2d, QuantBits, QuantizedSpectralDense, SpectralDense,
 };
 use ffdl_nn::{
     copy_layer, load_network, save_network, AvgPool2d, Conv2d, Dense, Flatten, Layer, MaxPool2d,
@@ -20,7 +20,7 @@ use ffdl_nn::{
 };
 use ffdl_rng::prop::{check, PropResult};
 use ffdl_rng::{prop_assert, prop_assert_eq, Rng, SeedableRng, SmallRng};
-use ffdl_tensor::{ConvGeometry, Tensor};
+use ffdl_tensor::{im2col, ConvGeometry, Tensor};
 
 /// (in_dim, out_dim, block, batch, seed) — includes padding cases.
 fn geometry(rng: &mut SmallRng) -> (usize, usize, usize, usize, u64) {
@@ -124,9 +124,18 @@ type FormsCase = (
 );
 
 fn forms_case(rng: &mut SmallRng) -> FormsCase {
+    let dense = geometry(rng);
+    // Every other case (on average) the channel count is a multiple of
+    // the block, so `CirculantConv2d` reads its spectral image; the rest
+    // take the im2col fallback (1..=3 channels seldom divide).
+    let channels = if rng.gen_range(0usize..2) == 0 {
+        dense.2 * rng.gen_range(1usize..=2)
+    } else {
+        rng.gen_range(1usize..=3)
+    };
     (
-        geometry(rng),
-        (rng.gen_range(1usize..=3), rng.gen_range(5usize..=8), rng.gen_range(5usize..=8)),
+        dense,
+        (channels, rng.gen_range(5usize..=8), rng.gen_range(5usize..=8)),
         rng.gen_range(1usize..=4),
         (rng.gen_range(2usize..=3), rng.gen_range(1usize..=2), rng.gen_range(0usize..=1)),
     )
@@ -223,6 +232,72 @@ fn every_layer_type_survives_the_wire_and_the_copy() {
                     prop_assert!(bits(&y_rebuilt) == y, "{tag}: {route}: output differs");
                 }
             }
+            Ok(())
+        },
+    );
+}
+
+/// (channels, block, filters, (height, width), geometry, batch, seed):
+/// `channels` is a multiple of `block`, plus one in a quarter of the cases
+/// — which then take the im2col fallback (blocks of 1 always divide).
+type ConvCase = (usize, usize, usize, (usize, usize), ConvGeometry, usize, u64);
+
+fn conv_case(rng: &mut SmallRng) -> ConvCase {
+    let block = rng.gen_range(1usize..=8);
+    let channels = block * rng.gen_range(1usize..=3) + usize::from(rng.gen_range(0usize..4) == 0);
+    let geom = ConvGeometry {
+        kernel: rng.gen_range(1usize..=3),
+        stride: rng.gen_range(1usize..=2),
+        pad: rng.gen_range(0usize..=1),
+    };
+    (
+        channels,
+        block,
+        rng.gen_range(1usize..=9),
+        (rng.gen_range(4usize..=7), rng.gen_range(4usize..=7)),
+        geom,
+        rng.gen_range(1usize..=2),
+        rng.gen_range(0u64..1000),
+    )
+}
+
+/// The CONV layer's spectral image is a faster way to run the paper's
+/// lowering, not a different product: both passes equal, **bit for bit**,
+/// im2col → block-circulant product on the lowered rows → transpose plus
+/// bias, assembled here from the public parts — whether `b | C` or not.
+#[test]
+fn conv_image_path_equals_the_im2col_lowering_bitwise() {
+    check(
+        "conv_image_path_equals_the_im2col_lowering_bitwise",
+        40,
+        conv_case,
+        |&(c, block, filters, (h, w), geom, batch, seed)| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut layer = CirculantConv2d::new(c, filters, h, w, geom, block, &mut rng).unwrap();
+            let bias = Tensor::from_fn(&[filters], |p| p as f32 * 0.25 - 0.5);
+            *layer.parameters()[1].value = bias.clone();
+            let x = input_tensor(batch, c * h * w, seed.wrapping_add(41))
+                .reshape(&[batch, c, h, w])
+                .unwrap();
+            let y = both_forwards(&mut layer, &x)?;
+
+            let pixels = layer.out_h() * layer.out_w();
+            let mut lowered = Vec::with_capacity(batch * filters * pixels);
+            let mut rows = Tensor::zeros(&[0]);
+            for s in 0..batch {
+                let sample = x.as_slice()[s * c * h * w..(s + 1) * c * h * w].to_vec();
+                let cols = im2col(&Tensor::from_vec(sample, &[c, h, w]).unwrap(), geom).unwrap();
+                layer
+                    .matrix()
+                    .forward_batch_infer(&cols, &mut CirculantScratch::new(), &mut rows)
+                    .unwrap();
+                for p in 0..filters {
+                    lowered.extend((0..pixels).map(|pix| rows.row(pix)[p] + bias.as_slice()[p]));
+                }
+            }
+            prop_assert_eq!(y.shape(), &[batch, filters, layer.out_h(), layer.out_w()][..]);
+            let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            prop_assert_eq!(bits(y.as_slice()), bits(&lowered));
             Ok(())
         },
     );

@@ -8,8 +8,9 @@
 //! [`Network::forward_batch_with`] calls must perform **zero** heap
 //! allocations: that is the contract the serving hot path relies on,
 //! for every form the one Algorithm 1 routine is served in — training
-//! layer, frozen `f32` spectra, fixed-point levels and the CONV lowering
-//! (power-of-two blocks).
+//! layer, frozen `f32` spectra, fixed-point levels, the CONV layer's
+//! spectral image and its im2col fallback — at power-of-two blocks and at
+//! the odd and even chirp-transform blocks of Arch. 2's sizes.
 //!
 //! This lives in an integration test (its own crate) deliberately: the
 //! allocator shim needs `unsafe`, which the library crates forbid.
@@ -110,10 +111,30 @@ fn stacks() -> Vec<(&'static str, Network, Vec<usize>)> {
     conv.push(Dense::new(4 * 4 * 4, 4, &mut rng));
     conv.push(Softmax::new());
 
+    // b | C with padded taps: the spectral image and its zero slot.
+    let same = ConvGeometry { kernel: 3, stride: 1, pad: 1 };
+    let mut conv_image = Network::new();
+    conv_image.push(CirculantConv2d::new(8, 4, 6, 6, same, 4, &mut rng).unwrap());
+    conv_image.push(Relu::new());
+    conv_image.push(Flatten::new());
+    conv_image.push(Dense::new(4 * 6 * 6, 4, &mut rng));
+    conv_image.push(Softmax::new());
+
+    // Blocks that are not powers of two run the chirp transform: odd 11
+    // as a full complex transform, even 6 around a 3-point half.
+    let head = CirculantDense::new(64, 10, 6, &mut rng).unwrap();
+    let mut chirp = Network::new();
+    chirp.push(CirculantDense::new(121, 64, 11, &mut rng).unwrap());
+    chirp.push(Relu::new());
+    chirp.push(SpectralDense::from_matrix(head.matrix(), head.bias().clone()));
+    chirp.push(Softmax::new());
+
     vec![
         ("circulant_dense", training, vec![16]),
         ("frozen_f32_int8", frozen, vec![16]),
-        ("circulant_conv2d", conv, vec![2, 6, 6]),
+        ("circulant_conv2d_fallback", conv, vec![2, 6, 6]),
+        ("circulant_conv2d_image", conv_image, vec![8, 6, 6]),
+        ("chirp_blocks", chirp, vec![121]),
     ]
 }
 

@@ -15,6 +15,11 @@ use crate::error::FftError;
 use crate::plan::{Direction, Fft, Radix2};
 
 /// Bluestein chirp-z FFT plan for an arbitrary length.
+///
+/// The inner convolution needs [`Bluestein::conv_len`] elements of working
+/// space: [`Fft::process`] allocates them per call, [`Fft::process_with`]
+/// takes them from the caller (as [`RealFft`](crate::RealFft) does, so a
+/// warm real transform allocates nothing at any length).
 pub struct Bluestein<T> {
     len: usize,
     direction: Direction,
@@ -95,6 +100,18 @@ impl<T: FftFloat> Fft<T> for Bluestein<T> {
     }
 
     fn process(&self, buf: &mut [Complex<T>]) -> Result<(), FftError> {
+        self.process_with(buf, &mut vec![Complex::zero(); self.conv_len])
+    }
+
+    fn scratch_len(&self) -> usize {
+        self.conv_len
+    }
+
+    fn process_with(
+        &self,
+        buf: &mut [Complex<T>],
+        scratch: &mut [Complex<T>],
+    ) -> Result<(), FftError> {
         if buf.len() != self.len {
             return Err(FftError::LengthMismatch {
                 expected: self.len,
@@ -103,16 +120,18 @@ impl<T: FftFloat> Fft<T> for Bluestein<T> {
         }
 
         // a[j] = x[j]·c[j], zero-padded to the convolution length.
-        let mut a = vec![Complex::zero(); self.conv_len];
-        for (j, (&x, &c)) in buf.iter().zip(&self.chirp).enumerate() {
-            a[j] = x * c;
+        let a = &mut scratch[..self.conv_len];
+        let (head, tail) = a.split_at_mut(self.len);
+        for ((a, &x), &c) in head.iter_mut().zip(buf.iter()).zip(&self.chirp) {
+            *a = x * c;
         }
+        tail.fill(Complex::zero());
 
-        self.inner_forward.process(&mut a)?;
+        self.inner_forward.process(a)?;
         for (v, &k) in a.iter_mut().zip(&self.kernel_spectrum) {
             *v *= k;
         }
-        self.inner_inverse.process(&mut a)?;
+        self.inner_inverse.process(a)?;
 
         // X[k] = c[k] · conv[k]; inverse transforms additionally scale by 1/n.
         match self.direction {
@@ -210,6 +229,24 @@ mod tests {
             .unwrap();
         let reference = dft(&x, Direction::Forward);
         assert_close(&buf, &reference, 1e-9);
+    }
+
+    #[test]
+    fn process_with_on_dirty_scratch_is_process() {
+        // Caller-owned working space may hold anything (here: the last
+        // call's leftovers, then NaNs) and be longer than asked for.
+        for (n, direction) in [(11usize, Direction::Forward), (45, Direction::Inverse)] {
+            let plan = Bluestein::new(n, direction);
+            let mut expected = signal(n);
+            plan.process(&mut expected).unwrap();
+            assert_eq!(plan.scratch_len(), plan.conv_len());
+            let mut scratch = vec![Complex64::new(f64::NAN, f64::NAN); plan.scratch_len() + 3];
+            for _ in 0..2 {
+                let mut buf = signal(n);
+                plan.process_with(&mut buf, &mut scratch).unwrap();
+                assert_eq!(buf, expected, "n={n}");
+            }
+        }
     }
 
     #[test]

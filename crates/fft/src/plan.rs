@@ -84,6 +84,27 @@ pub trait Fft<T: FftFloat>: Send + Sync {
     ///
     /// Returns [`FftError::LengthMismatch`] when `buf.len() != self.len()`.
     fn process(&self, buf: &mut [Complex<T>]) -> Result<(), FftError>;
+
+    /// Working space [`Fft::process_with`] needs beside `buf`, in
+    /// elements: 0 for a plan that works in place.
+    fn scratch_len(&self) -> usize {
+        0
+    }
+
+    /// [`Fft::process`] on caller-owned working space: `scratch` holds at
+    /// least [`Fft::scratch_len`] elements, of any content, and the call
+    /// performs no heap allocation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] when `buf.len() != self.len()`.
+    fn process_with(
+        &self,
+        buf: &mut [Complex<T>],
+        _scratch: &mut [Complex<T>],
+    ) -> Result<(), FftError> {
+        self.process(buf)
+    }
 }
 
 /// `e^{sign·2πi·num/den}`, evaluated in `f64` and rounded once, so `f32`

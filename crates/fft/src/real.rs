@@ -93,13 +93,21 @@ enum HalfPlan<T> {
 }
 
 impl<T: FftFloat> HalfPlan<T> {
-    fn run(&self, z: &mut [Complex<T>]) -> Result<(), FftError> {
+    /// Working space `run` wants behind `z` (the chirp convolution's).
+    fn scratch_len(&self) -> usize {
+        match self {
+            HalfPlan::Butterflies(_) => 0,
+            HalfPlan::Planned(plan) => plan.scratch_len(),
+        }
+    }
+
+    fn run(&self, z: &mut [Complex<T>], work: &mut [Complex<T>]) -> Result<(), FftError> {
         match self {
             HalfPlan::Butterflies(plan) => {
                 plan.butterflies(z);
                 Ok(())
             }
-            HalfPlan::Planned(plan) => plan.process(z),
+            HalfPlan::Planned(plan) => plan.process_with(z, work),
         }
     }
 }
@@ -109,6 +117,16 @@ impl<T: FftFloat> HalfPlan<T> {
 fn sized<U: Copy>(v: &mut Vec<U>, n: usize, fill: U) -> &mut [U] {
     v.resize(n, fill);
     v
+}
+
+/// `scratch` as the `n`-point signal a transform runs on and, behind it,
+/// the `extra` elements of working space the planned transform asked for.
+fn signal_and_work<T: FftFloat>(
+    scratch: &mut Vec<Complex<T>>,
+    n: usize,
+    extra: usize,
+) -> (&mut [Complex<T>], &mut [Complex<T>]) {
+    sized(scratch, n + extra, Complex::zero()).split_at_mut(n)
 }
 
 // The three steps below are kept out of line for the same reason as the
@@ -263,9 +281,10 @@ impl<T: FftFloat> RealFft<T> {
 
     /// Allocation-reusing variant of [`RealFft::forward`]: writes the
     /// half spectrum into `out` and uses `scratch` for the packed
-    /// intermediate. Both vectors are resized to fit and overwritten;
-    /// once they have grown to capacity, repeated calls perform no heap
-    /// allocation.
+    /// intermediate (and, at a length that is not a power of two, the
+    /// chirp convolution's working space). Both vectors are resized to
+    /// fit and overwritten; once they have grown to capacity, repeated
+    /// calls perform no heap allocation, at any length.
     ///
     /// # Errors
     ///
@@ -276,27 +295,41 @@ impl<T: FftFloat> RealFft<T> {
         scratch: &mut Vec<Complex<T>>,
         out: &mut Vec<Complex<T>>,
     ) -> Result<(), FftError> {
-        if input.len() != self.len {
-            return Err(FftError::LengthMismatch {
-                expected: self.len,
-                actual: input.len(),
-            });
-        }
         let out = sized(out, self.spectrum_len(), Complex::zero());
+        self.forward_into_slice(input, scratch, out)
+    }
+
+    /// [`RealFft::forward_into`] writing into a slice — one slot of a
+    /// caller's flat buffer of spectra.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FftError::LengthMismatch`] when `input.len() != self.len()`
+    /// or `out.len() != self.spectrum_len()`.
+    pub fn forward_into_slice(
+        &self,
+        input: &[T],
+        scratch: &mut Vec<Complex<T>>,
+        out: &mut [Complex<T>],
+    ) -> Result<(), FftError> {
+        for (expected, actual) in [(self.len, input.len()), (self.spectrum_len(), out.len())] {
+            if actual != expected {
+                return Err(FftError::LengthMismatch { expected, actual });
+            }
+        }
         match &*self.plans {
             Plans::Packed(p) => {
-                let half = self.len / 2;
-                let z = sized(scratch, half, Complex::zero());
+                let (z, work) = signal_and_work(scratch, self.len / 2, p.forward.scratch_len());
                 pack(input, &p.order, z);
-                p.forward.run(z)?;
+                p.forward.run(z, work)?;
                 unpack(z, &p.unpack, out);
             }
             Plans::Full { forward, .. } => {
-                let z = sized(scratch, self.len, Complex::zero());
+                let (z, work) = signal_and_work(scratch, self.len, forward.scratch_len());
                 for (v, &x) in z.iter_mut().zip(input) {
                     *v = Complex::from_real(x);
                 }
-                forward.process(z)?;
+                forward.process_with(z, work)?;
                 out.copy_from_slice(&z[..out.len()]);
             }
         }
@@ -322,7 +355,8 @@ impl<T: FftFloat> RealFft<T> {
 
     /// Allocation-reusing variant of [`RealFft::inverse`]: writes the
     /// reconstructed real signal into `out` and uses `scratch` for the
-    /// complex intermediate. Both vectors are resized to fit and
+    /// complex intermediate (and the chirp convolution's working space,
+    /// as [`RealFft::forward_into`]). Both vectors are resized to fit and
     /// overwritten; once they have grown to capacity, repeated calls
     /// perform no heap allocation.
     ///
@@ -345,10 +379,9 @@ impl<T: FftFloat> RealFft<T> {
         let out = sized(out, self.len, T::ZERO);
         match &*self.plans {
             Plans::Packed(p) => {
-                let half = self.len / 2;
-                let z = sized(scratch, half, Complex::zero());
+                let (z, work) = signal_and_work(scratch, self.len / 2, p.inverse.scratch_len());
                 prepack(spectrum, &p.prepack, p.prepack_scale, &p.order, z);
-                p.inverse.run(z)?;
+                p.inverse.run(z, work)?;
                 for (pair, v) in out.chunks_exact_mut(2).zip(z.iter()) {
                     pair[0] = v.re;
                     pair[1] = v.im;
@@ -356,13 +389,13 @@ impl<T: FftFloat> RealFft<T> {
             }
             Plans::Full { inverse, .. } => {
                 // Rebuild the full spectrum by conjugate symmetry.
-                let z = sized(scratch, self.len, Complex::zero());
+                let (z, work) = signal_and_work(scratch, self.len, inverse.scratch_len());
                 z[..spectrum.len()].copy_from_slice(spectrum);
                 z[0].im = T::ZERO;
                 for (v, x) in z[spectrum.len()..].iter_mut().zip(spectrum[1..].iter().rev()) {
                     *v = x.conj();
                 }
-                inverse.process(z)?;
+                inverse.process_with(z, work)?;
                 for (o, v) in out.iter_mut().zip(z.iter()) {
                     *o = v.re;
                 }
@@ -470,6 +503,28 @@ mod tests {
             plan.forward_into(&x, &mut scratch, &mut spec).unwrap();
             assert_eq!(scratch.capacity(), cs);
             assert_eq!(spec.capacity(), co);
+        }
+    }
+
+    #[test]
+    fn forward_into_slice_fills_one_slot_of_a_flat_buffer() {
+        // Power-of-two, chirp-half and odd plans, on a scratch left dirty
+        // by the other direction.
+        for n in [8usize, 12, 7] {
+            let (x, plan) = (signal(n), RealFft::new(n));
+            let bins = plan.spectrum_len();
+            let mut scratch = Vec::new();
+            plan.inverse_into(&vec![Complex::from_real(1.0); bins], &mut scratch, &mut Vec::new())
+                .unwrap();
+            let mut flat = vec![Complex::from_real(9.0); 3 * bins];
+            plan.forward_into_slice(&x, &mut scratch, &mut flat[bins..2 * bins]).unwrap();
+            assert_eq!(flat[bins..2 * bins], plan.forward(&x).unwrap()[..], "n={n}");
+            assert_eq!(flat[0], Complex::from_real(9.0));
+            assert_eq!(flat[2 * bins], Complex::from_real(9.0));
+            assert!(matches!(
+                plan.forward_into_slice(&x, &mut scratch, &mut flat[..bins + 1]),
+                Err(FftError::LengthMismatch { .. })
+            ));
         }
     }
 

@@ -28,10 +28,13 @@ echo "== guard: one mechanism (worker core, request path and Algorithm 1 each wr
 # (crates/core/src/spectral.rs, DESIGN.md "Algorithm 1, once"). Each
 # pattern must match in exactly one non-test source file: a second match
 # is a private copy growing back.
+non_test_source() {
+    awk '/^#\[cfg\(test\)\]/{exit} {print}' "$1"
+}
 non_test_files_matching() {
     for f in crates/*/src/*.rs crates/*/src/*/*.rs; do
         # (not grep -q: an early exit would SIGPIPE awk under pipefail)
-        awk '/^#\[cfg\(test\)\]/{exit} {print}' "$f" | grep -E "$1" > /dev/null && echo "$f"
+        non_test_source "$f" | grep -E "$1" > /dev/null && echo "$f"
     done || true
 }
 for pattern in 'struct GenRecord' 'const HISTORY_DEPTH' 'fn (handle|report)_unhealthy' 'catch_unwind\(' \
@@ -44,6 +47,30 @@ for pattern in 'struct GenRecord' 'const HISTORY_DEPTH' 'fn (handle|report)_unhe
     fi
     echo "'${pattern}' only in ${hits}"
 done
+# Algorithm 1 in two halves (DESIGN.md "Algorithm 1, once"): the view
+# product is *the* product, so spectral.rs calls the weight source once;
+# the forward-transform loop lives in spectra_of alone; and the only
+# im2col lowering left in core is the CONV layer's b-does-not-divide-C
+# fallback.
+count_non_test() {
+    for f in $2; do non_test_source "$f"; done | grep -cE "$1" || true
+}
+for check in 'weights\.accumulate\(|crates/core/src/spectral.rs' \
+    '\.forward_into_slice\(|crates/core/src/*.rs' \
+    'im2col_into\(|crates/core/src/*.rs'; do
+    pattern="${check%%|*}"
+    # shellcheck disable=SC2086  # the file list is a glob on purpose
+    hits="$(count_non_test "${pattern}" "${check#*|}")"
+    if [ "${hits}" -ne 1 ]; then
+        echo "one-mechanism guard: '${pattern}' must appear exactly once in ${check#*|}, found ${hits}" >&2
+        exit 1
+    fi
+    echo "'${pattern}' once in ${check#*|}"
+done
+if ! awk '/fn spectra_of/,/^    }$/' crates/core/src/spectral.rs | grep -q '\.forward_into_slice('; then
+    echo "one-mechanism guard: the forward-transform loop must live in SpectralKernel::spectra_of" >&2
+    exit 1
+fi
 # One request path: the only condvar queues are the shared BoundedQueue
 # and the WDRR dispatcher (which parks through the queue's protocol), and
 # only the shared batch step, stream's per-session step and sched's
@@ -229,6 +256,20 @@ awk -v frozen="$(bench_field BENCH_inference.json '"label": "arch1_spectral_froz
         ratio = frozen / dense
         printf "arch1_spectral_frozen / arch1_dense_baseline median ratio: %.3fx\n", ratio
         if (ratio > 0.7) { print "bench guard: frozen spectral Arch. 1 above 0.7x the dense baseline" > "/dev/stderr"; exit 1 }
+    }'
+
+echo "== bench guard: circulant vs dense CONV at Arch. 3's shape in BENCH_conv_reformulation.json =="
+# Table III's layer as a committed measurement: 64 -> 128 filters on 28x28,
+# 3x3, b = 64. The block-circulant layer reads a spectral image of the
+# input (one transform a pixel, not one per kernel offset) and must
+# forward in at most 0.2x the time of the dense im2col layer (0.25 when
+# it still lowered every row).
+awk -v circ="$(bench_field BENCH_conv_reformulation.json '"label": "arch3_circulant_conv_layer"' median_ns)" \
+    -v dense="$(bench_field BENCH_conv_reformulation.json '"label": "arch3_dense_conv_layer"' median_ns)" 'BEGIN {
+        if (circ == "" || dense == "") { print "bench guard: arch3_circulant_conv_layer/arch3_dense_conv_layer rows missing from BENCH_conv_reformulation.json" > "/dev/stderr"; exit 1 }
+        ratio = circ / dense
+        printf "arch3_circulant_conv_layer / arch3_dense_conv_layer median ratio: %.3fx\n", ratio
+        if (ratio > 0.2) { print "bench guard: circulant CONV above 0.2x the dense layer at Arch. 3 shape" > "/dev/stderr"; exit 1 }
     }'
 
 echo "== chaos smoke test (--chaos: deterministic fault injection) =="
