@@ -9,9 +9,10 @@
 //! The forward product is not written here: `forward_batch`,
 //! `forward_batch_infer` and `matvec` (and the FC, CONV and GRU layers on
 //! top) all end in [`SpectralKernel::product`] on the cached weight
-//! spectra, differing only in which input spectra a row reads and whether
-//! they are kept for `backward_batch` (Algorithm 2, which is written
-//! here).
+//! spectra, differing only in which input spectra a row reads. Nor is the
+//! backward one: `backward_batch` (Algorithm 2) is that product over the
+//! adjoint spectra plus [`SpectralKernel::weight_gradient`], both reading
+//! the `X̂` a keeping forward pass retained.
 //!
 //! Conventions (documented in DESIGN.md §3): a circulant block `C` defined
 //! by `w` acts as `C·x = w ⊛ x` (circular convolution). In the row-vector
@@ -21,24 +22,26 @@
 //! multiples of `b` are zero-padded, as the paper's footnote prescribes.
 
 use crate::error::CirculantError;
-use crate::spectral::{BlockBuffers, CirculantScratch, InputSpectra, SpectralKernel, Spectrum};
+use crate::spectral::{
+    identity_view, Adjoint, BlockBuffers, CirculantScratch, SpectralKernel, Spectrum,
+};
 use ffdl_fft::Complex32;
 use ffdl_tensor::{Init, Tensor};
 use ffdl_rng::Rng;
 use std::sync::{Arc, OnceLock};
 
-/// Cached per-sample input spectra from a forward pass, consumed by the
-/// backward pass (Algorithm 2 reuses `FFT(x)`).
-#[derive(Default)]
+/// The input spectra `X̂` of a forward pass, consumed by the backward
+/// pass (Algorithm 2 reuses `FFT(x)`).
 pub struct ForwardCache {
-    /// `input_spectra[sample][input_block]`.
-    pub(crate) input_spectra: Vec<Vec<Spectrum>>,
+    /// Flat `[rows · in_blocks, bins]`, as the forward pass computed it.
+    pub(crate) x_hat: Vec<Complex32>,
+    pub(crate) rows: usize,
 }
 
 impl ForwardCache {
     /// Number of cached samples.
     pub fn batch(&self) -> usize {
-        self.input_spectra.len()
+        self.rows
     }
 }
 
@@ -281,35 +284,33 @@ impl BlockCirculantMatrix {
         &self,
         x_hat: (&[Complex32], impl Fn(usize, &mut Vec<usize>)),
         out: &mut [f32],
-        keep: InputSpectra<'_>,
         bufs: &mut BlockBuffers,
         epilogue: impl Fn(usize, usize, f32) -> f32,
     ) {
         let weights = self.shared_weight_spectra();
         self.kernel
-            .product(&weights[..], x_hat, (out, self.out_dim), keep, bufs, epilogue);
+            .product(&weights[..], x_hat, (out, self.out_dim), bufs, epilogue);
     }
 
     /// `out = epilogue(x·W)`, both halves of Algorithm 1 over the rows of
     /// `x` — the body of every forward entry point below and of the FC
     /// layer built on this matrix. The caller has checked that `x` is
-    /// `[batch, in_dim]` and shaped `out` as `[batch, out_dim]`.
-    pub(crate) fn rows_product(
+    /// `[batch, in_dim]` and shaped `out` as `[batch, out_dim]`. Returns
+    /// the `X̂` it computed: a [`ForwardCache`] is a copy of it.
+    pub(crate) fn rows_product<'s>(
         &self,
         x: &Tensor,
-        keep: InputSpectra<'_>,
-        scratch: &mut CirculantScratch,
+        scratch: &'s mut CirculantScratch,
         out: &mut Tensor,
         epilogue: impl Fn(usize, usize, f32) -> f32,
-    ) {
+    ) -> &'s [Complex32] {
         self.kernel.rows_product(
             &self.shared_weight_spectra()[..],
             (x.as_slice(), self.in_dim),
             (out.as_mut_slice(), self.out_dim),
-            keep,
             scratch,
             epilogue,
-        );
+        )
     }
 
     /// Batched product `Y = X·W` through the FFT kernel (Algorithm 1,
@@ -323,16 +324,16 @@ impl BlockCirculantMatrix {
     pub fn forward_batch(&self, x: &Tensor) -> Result<(Tensor, ForwardCache), CirculantError> {
         self.check_rows("input", x, self.in_dim)?;
         let mut out = Tensor::zeros(&[x.rows(), self.out_dim]);
-        let mut cache = ForwardCache::default();
-        let keep = InputSpectra::Keep(&mut cache.input_spectra);
-        self.rows_product(x, keep, &mut CirculantScratch::new(), &mut out, |_, _, v| v);
-        Ok((out, cache))
+        let x_hat = self
+            .rows_product(x, &mut CirculantScratch::new(), &mut out, |_, _, v| v)
+            .to_vec();
+        Ok((out, ForwardCache { x_hat, rows: x.rows() }))
     }
 
     /// Inference-only batched product `Y = X·W` writing into `out`: the
     /// same call as [`Self::forward_batch`] (bit-identical), except that
-    /// each row's input spectra are overwritten by the next row's instead
-    /// of kept, and every intermediate lives in `scratch`. After a warmup
+    /// the input spectra are left in `scratch` for the next call to
+    /// overwrite, like every other intermediate. After a warmup
     /// call, steady-state invocations perform zero heap allocations, at
     /// any block size.
     ///
@@ -348,7 +349,7 @@ impl BlockCirculantMatrix {
     ) -> Result<(), CirculantError> {
         self.check_rows("input", x, self.in_dim)?;
         out.reuse_as(&[x.rows(), self.out_dim]);
-        self.rows_product(x, InputSpectra::Reuse, scratch, out, |_, _, v| v);
+        self.rows_product(x, scratch, out, |_, _, v| v);
         Ok(())
     }
 
@@ -361,70 +362,51 @@ impl BlockCirculantMatrix {
     /// # Errors
     ///
     /// Returns [`CirculantError::GridMismatch`] on shape or batch
-    /// mismatches.
+    /// mismatches, and when `cache` was not produced by a matrix of this
+    /// geometry.
     pub fn backward_batch(
         &self,
         cache: &ForwardCache,
         grad_out: &Tensor,
     ) -> Result<(Tensor, Tensor), CirculantError> {
         self.check_rows("gradient", grad_out, self.out_dim)?;
-        let batch = grad_out.rows();
-        if batch != cache.batch() {
+        let (batch, bins) = (grad_out.rows(), self.kernel.bins());
+        if batch != cache.rows || cache.x_hat.len() != batch * self.kb_in * bins {
             return Err(CirculantError::GridMismatch {
                 message: format!(
-                    "gradient batch {batch} does not match cached batch {}",
-                    cache.batch()
+                    "gradient batch {batch}, but the cache holds {} rows ({} values): not the input spectra of this matrix",
+                    cache.rows,
+                    cache.x_hat.len()
                 ),
             });
         }
-        let b = self.block;
-        let w_spec = self.shared_weight_spectra();
-        let mut grad_x = Vec::with_capacity(batch * self.in_dim);
-        // Accumulate weight gradients in the frequency domain and invert
-        // once at the end: IFFT is linear, so this matches summing the
-        // per-sample time-domain gradients.
-        let mut grad_w_spec: Vec<Vec<Spectrum>> = (0..self.kb_out)
-            .map(|_| (0..self.kb_in).map(|_| self.kernel.zero_accumulator()).collect())
-            .collect();
+        Ok(self.backward_rows((&cache.x_hat, identity_view(self.kb_in)), grad_out))
+    }
 
-        // Pad and transform the gradient blocks: Algorithm 1's first half,
-        // on the other side of the matrix.
-        let (mut g_hat, bins) = (Vec::new(), self.kernel.bins());
-        let g_rows = (grad_out.as_slice(), self.out_dim);
-        self.kernel.spectra_of(g_rows, &mut BlockBuffers::default(), &mut g_hat);
-        for s in 0..batch {
-            let g_spec = g_hat[s * self.kb_out * bins..(s + 1) * self.kb_out * bins].chunks_exact(bins);
-            let x_spec = &cache.input_spectra[s];
-            let mut gx_padded = vec![0.0f32; self.kb_in * b];
-            for j in 0..self.kb_in {
-                let mut acc = self.kernel.zero_accumulator();
-                for (gs, w_row) in g_spec.clone().zip(w_spec.iter()) {
-                    // ∂L/∂x_j += corr(g_i, w_ij) = IFFT(G_i ∘ conj(W_ij)).
-                    SpectralKernel::mul_conj_accumulate(&mut acc, gs, &w_row[j]);
-                }
-                let gx_block = self.kernel.inverse(&acc);
-                gx_padded[j * b..(j + 1) * b].copy_from_slice(&gx_block);
-            }
-            for (gs, grad_row) in g_spec.zip(grad_w_spec.iter_mut()) {
-                for (grad, xs) in grad_row.iter_mut().zip(x_spec) {
-                    // ∂L/∂w_ij += corr(g_i, x_j) = IFFT(G_i ∘ conj(X_j)).
-                    SpectralKernel::mul_conj_accumulate(grad, gs, xs);
-                }
-            }
-            grad_x.extend_from_slice(&gx_padded[..self.in_dim]);
-        }
-
-        let mut grad_w = Vec::with_capacity(self.param_count());
-        for row in &grad_w_spec {
-            for spec in row {
-                grad_w.extend(self.kernel.inverse(spec));
-            }
-        }
-        let grad_x =
-            Tensor::from_vec(grad_x, &[batch, self.in_dim]).expect("size by construction");
-        let grad_w = Tensor::from_vec(grad_w, &[self.kb_out, self.kb_in, self.block])
-            .expect("size by construction");
-        Ok((grad_x, grad_w))
+    /// Algorithm 2 on Algorithm 1's two halves, over the `X̂` and the view
+    /// the forward pass read: `∂L/∂x = g·Wᴴ` is the rows' product on the
+    /// other side of the matrix (`∂L/∂xⱼ = Σᵢ corr(gᵢ, wᵢⱼ)`), and the `Ĝ`
+    /// it computed gives `∂L/∂wᵢⱼ = Σₛ corr(gᵢ, xⱼ)`. The caller has
+    /// checked that `grad_out` is `[rows, out_dim]` and that the view
+    /// stays inside `x_hat`.
+    pub(crate) fn backward_rows(
+        &self,
+        x_hat: (&[Complex32], impl Fn(usize, &mut Vec<usize>)),
+        grad_out: &Tensor,
+    ) -> (Tensor, Tensor) {
+        let mut sc = CirculantScratch::new();
+        let mut grad_x = Tensor::zeros(&[grad_out.rows(), self.in_dim]);
+        let g_hat = self.kernel.rows_product(
+            &Adjoint(&self.shared_weight_spectra()),
+            (grad_out.as_slice(), self.out_dim),
+            (grad_x.as_mut_slice(), self.in_dim),
+            &mut sc,
+            |_, _, v| v,
+        );
+        let mut grad_w = Tensor::zeros(&[self.kb_out, self.kb_in, self.block]);
+        self.kernel
+            .weight_gradient((g_hat, self.kb_out), x_hat, grad_w.as_mut_slice());
+        (grad_x, grad_w)
     }
 
     /// Single-vector product `y = x·W` (convenience over
@@ -538,6 +520,8 @@ impl std::fmt::Debug for BlockCirculantMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ffdl_rng::prop::check;
+    use ffdl_rng::prop_assert;
     use ffdl_rng::rngs::SmallRng;
     use ffdl_rng::SeedableRng;
 
@@ -626,44 +610,40 @@ mod tests {
         }
     }
 
+    /// Algorithm 2 against the dense expansion `W = to_dense()`, on random
+    /// geometries (padded on either side; power-of-two, odd and
+    /// chirp-transform blocks): `∂L/∂x = g·Wᵀ`, and `∂L/∂wᵢⱼ[d]` is the
+    /// sum of `∂L/∂W = xᵀ·g` over the entries `wᵢⱼ[d]` was expanded to.
     #[test]
     fn backward_matches_dense_gradients() {
-        // Compare ∂L/∂x and ∂L/∂w against the expanded dense computation.
-        let (in_dim, out_dim, b) = (6usize, 4usize, 2usize);
-        let m = BlockCirculantMatrix::random(in_dim, out_dim, b, &mut rng()).unwrap();
-        let x = sample_input(2, in_dim);
-        let (y, cache) = m.forward_batch(&x).unwrap();
-        let g = y.clone(); // L = ||y||²/2 → dL/dy = y
-        let (gx, gw) = m.backward_batch(&cache, &g).unwrap();
-
-        // Dense reference: y = x·W, dX = g·Wᵀ.
-        let dense = m.to_dense();
-        let gx_ref = g.matmul(&dense.transpose().unwrap()).unwrap();
-        for (a, v) in gx.as_slice().iter().zip(gx_ref.as_slice()) {
-            assert!((a - v).abs() < 1e-3, "{a} vs {v}");
-        }
-
-        // Weight gradient by finite differences on the defining vectors.
-        let eps = 1e-2f32;
-        let loss = |m: &BlockCirculantMatrix, x: &Tensor| -> f32 {
-            let (y, _) = m.forward_batch(x).unwrap();
-            y.as_slice().iter().map(|v| v * v).sum::<f32>() / 2.0
+        let geometry = |rng: &mut SmallRng| {
+            let (in_dim, out_dim) = (rng.gen_range(1usize..=24), rng.gen_range(1usize..=24));
+            (in_dim, out_dim, rng.gen_range(1usize..=12), rng.gen_range(1usize..=4), rng.gen_range(0u64..1000))
         };
-        let mut m = m;
-        for idx in 0..gw.len() {
-            let orig = m.weights().as_slice()[idx];
-            m.weights_mut().as_mut_slice()[idx] = orig + eps;
-            let lp = loss(&m, &x);
-            m.weights_mut().as_mut_slice()[idx] = orig - eps;
-            let lm = loss(&m, &x);
-            m.weights_mut().as_mut_slice()[idx] = orig;
-            let num = (lp - lm) / (2.0 * eps);
-            let ana = gw.as_slice()[idx];
-            assert!(
-                (num - ana).abs() < 2e-2 * (1.0 + ana.abs()),
-                "dw[{idx}]: {num} vs {ana}"
-            );
-        }
+        check("backward_matches_dense_gradients", 60, geometry, |&(in_dim, out_dim, b, batch, seed)| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let m = BlockCirculantMatrix::random(in_dim, out_dim, b, &mut rng).unwrap();
+            let x = sample_input(batch, in_dim);
+            let (g, cache) = m.forward_batch(&x).unwrap(); // L = ‖y‖²/2 → ∂L/∂y = y
+            let (gx, gw) = m.backward_batch(&cache, &g).unwrap();
+
+            let gx_ref = g.matmul(&m.to_dense().transpose().unwrap()).unwrap();
+            let gw_dense = x.transpose().unwrap().matmul(&g).unwrap();
+            let mut gw_ref = Tensor::zeros(gw.shape());
+            for row in 0..in_dim {
+                for col in 0..out_dim {
+                    let d = (col % b + b - row % b) % b;
+                    *gw_ref.at_mut(&[col / b, row / b, d]) += gw_dense.at(&[row, col]);
+                }
+            }
+            for (what, got, want) in [("dx", &gx, &gx_ref), ("dw", &gw, &gw_ref)] {
+                let tol = 1e-5 * (1.0 + want.max_abs());
+                for (k, (a, v)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    prop_assert!((a - v).abs() < tol, "{what}[{k}]: {a} vs {v}");
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]
@@ -735,6 +715,13 @@ mod tests {
         let (_, cache) = m.forward_batch(&Tensor::zeros(&[2, 4])).unwrap();
         assert!(m.backward_batch(&cache, &Tensor::zeros(&[2, 5])).is_err());
         assert!(m.backward_batch(&cache, &Tensor::zeros(&[3, 4])).is_err());
+        // A cache of the right batch from a matrix of another geometry is
+        // refused, not read short (it once gave a zero last gradient block).
+        let wider = BlockCirculantMatrix::zeros(6, 4, 2).unwrap();
+        assert!(matches!(
+            wider.backward_batch(&cache, &Tensor::zeros(&[2, 4])),
+            Err(CirculantError::GridMismatch { .. })
+        ));
     }
 
     #[test]

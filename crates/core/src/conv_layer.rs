@@ -4,8 +4,9 @@
 //! through the same FFT kernel as the FC layer. Complexity drops from
 //! `O(W·H·r²·C·P)` to `O(W·H·Q·log Q)` with `Q = max(r²C, P)`.
 
-use crate::circulant::{BlockCirculantMatrix, ForwardCache};
-use crate::spectral::{identity_view, CirculantScratch, InputSpectra};
+use crate::circulant::BlockCirculantMatrix;
+use crate::spectral::{identity_view, CirculantScratch};
+use ffdl_fft::Complex32;
 use ffdl_nn::{wire, Layer, NnError, OpCost, ParamRef, Scratch};
 use ffdl_tensor::{col2im, im2col_into, ConvGeometry, Tensor};
 use ffdl_rng::Rng;
@@ -28,8 +29,9 @@ pub struct CirculantConv2d {
     bias: Tensor,
     weight_grad: Tensor,
     bias_grad: Tensor,
-    /// One cache per sample from the last forward pass.
-    caches: Vec<ForwardCache>,
+    /// Each sample's `X̂` from the last keeping forward pass: its spectral
+    /// image, or the spectra of its lowered rows when `b ∤ C`.
+    kept: Vec<Vec<Complex32>>,
     /// Complex-valued FFT scratch (per layer, never cloned).
     infer_scratch: CirculantScratch,
 }
@@ -67,7 +69,7 @@ impl CirculantConv2d {
             bias_grad: Tensor::zeros(&[out_channels]),
             matrix,
             bias: Tensor::zeros(&[out_channels]),
-            caches: Vec::new(),
+            kept: Vec::new(),
             infer_scratch: CirculantScratch::new(),
         })
     }
@@ -99,6 +101,38 @@ impl CirculantConv2d {
     /// Storage compression of the filter matrix.
     pub fn compression_ratio(&self) -> f32 {
         self.matrix.compression_ratio()
+    }
+
+    /// `C/b` when `b | C` and a sample is read as a spectral image; `None`
+    /// when its rows are lowered with im2col.
+    fn channel_blocks(&self) -> Option<usize> {
+        self.in_channels.is_multiple_of(self.block()).then_some(self.in_channels / self.block())
+    }
+
+    /// The view both passes read a sample's `X̂` through. Over a spectral
+    /// image (pixel-major, one zero pixel last), block `j` of output pixel
+    /// `p` is channel block `j mod C/b` of the pixel under tap `j div C/b`,
+    /// taps in Eqn. 6 column order and padded taps on the zero pixel; the
+    /// spectra of lowered rows are read in place.
+    fn view(&self) -> impl Fn(usize, &mut Vec<usize>) + Copy {
+        let (h, w, ow, geom) = (self.in_h, self.in_w, self.out_w(), self.geom);
+        let (channel_blocks, kb_in) = (self.channel_blocks(), self.matrix.in_blocks());
+        move |pixel, slots| match channel_blocks {
+            None => identity_view(kb_in)(pixel, slots),
+            Some(cb) => {
+                let (oy, ox) = (pixel / ow, pixel % ow);
+                for kj in 0..geom.kernel {
+                    for ki in 0..geom.kernel {
+                        // A tap left of or above the image wraps to a
+                        // huge coordinate and fails the same test.
+                        let iy = (oy * geom.stride + ki).wrapping_sub(geom.pad);
+                        let ix = (ox * geom.stride + kj).wrapping_sub(geom.pad);
+                        let read = if iy < h && ix < w { iy * w + ix } else { h * w };
+                        slots.extend(read * cb..(read + 1) * cb);
+                    }
+                }
+            }
+        }
     }
 
     fn check_input(&self, input: &Tensor) -> Result<(), NnError> {
@@ -133,14 +167,13 @@ impl Layer for CirculantConv2d {
     /// every block of it is one channel block of one input pixel. Each
     /// sample is therefore transposed to pixel-major `[H·W, C]` — plus one
     /// zero pixel, which padded taps read — and transformed **once** into
-    /// a spectral image; the product's view then names, for block `j` of
-    /// pixel `p`, channel block `j mod C/b` of the pixel under tap
-    /// `j div C/b`. The same floats give the same spectra and the order of
+    /// a spectral image, which the product reads through `Self::view`.
+    /// The same floats give the same spectra and the order of
     /// accumulation is that of the lowered rows, so every output bit is
-    /// too. When `b ∤ C` the rows are lowered with im2col and read through
-    /// the identity view. Either way the `[oh·ow, P]` product is
-    /// transposed to `[P, oh, ow]` with bias, and with `keep` each
-    /// sample's per-row input spectra are recorded for `backward`.
+    /// too. When `b ∤ C` the rows are lowered with im2col and read in
+    /// place. Either way the `[oh·ow, P]` product is transposed to
+    /// `[P, oh, ow]` with bias, and with `keep` each sample's `X̂` is
+    /// retained for `backward`.
     fn forward_with(
         &mut self,
         input: &Tensor,
@@ -152,8 +185,7 @@ impl Layer for CirculantConv2d {
         let (c, h, w, ow) = (self.in_channels, self.in_h, self.in_w, self.out_w());
         let (pixels, hw) = (self.out_h() * ow, h * w);
         let plane_out = self.out_channels * pixels;
-        let (kb_in, geom) = (self.matrix.in_blocks(), self.geom);
-        let channel_blocks = (c % self.block() == 0).then_some(c / self.block());
+        let (channel_blocks, view) = (self.channel_blocks(), self.view());
         let mut out = scratch.take(&[batch, self.out_channels, self.out_h(), ow]);
         // The sample as it is transformed (pixel-major, zero pixel last) or
         // as im2col reads it, and the lowered rows of the fallback.
@@ -164,12 +196,12 @@ impl Layer for CirculantConv2d {
         let sc = &mut self.infer_scratch;
         let kernel = self.matrix.kernel();
         if keep {
-            self.caches.clear();
+            self.kept.clear();
         }
 
         for s in 0..batch {
             let sample = &input.as_slice()[s * c * hw..(s + 1) * c * hw];
-            match &mut cols {
+            let rows = match &mut cols {
                 None => {
                     let pixel_major = staged.as_mut_slice();
                     for (ch, plane) in sample.chunks_exact(hw).enumerate() {
@@ -177,39 +209,20 @@ impl Layer for CirculantConv2d {
                             pixel_major[p * c + ch] = v;
                         }
                     }
-                    kernel.spectra_of((pixel_major, c), &mut sc.bufs, &mut sc.x_spec);
+                    (&*pixel_major, c)
                 }
                 Some(cols) => {
                     staged.as_mut_slice().copy_from_slice(sample);
-                    im2col_into(&staged, geom, cols)?;
-                    let rows = (cols.as_slice(), self.matrix.in_dim());
-                    kernel.spectra_of(rows, &mut sc.bufs, &mut sc.x_spec);
+                    im2col_into(&staged, self.geom, cols)?;
+                    (cols.as_slice(), self.matrix.in_dim())
                 }
+            };
+            let len = kernel.spectra_of(rows, &mut sc.bufs, &mut sc.x_spec);
+            if keep {
+                self.kept.push(sc.x_spec[..len].to_vec());
             }
-            let view = |pixel: usize, slots: &mut Vec<usize>| match channel_blocks {
-                None => identity_view(kb_in)(pixel, slots),
-                Some(cb) => {
-                    let (oy, ox) = (pixel / ow, pixel % ow);
-                    for kj in 0..geom.kernel {
-                        for ki in 0..geom.kernel {
-                            // A tap left of or above the image wraps to a
-                            // huge coordinate and fails the same test.
-                            let iy = (oy * geom.stride + ki).wrapping_sub(geom.pad);
-                            let ix = (ox * geom.stride + kj).wrapping_sub(geom.pad);
-                            let read = if iy < h && ix < w { iy * w + ix } else { hw };
-                            slots.extend(read * cb..(read + 1) * cb);
-                        }
-                    }
-                }
-            };
-            let x_spec = if keep {
-                self.caches.push(ForwardCache::default());
-                InputSpectra::Keep(&mut self.caches[s].input_spectra)
-            } else {
-                InputSpectra::Reuse
-            };
             self.matrix
-                .product((&sc.x_spec, view), y.as_mut_slice(), x_spec, &mut sc.bufs, |_, _, v| v);
+                .product((&sc.x_spec, view), y.as_mut_slice(), &mut sc.bufs, |_, _, v| v);
             let dst = &mut out.as_mut_slice()[s * plane_out..(s + 1) * plane_out];
             let ys = y.as_slice();
             for p in 0..self.out_channels {
@@ -228,12 +241,12 @@ impl Layer for CirculantConv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        if self.caches.is_empty() {
+        if self.kept.is_empty() {
             return Err(NnError::NoForwardCache("circulant_conv2d".into()));
         }
         let (oh, ow) = (self.out_h(), self.out_w());
         if grad_output.ndim() != 4
-            || grad_output.shape()[0] != self.caches.len()
+            || grad_output.shape()[0] != self.kept.len()
             || grad_output.shape()[1] != self.out_channels
             || grad_output.shape()[2] != oh
             || grad_output.shape()[3] != ow
@@ -242,7 +255,7 @@ impl Layer for CirculantConv2d {
                 layer: "circulant_conv2d".into(),
                 message: format!(
                     "expected gradient [{}, {}, {oh}, {ow}], got {:?}",
-                    self.caches.len(),
+                    self.kept.len(),
                     self.out_channels,
                     grad_output.shape()
                 ),
@@ -253,9 +266,10 @@ impl Layer for CirculantConv2d {
         let mut weight_grad = Tensor::zeros(self.matrix.weights().shape());
         let mut bias_grad = vec![0.0f32; self.out_channels];
         let mut grad_input =
-            Vec::with_capacity(self.caches.len() * self.in_channels * self.in_h * self.in_w);
+            Vec::with_capacity(self.kept.len() * self.in_channels * self.in_h * self.in_w);
+        let view = self.view();
 
-        for (s, cache) in self.caches.iter().enumerate() {
+        for (s, x_hat) in self.kept.iter().enumerate() {
             // Reassemble g as [oh·ow, P] from [P, oh, ow].
             let gslice = &grad_output.as_slice()[s * plane_out..(s + 1) * plane_out];
             let mut g = vec![0.0f32; oh * ow * self.out_channels];
@@ -267,7 +281,7 @@ impl Layer for CirculantConv2d {
                 }
             }
             let g = Tensor::from_vec(g, &[oh * ow, self.out_channels])?;
-            let (dcols, dw) = self.matrix.backward_batch(cache, &g)?;
+            let (dcols, dw) = self.matrix.backward_rows((x_hat, view), &g);
             weight_grad = weight_grad.add(&dw)?;
             let dx = col2im(&dcols, self.in_channels, self.in_h, self.in_w, self.geom)?;
             grad_input.extend_from_slice(dx.as_slice());
@@ -277,7 +291,7 @@ impl Layer for CirculantConv2d {
         self.bias_grad = Tensor::from_slice(&bias_grad);
         Ok(Tensor::from_vec(
             grad_input,
-            &[self.caches.len(), self.in_channels, self.in_h, self.in_w],
+            &[self.kept.len(), self.in_channels, self.in_h, self.in_w],
         )?)
     }
 
@@ -377,7 +391,7 @@ impl Layer for CirculantConv2d {
             bias: self.bias.clone(),
             weight_grad: self.weight_grad.clone(),
             bias_grad: self.bias_grad.clone(),
-            caches: Vec::new(),
+            kept: Vec::new(),
             infer_scratch: CirculantScratch::new(),
         }))
     }
@@ -496,6 +510,22 @@ mod tests {
         let mut layer = CirculantConv2d::new(3, 8, 8, 8, geom, 4, &mut rng()).unwrap();
         let y = layer.forward(&image(2, 3, 8, 8)).unwrap();
         assert_eq!(y.shape(), &[2, 8, 8, 8]);
+    }
+
+    #[test]
+    fn a_keeping_pass_retains_the_spectral_image_not_one_copy_per_tap() {
+        let geom = ConvGeometry {
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let mut layer = CirculantConv2d::new(8, 8, 6, 6, geom, 4, &mut rng()).unwrap();
+        layer.forward(&image(2, 8, 6, 6)).unwrap();
+        let bins = 4 / 2 + 1;
+        let spectra: Vec<usize> = layer.kept.iter().map(|x_hat| x_hat.len() / bins).collect();
+        // H·W pixels and the zero pixel, C/b blocks each — not the
+        // 36 · 9 · 2 blocks of the lowered rows.
+        assert_eq!(spectra, [(6 * 6 + 1) * 2; 2]);
     }
 
     #[test]

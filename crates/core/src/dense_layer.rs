@@ -3,7 +3,7 @@
 
 use crate::circulant::{BlockCirculantMatrix, ForwardCache};
 use crate::error::CirculantError;
-use crate::spectral::{CirculantScratch, InputSpectra};
+use crate::spectral::CirculantScratch;
 use ffdl_nn::{wire, Layer, NnError, OpCost, ParamRef, Scratch};
 use ffdl_tensor::Tensor;
 use ffdl_rng::Rng;
@@ -143,8 +143,8 @@ impl Layer for CirculantDense {
         "circulant_dense"
     }
 
-    /// Algorithm 1 with the output drawn from `scratch`. With `keep`
-    /// every row's input spectra are recorded for
+    /// Algorithm 1 with the output drawn from `scratch`. With `keep` the
+    /// input spectra it computed are retained for
     /// [`backward`](Layer::backward) (Algorithm 2); without it nothing is
     /// left behind.
     fn forward_with(
@@ -155,17 +155,12 @@ impl Layer for CirculantDense {
     ) -> Result<Tensor, NnError> {
         check_batch_input("circulant_dense", input, self.matrix.in_dim())?;
         let mut y = scratch.take(&[input.rows(), self.matrix.out_dim()]);
-        let mut cache = ForwardCache::default();
-        let x_spec = if keep {
-            InputSpectra::Keep(&mut cache.input_spectra)
-        } else {
-            InputSpectra::Reuse
-        };
         let bias = self.bias.as_slice();
-        self.matrix
-            .rows_product(input, x_spec, &mut self.infer_scratch, &mut y, |_, k, v| v + bias[k]);
+        let x_hat = self
+            .matrix
+            .rows_product(input, &mut self.infer_scratch, &mut y, |_, k, v| v + bias[k]);
         if keep {
-            self.cache = Some(cache);
+            self.cache = Some(ForwardCache { x_hat: x_hat.to_vec(), rows: input.rows() });
         }
         Ok(y)
     }

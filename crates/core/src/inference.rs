@@ -11,7 +11,7 @@
 
 use crate::circulant::BlockCirculantMatrix;
 use crate::dense_layer::check_batch_input;
-use crate::spectral::{CirculantScratch, InputSpectra, SpectralKernel, Spectrum};
+use crate::spectral::{CirculantScratch, SpectralKernel, Spectrum};
 use ffdl_nn::{wire, Layer, NnError, OpCost, Scratch};
 use ffdl_tensor::Tensor;
 use std::sync::{Arc, OnceLock};
@@ -109,7 +109,6 @@ impl Layer for SpectralDense {
             &self.spectra[..],
             (input.as_slice(), self.in_dim),
             (out.as_mut_slice(), self.out_dim),
-            InputSpectra::Reuse,
             &mut self.infer_scratch,
             |_, k, v| v + bias[k],
         );

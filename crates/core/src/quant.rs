@@ -27,7 +27,7 @@
 
 use crate::circulant::BlockCirculantMatrix;
 use crate::dense_layer::check_batch_input;
-use crate::spectral::{CirculantScratch, InputSpectra, LevelGrid, SpectralKernel, Spectrum};
+use crate::spectral::{CirculantScratch, LevelGrid, SpectralKernel, Spectrum};
 use ffdl_fft::Complex32;
 use ffdl_nn::wire::{self, QuantPayload, QUANT_SCHEME_SYMMETRIC};
 use ffdl_nn::{Layer, NnError, OpCost, Scratch};
@@ -355,7 +355,6 @@ impl Layer for QuantizedSpectralDense {
             },
             (input.as_slice(), self.in_dim),
             (out.as_mut_slice(), self.out_dim),
-            InputSpectra::Reuse,
             &mut self.infer_scratch,
             |i, k, v| v * scales[i] + bias[k],
         );

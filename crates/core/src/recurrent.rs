@@ -23,7 +23,7 @@
 
 use crate::circulant::BlockCirculantMatrix;
 use crate::dense_layer::check_batch_input;
-use crate::spectral::{identity_view, CirculantScratch, InputSpectra};
+use crate::spectral::{identity_view, CirculantScratch};
 use ffdl_fft::Complex32;
 use ffdl_nn::{wire, Layer, NnError, OpCost, Scratch};
 use ffdl_rng::Rng;
@@ -170,7 +170,7 @@ impl CirculantGru {
             for (m, spec, y) in sides {
                 y.resize(self.hidden, 0.0);
                 let view = identity_view(m.in_blocks());
-                m.product((spec, view), y, InputSpectra::Reuse, &mut circ.bufs, |_, _, v| v);
+                m.product((spec, view), y, &mut circ.bufs, |_, _, v| v);
             }
         }
         let (bz, br, bn) = (

@@ -18,9 +18,11 @@
 //! (the CONV layer's spectral image) or several weight matrices (the
 //! GRU's gates). The layers differ only in what they hand it: where a
 //! weight bin comes from ([`BlockWeights`]), which spectra a row reads
-//! (the view), what is done to an output value (the epilogue) and whether
-//! a row's input spectra are kept for the backward pass
-//! ([`InputSpectra`]).
+//! (the view) and what is done to an output value (the epilogue).
+//! Algorithm 2 is the same two halves on the gradient rows: its input
+//! gradient is [`SpectralKernel::product`] over the [`Adjoint`] weights,
+//! its weight gradient [`SpectralKernel::weight_gradient`] reading the
+//! forward pass's `X̂` through the forward pass's view.
 
 use ffdl_fft::{Complex32, RealFft};
 
@@ -64,16 +66,6 @@ pub(crate) struct BlockBuffers {
     y_block: Vec<f32>,
 }
 
-/// What becomes of a row's input spectra: the one difference between the
-/// inference pass and "the pass that records what `backward` needs".
-pub(crate) enum InputSpectra<'a> {
-    /// Inference: they stay in `X̂` until the next call overwrites it.
-    Reuse,
-    /// Training: every row's spectra copied out, `[row][input_block]` —
-    /// Algorithm 2 reuses `FFT(x)`.
-    Keep(&'a mut Vec<Vec<Spectrum>>),
-}
-
 /// The view of a row that reads its own `kb_in` spectra, rows laid out
 /// one after another in `X̂` — every FC-shaped product.
 pub(crate) fn identity_view(kb_in: usize) -> impl Fn(usize, &mut Vec<usize>) {
@@ -92,6 +84,16 @@ pub(crate) trait BlockWeights {
 impl BlockWeights for [Vec<Spectrum>] {
     fn accumulate(&self, acc: &mut [Complex32], i: usize, j: usize, x: &[Complex32]) {
         SpectralKernel::mul_accumulate(acc, &self[i][j], x);
+    }
+}
+
+/// The same spectra read from the other side, `Ŵᴴ`: block `(j, i)` is
+/// `conj(Ŵᵢⱼ)`, and the product over it is Algorithm 2's `∂L/∂x`.
+pub(crate) struct Adjoint<'a>(pub(crate) &'a [Vec<Spectrum>]);
+
+impl BlockWeights for Adjoint<'_> {
+    fn accumulate(&self, acc: &mut [Complex32], j: usize, i: usize, g: &[Complex32]) {
+        SpectralKernel::mul_conj_accumulate(acc, g, &self.0[i][j]);
     }
 }
 
@@ -200,13 +202,14 @@ impl SpectralKernel {
     /// loop: the rows of `x` (`in_dim` values each, zero-padded to whole
     /// blocks first when `b ∤ in_dim`) are transformed block by block into
     /// `spec`, flat `[slots, bins]` — block `j` of row `s` into slot
-    /// `s · kb_in + j`.
+    /// `s · kb_in + j`. Returns the length filled: `spec` is grow-only, so
+    /// a pass that keeps `X̂` keeps `spec[..len]`.
     pub(crate) fn spectra_of(
         &self,
         (x, in_dim): (&[f32], usize),
         bufs: &mut BlockBuffers,
         spec: &mut Vec<Complex32>,
-    ) {
+    ) -> usize {
         let BlockBuffers { fft, padded, .. } = bufs;
         let (bins, width) = (self.bins(), in_dim.div_ceil(self.block) * self.block);
         let blocks = if width == in_dim {
@@ -220,14 +223,16 @@ impl SpectralKernel {
             &padded[..]
         };
         let blocks = blocks.chunks_exact(self.block);
-        if spec.len() < blocks.len() * bins {
-            spec.resize(blocks.len() * bins, Complex32::zero());
+        let len = blocks.len() * bins;
+        if spec.len() < len {
+            spec.resize(len, Complex32::zero());
         }
         for (block, slot) in blocks.zip(spec.chunks_exact_mut(bins)) {
             self.plan
                 .forward_into_slice(block, fft, slot)
                 .expect("block and bin counts are fixed");
         }
+        len
     }
 
     /// Second half of Algorithm 1, `y = epilogue(X̂ · Ŵ)`: for output row
@@ -237,31 +242,24 @@ impl SpectralKernel {
     /// `epilogue(i, k, value)` to position `k` of the un-padded row. `y`
     /// holds rows of `out_dim` values.
     ///
-    /// Every circulant layer's forward pass ends in this function, so
-    /// the arithmetic and its order — and therefore every output bit —
-    /// are the same on all of them.
+    /// Every circulant layer's forward pass and every input gradient
+    /// end in this function, so the arithmetic and its order — and
+    /// therefore every output bit — are the same on all of them.
     pub(crate) fn product<W: BlockWeights + ?Sized>(
         &self,
         weights: &W,
         (spec, view): (&[Complex32], impl Fn(usize, &mut Vec<usize>)),
         (y, out_dim): (&mut [f32], usize),
-        mut keep: InputSpectra<'_>,
         bufs: &mut BlockBuffers,
         epilogue: impl Fn(usize, usize, f32) -> f32,
     ) {
         let bins = self.bins();
         let x_hat = |at: usize| &spec[at..at + bins];
-        if let InputSpectra::Keep(rows) = &mut keep {
-            rows.clear();
-        }
         for (s, y_row) in y.chunks_exact_mut(out_dim).enumerate() {
             bufs.slots.clear();
             view(s, &mut bufs.slots);
             // Slot → offset once a row, not once a multiply-accumulate.
             bufs.slots.iter_mut().for_each(|slot| *slot *= bins);
-            if let InputSpectra::Keep(rows) = &mut keep {
-                rows.push(bufs.slots.iter().map(|&at| x_hat(at).to_vec()).collect());
-            }
             for (i, y_chunk) in y_row.chunks_mut(self.block).enumerate() {
                 bufs.acc.clear();
                 bufs.acc.resize(bins, Complex32::zero());
@@ -276,20 +274,51 @@ impl SpectralKernel {
         }
     }
 
+    /// The other half of Algorithm 2, `∂L/∂wᵢⱼ = IFFT(Σₛ Ĝₛᵢ ∘ conj(X̂ₛⱼ))`,
+    /// written into `grad_w`, `[kb_out, kb_in, b]`: `g_hat` holds `kb_out`
+    /// spectra a row, and row `s` reads its `X̂ₛⱼ` through the view the
+    /// forward pass read them through. The sum over rows (ascending) is
+    /// taken in the frequency domain and inverted once — IFFT is linear.
+    pub(crate) fn weight_gradient(
+        &self,
+        (g_hat, kb_out): (&[Complex32], usize),
+        (spec, view): (&[Complex32], impl Fn(usize, &mut Vec<usize>)),
+        grad_w: &mut [f32],
+    ) {
+        let (bins, mut bufs) = (self.bins(), BlockBuffers::default());
+        let mut sums = vec![Complex32::zero(); grad_w.len() / self.block * bins];
+        for (s, g_row) in g_hat.chunks_exact(kb_out * bins).enumerate() {
+            bufs.slots.clear();
+            view(s, &mut bufs.slots);
+            let per_out_block = sums.chunks_exact_mut(bufs.slots.len() * bins);
+            for (g, sums) in g_row.chunks_exact(bins).zip(per_out_block) {
+                for (sum, &slot) in sums.chunks_exact_mut(bins).zip(&bufs.slots) {
+                    let x = &spec[slot * bins..(slot + 1) * bins];
+                    SpectralKernel::mul_conj_accumulate(sum, g, x);
+                }
+            }
+        }
+        for (sum, w) in sums.chunks_exact(bins).zip(grad_w.chunks_exact_mut(self.block)) {
+            self.inverse_into(sum, &mut bufs.fft, &mut bufs.y_block);
+            w.copy_from_slice(&bufs.y_block);
+        }
+    }
+
     /// Both halves over whole rows, `y = epilogue(x · W)`: the forward
     /// pass of every FC-shaped layer. `x` holds rows of `in_dim` values.
-    pub(crate) fn rows_product<W: BlockWeights + ?Sized>(
+    /// Returns the `X̂` it computed, for a pass that keeps it.
+    pub(crate) fn rows_product<'s, W: BlockWeights + ?Sized>(
         &self,
         weights: &W,
         (x, in_dim): (&[f32], usize),
         y: (&mut [f32], usize),
-        keep: InputSpectra<'_>,
-        sc: &mut CirculantScratch,
+        sc: &'s mut CirculantScratch,
         epilogue: impl Fn(usize, usize, f32) -> f32,
-    ) {
-        self.spectra_of((x, in_dim), &mut sc.bufs, &mut sc.x_spec);
+    ) -> &'s [Complex32] {
+        let len = self.spectra_of((x, in_dim), &mut sc.bufs, &mut sc.x_spec);
         let view = identity_view(in_dim.div_ceil(self.block));
-        self.product(weights, (&sc.x_spec, view), y, keep, &mut sc.bufs, epilogue);
+        self.product(weights, (&sc.x_spec, view), y, &mut sc.bufs, epilogue);
+        &sc.x_spec[..len]
     }
 
     /// `acc[k] += a[k] · b[k]` — the component-wise multiplication at the
@@ -402,13 +431,12 @@ mod tests {
             .collect();
         let x = exact(2 * in_dim, 0);
         let mut y = vec![0.0f32; 2 * out_dim];
-        let mut kept = Vec::new();
-        kernel.rows_product(
+        let mut sc = CirculantScratch::new();
+        let kept = kernel.rows_product(
             &weights[..],
             (&x, in_dim),
             (&mut y, out_dim),
-            InputSpectra::Keep(&mut kept),
-            &mut CirculantScratch::new(),
+            &mut sc,
             |i, k, v| v + (i + k) as f32,
         );
         let got: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
@@ -416,8 +444,8 @@ mod tests {
         // What Algorithm 2 is handed: each row's own zero-padded blocks.
         let mut last_block = x[in_dim + (kb_in - 1) * b..].to_vec();
         last_block.resize(b, 0.0);
-        assert_eq!((kept.len(), kept[1].len()), (2, kb_in));
-        assert_eq!(kept[1][kb_in - 1], kernel.spectrum(&last_block));
+        assert_eq!(kept.len(), 2 * kb_in * kernel.bins());
+        assert_eq!(kept[kept.len() - kernel.bins()..], kernel.spectrum(&last_block));
     }
 
     #[test]

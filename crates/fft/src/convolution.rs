@@ -3,14 +3,12 @@
 //! defined by `w`.
 //!
 //! Each operation is provided twice: a direct `O(n²)` reference and the
-//! `O(n log n)` FFT path. The [`Convolver`] caches plans for a fixed length
-//! (the usage pattern of a block-circulant layer, which convolves many
-//! vectors of the same block size).
+//! `O(n log n)` FFT path — statements of the identity for tests and
+//! examples; the layers run it on half spectra through
+//! [`RealFft`](crate::RealFft).
 
 use crate::complex::{Complex, FftFloat};
-use crate::error::FftError;
-use crate::plan::{Fft, FftPlanner};
-use std::sync::Arc;
+use crate::plan::{fft_real, ifft};
 
 /// Direct `O(n²)` circular convolution: `out[i] = Σ_j a[j]·b[(i−j) mod n]`.
 ///
@@ -55,169 +53,43 @@ pub fn circular_correlate_direct<T: FftFloat>(a: &[T], b: &[T]) -> Vec<T> {
     out
 }
 
-/// Direct `O(n·m)` linear (acyclic) convolution; output length `n + m − 1`.
-///
-/// Returns an empty vector when either input is empty.
-pub fn linear_convolve_direct<T: FftFloat>(a: &[T], b: &[T]) -> Vec<T> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let mut out = vec![T::ZERO; a.len() + b.len() - 1];
-    for (i, &ai) in a.iter().enumerate() {
-        for (j, &bj) in b.iter().enumerate() {
-            out[i + j] += ai * bj;
-        }
-    }
-    out
-}
-
 /// FFT-based circular convolution of two equal-length real signals.
 ///
 /// This is the "FFT → component-wise multiplication → IFFT" procedure of
-/// Fig. 2. One-shot convenience; use [`Convolver`] in hot loops.
+/// Fig. 2.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 pub fn circular_convolve<T: FftFloat>(a: &[T], b: &[T]) -> Vec<T> {
     assert_eq!(a.len(), b.len(), "circular convolution requires equal lengths");
-    if a.is_empty() {
-        return Vec::new();
-    }
-    Convolver::new(a.len()).convolve(a, b).expect("lengths match")
+    through_spectra(a, b, |x, y| x * y)
 }
 
-/// FFT-based circular correlation of two equal-length real signals.
+/// FFT-based circular correlation `out[i] = Σ_j a[j]·b[(j−i) mod n]` of two
+/// equal-length real signals, computed as `IFFT( FFT(a) ∘ conj(FFT(b)) )`.
+///
+/// With this convention, `corr` is the adjoint that appears in
+/// Algorithm 2: for `y = w ⊛ x` and upstream gradient `g`,
+/// `∂L/∂w = corr(g, x)` and `∂L/∂x = corr(g, w)`.
 ///
 /// # Panics
 ///
 /// Panics if the lengths differ.
 pub fn circular_correlate<T: FftFloat>(a: &[T], b: &[T]) -> Vec<T> {
     assert_eq!(a.len(), b.len(), "circular correlation requires equal lengths");
-    if a.is_empty() {
-        return Vec::new();
-    }
-    Convolver::new(a.len()).correlate(a, b).expect("lengths match")
+    through_spectra(a, b, |x, y| x * y.conj())
 }
 
-/// FFT-based linear convolution via zero padding to the next power of two
-/// `≥ n + m − 1`; output length `n + m − 1`.
-pub fn linear_convolve<T: FftFloat>(a: &[T], b: &[T]) -> Vec<T> {
-    if a.is_empty() || b.is_empty() {
-        return Vec::new();
-    }
-    let out_len = a.len() + b.len() - 1;
-    let padded = out_len.next_power_of_two();
-    let mut fa = vec![Complex::zero(); padded];
-    let mut fb = vec![Complex::zero(); padded];
-    for (dst, &src) in fa.iter_mut().zip(a) {
-        *dst = Complex::from_real(src);
-    }
-    for (dst, &src) in fb.iter_mut().zip(b) {
-        *dst = Complex::from_real(src);
-    }
-    let mut planner = FftPlanner::new();
-    let fwd = planner.plan_forward(padded);
-    let inv = planner.plan_inverse(padded);
-    fwd.process(&mut fa).expect("length matches");
-    fwd.process(&mut fb).expect("length matches");
-    for (x, y) in fa.iter_mut().zip(&fb) {
-        *x *= *y;
-    }
-    inv.process(&mut fa).expect("length matches");
-    fa.truncate(out_len);
-    fa.into_iter().map(|v| v.re).collect()
-}
-
-/// Plan-caching circular convolution/correlation engine for a fixed length.
-///
-/// # Examples
-///
-/// ```
-/// use ffdl_fft::Convolver;
-///
-/// let conv = Convolver::<f64>::new(4);
-/// let w = [1.0, 0.0, 0.0, 0.0]; // identity kernel
-/// let x = [4.0, 3.0, 2.0, 1.0];
-/// assert_eq!(conv.convolve(&w, &x)?, x.to_vec());
-/// # Ok::<(), ffdl_fft::FftError>(())
-/// ```
-pub struct Convolver<T> {
-    len: usize,
-    forward: Arc<dyn Fft<T>>,
-    inverse: Arc<dyn Fft<T>>,
-}
-
-impl<T: FftFloat> Convolver<T> {
-    /// Builds a convolution engine for signals of length `len`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len == 0`.
-    pub fn new(len: usize) -> Self {
-        let mut planner = FftPlanner::new();
-        Self {
-            len,
-            forward: planner.plan_forward(len),
-            inverse: planner.plan_inverse(len),
-        }
-    }
-
-    /// Signal length this engine operates on.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Always `false`: zero-length engines cannot be constructed.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    fn spectrum_of(&self, x: &[T]) -> Result<Vec<Complex<T>>, FftError> {
-        if x.len() != self.len {
-            return Err(FftError::LengthMismatch {
-                expected: self.len,
-                actual: x.len(),
-            });
-        }
-        let mut buf: Vec<Complex<T>> = x.iter().map(|&v| Complex::from_real(v)).collect();
-        self.forward.process(&mut buf)?;
-        Ok(buf)
-    }
-
-    /// Circular convolution `a ⊛ b`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] when either input length differs
-    /// from [`Convolver::len`].
-    pub fn convolve(&self, a: &[T], b: &[T]) -> Result<Vec<T>, FftError> {
-        let fa = self.spectrum_of(a)?;
-        let fb = self.spectrum_of(b)?;
-        let mut prod: Vec<Complex<T>> = fa.iter().zip(&fb).map(|(&x, &y)| x * y).collect();
-        self.inverse.process(&mut prod)?;
-        Ok(prod.into_iter().map(|v| v.re).collect())
-    }
-
-    /// Circular correlation `out[i] = Σ_j a[j]·b[(j−i) mod n]`, computed as
-    /// `IFFT( FFT(a) ∘ conj(FFT(b)) )`.
-    ///
-    /// With this convention, `corr` is the adjoint that appears in
-    /// Algorithm 2: for `y = w ⊛ x` and upstream gradient `g`,
-    /// `∂L/∂w = corr(g, x)` and `∂L/∂x = corr(g, w)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] when either input length differs
-    /// from [`Convolver::len`].
-    pub fn correlate(&self, a: &[T], b: &[T]) -> Result<Vec<T>, FftError> {
-        let fa = self.spectrum_of(a)?;
-        let fb = self.spectrum_of(b)?;
-        let mut prod: Vec<Complex<T>> =
-            fa.iter().zip(&fb).map(|(&x, &y)| x * y.conj()).collect();
-        self.inverse.process(&mut prod)?;
-        Ok(prod.into_iter().map(|v| v.re).collect())
-    }
+/// `IFFT( FFT(a) ∘ FFT(b) )` under the given component-wise product.
+fn through_spectra<T: FftFloat>(
+    a: &[T],
+    b: &[T],
+    product: impl Fn(Complex<T>, Complex<T>) -> Complex<T>,
+) -> Vec<T> {
+    let (fa, fb) = (fft_real(a), fft_real(b));
+    let prod: Vec<Complex<T>> = fa.iter().zip(&fb).map(|(&x, &y)| product(x, y)).collect();
+    ifft(&prod).into_iter().map(|v| v.re).collect()
 }
 
 #[cfg(test)]
@@ -261,17 +133,6 @@ mod tests {
                 1e-7 * (n as f64).max(1.0),
             );
         }
-    }
-
-    #[test]
-    fn linear_convolution_matches_direct() {
-        let a = signal(9, 0.3);
-        let b = signal(5, 1.7);
-        assert_close(
-            &linear_convolve(&a, &b),
-            &linear_convolve_direct(&a, &b),
-            1e-8,
-        );
     }
 
     #[test]
@@ -320,25 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn convolver_rejects_wrong_length() {
-        let c = Convolver::<f64>::new(8);
-        assert!(matches!(
-            c.convolve(&[0.0; 8], &[0.0; 7]),
-            Err(FftError::LengthMismatch { .. })
-        ));
-        assert!(matches!(
-            c.correlate(&[0.0; 3], &[0.0; 8]),
-            Err(FftError::LengthMismatch { .. })
-        ));
-        assert_eq!(c.len(), 8);
-    }
-
-    #[test]
     fn empty_inputs() {
         assert!(circular_convolve::<f64>(&[], &[]).is_empty());
         assert!(circular_correlate::<f64>(&[], &[]).is_empty());
-        assert!(linear_convolve::<f64>(&[], &[1.0]).is_empty());
-        assert!(linear_convolve_direct::<f64>(&[1.0], &[]).is_empty());
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! - real-input transforms ([`RealFft`]) that compute only the
 //!   non-redundant half spectrum and run the same passes with the
 //!   permutation and the scaling folded into their pack steps,
-//! - circular convolution/correlation ([`Convolver`], [`circular_convolve`])
-//!   with direct `O(n²)` references for testing and benchmarking,
+//! - circular convolution/correlation ([`circular_convolve`],
+//!   [`circular_correlate`]) with direct `O(n²)` references for testing,
 //! - a plan cache ([`FftPlanner`]) so hot loops never recompute twiddles,
 //! - a naive [`dft`] as the ground-truth reference.
 //!
@@ -50,11 +50,10 @@ mod plan;
 mod real;
 
 pub use bluestein::Bluestein;
-pub use fft2d::{circular_convolve2d, Fft2d};
+pub use fft2d::Fft2d;
 pub use complex::{Complex, Complex32, Complex64, FftFloat};
 pub use convolution::{
     circular_convolve, circular_convolve_direct, circular_correlate, circular_correlate_direct,
-    linear_convolve, linear_convolve_direct, Convolver,
 };
 pub use dft::{dft, dft_real};
 pub use error::FftError;

@@ -4,8 +4,8 @@
 //!
 //! There is one butterfly implementation. [`Fft::process`] on a
 //! [`Radix2`] plan permutes and then runs it; [`RealFft`](crate::RealFft)
-//! runs it on data its pack step already permuted; `Bluestein`, `Fft2d`
-//! and `Convolver` reach it through `process`.
+//! runs it on data its pack step already permuted; `Bluestein` and
+//! `Fft2d` reach it through `process`.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, OnceLock};

@@ -7,8 +7,7 @@
 
 use ffdl_fft::{
     circular_convolve, circular_convolve_direct, circular_correlate, circular_correlate_direct,
-    dft, fft, ifft, irfft, linear_convolve, linear_convolve_direct, rfft, Complex, Complex64,
-    Direction, FftPlanner,
+    dft, fft, ifft, irfft, rfft, Complex, Complex64, Direction, FftPlanner,
 };
 use ffdl_rng::prop::{check, moderate_f64, vec_of};
 use ffdl_rng::{prop_assert, prop_assert_eq, SmallRng};
@@ -195,26 +194,6 @@ fn rfft_matches_fft() {
             let scale = max_abs(x) * x.len() as f64;
             for (k, h) in half.iter().enumerate() {
                 prop_assert!((*h - full[k]).norm() < 1e-8 * scale, "bin {k}");
-            }
-            Ok(())
-        },
-    );
-}
-
-/// Linear convolution via FFT equals direct; length is n+m−1.
-#[test]
-fn linear_convolution() {
-    check(
-        "linear_convolution",
-        64,
-        |rng| (real_vec(rng, 40), real_vec(rng, 40)),
-        |(a, b)| {
-            let fast = linear_convolve(a, b);
-            let slow = linear_convolve_direct(a, b);
-            prop_assert_eq!(fast.len(), a.len() + b.len() - 1);
-            let scale = max_abs(a) * max_abs(b) * (a.len() + b.len()) as f64;
-            for (x, y) in fast.iter().zip(&slow) {
-                prop_assert!((x - y).abs() < 1e-8 * scale, "{x} vs {y}");
             }
             Ok(())
         },

@@ -23,11 +23,11 @@ echo "== guard: one mechanism (worker core, request path and Algorithm 1 each wr
 # rollback routine, one request-path catch_unwind and one batch step
 # (crates/serve/src/supervise.rs) behind one bounded queue and one wake
 # protocol (crates/serve/src/queue.rs; DESIGN.md "Supervised worker
-# core"), and every circulant layer shares one block-spectral product: the two
-# multiply-accumulate kernels are *called* from one file only
-# (crates/core/src/spectral.rs, DESIGN.md "Algorithm 1, once"). Each
-# pattern must match in exactly one non-test source file: a second match
-# is a private copy growing back.
+# core"), and every circulant layer shares one block-spectral product
+# under both algorithms: the three multiply-accumulate kernels are *called*
+# from one file only (crates/core/src/spectral.rs, DESIGN.md "Algorithm 1,
+# once"). Each pattern must match in exactly one non-test source file: a
+# second match is a private copy growing back.
 non_test_source() {
     awk '/^#\[cfg\(test\)\]/{exit} {print}' "$1"
 }
@@ -38,7 +38,8 @@ non_test_files_matching() {
     done || true
 }
 for pattern in 'struct GenRecord' 'const HISTORY_DEPTH' 'fn (handle|report)_unhealthy' 'catch_unwind\(' \
-    'SpectralKernel::mul_accumulate\(' 'SpectralKernel::mul_accumulate_levels\('; do
+    'SpectralKernel::mul_accumulate\(' 'SpectralKernel::mul_accumulate_levels\(' \
+    'SpectralKernel::mul_conj_accumulate\('; do
     hits="$(non_test_files_matching "${pattern}")"
     if [ "$(echo "${hits}" | grep -c .)" -ne 1 ]; then
         echo "one-mechanism guard: '${pattern}' must appear in exactly one file, found:" >&2
@@ -67,6 +68,12 @@ for check in 'weights\.accumulate\(|crates/core/src/spectral.rs' \
     fi
     echo "'${pattern}' once in ${check#*|}"
 done
+# Input spectra have one form, the flat X-hat buffer read through a view:
+# the enum that copied them out per row must not come back.
+if grep -rn 'InputSpectra' crates/; then
+    echo "one-mechanism guard: 'InputSpectra' is back under crates/ (input spectra are the flat buffer plus a view, kept or not)" >&2
+    exit 1
+fi
 if ! awk '/fn spectra_of/,/^    }$/' crates/core/src/spectral.rs | grep -q '\.forward_into_slice('; then
     echo "one-mechanism guard: the forward-transform loop must live in SpectralKernel::spectra_of" >&2
     exit 1
