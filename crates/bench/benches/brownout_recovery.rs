@@ -27,12 +27,12 @@
 //! recovered at final_level 0.
 
 use ffdl::tensor::Tensor;
+use ffdl_bench::harness::out_dir;
 use ffdl_registry::ModelStore;
 use ffdl_sched::{
     delay_model, delay_registry, run_open_loop, BrownoutConfig, BrownoutStat, Ladder, LadderRung,
     OpenLoopPlan, SchedConfig, SchedReport, Scheduler, TenantSpec,
 };
-use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 const FEATURES: usize = 16;
@@ -48,16 +48,6 @@ fn samples(n: usize) -> Vec<Tensor> {
     (0..n)
         .map(|s| Tensor::from_fn(&[FEATURES], |i| (((s * FEATURES + i) * 7) % 23) as f32 * 0.1))
         .collect()
-}
-
-fn out_dir() -> PathBuf {
-    match std::env::var("FFDL_BENCH_OUT_DIR") {
-        Ok(d) => PathBuf::from(d),
-        Err(_) => Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()
-            .unwrap_or_else(|_| PathBuf::from(".")),
-    }
 }
 
 /// Per-level wall-time residency over `[0, total]`, from the level

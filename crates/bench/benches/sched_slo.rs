@@ -32,12 +32,12 @@
 //!   recording the peak level and the recovery to full precision.
 
 use ffdl::tensor::Tensor;
+use ffdl_bench::harness::out_dir;
 use ffdl_registry::ModelStore;
 use ffdl_sched::{
     delay_model, delay_registry, run_open_loop, BrownoutConfig, Ladder, LadderRung, OpenLoopPlan,
     PriorityClass, SchedConfig, SchedReport, Scheduler, TenantSpec,
 };
-use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 const FEATURES: usize = 16;
@@ -52,16 +52,6 @@ fn samples(n: usize) -> Vec<Tensor> {
     (0..n)
         .map(|s| Tensor::from_fn(&[FEATURES], |i| (((s * FEATURES + i) * 7) % 23) as f32 * 0.1))
         .collect()
-}
-
-fn out_dir() -> PathBuf {
-    match std::env::var("FFDL_BENCH_OUT_DIR") {
-        Ok(d) => PathBuf::from(d),
-        Err(_) => Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()
-            .unwrap_or_else(|_| PathBuf::from(".")),
-    }
 }
 
 /// Runs one open-loop scenario to completion (generate, then drain) and

@@ -20,8 +20,8 @@
 
 use ffdl::paper;
 use ffdl::tensor::Tensor;
+use ffdl_bench::harness::out_dir;
 use ffdl_serve::{ServeConfig, ServeError, ServeReport, Server};
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 const REQUESTS: usize = 1024;
@@ -31,16 +31,6 @@ fn samples() -> Vec<Tensor> {
     (0..REQUESTS)
         .map(|s| Tensor::from_fn(&[256], |i| (((s * 256 + i) * 7) % 23) as f32 * 0.04))
         .collect()
-}
-
-fn out_dir() -> PathBuf {
-    match std::env::var("FFDL_BENCH_OUT_DIR") {
-        Ok(d) => PathBuf::from(d),
-        Err(_) => Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()
-            .unwrap_or_else(|_| PathBuf::from(".")),
-    }
 }
 
 fn run(label: &str, workers: usize, max_batch: usize, samples: &[Tensor]) -> ServeReport {

@@ -23,10 +23,10 @@
 use ffdl::core::CirculantGru;
 use ffdl::nn::{Dense, Network, Softmax};
 use ffdl::tensor::Tensor;
+use ffdl_bench::harness::out_dir;
 use ffdl_rng::{SeedableRng, SmallRng};
 use ffdl_sched::{delay_registry, DelayLayer};
 use ffdl_stream::{StreamConfig, StreamError, StreamReport, StreamServer};
-use std::path::{Path, PathBuf};
 
 const FEATURES: usize = 32;
 const HIDDEN: usize = 32;
@@ -36,16 +36,6 @@ const DELAY_US: u64 = 400;
 const SEED: u64 = 0x5EED_0009;
 const SESSIONS: u64 = 16;
 const STEPS: usize = 200;
-
-fn out_dir() -> PathBuf {
-    match std::env::var("FFDL_BENCH_OUT_DIR") {
-        Ok(d) => PathBuf::from(d),
-        Err(_) => Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()
-            .unwrap_or_else(|_| PathBuf::from(".")),
-    }
-}
 
 /// delay → block-circulant GRU → dense → softmax: a stateful model with
 /// a pinned service time.

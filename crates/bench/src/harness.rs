@@ -18,10 +18,12 @@
 //! - `FFDL_BENCH_TARGET_MS`: target wall time per sample in ms
 //!   (default 5; calibration picks the inner iteration count from it).
 //! - `FFDL_BENCH_OUT_DIR`: where to write `BENCH_<name>.json`
-//!   (default: the workspace root).
+//!   (default: the root of the workspace cargo runs the bench in; see
+//!   [`out_dir`]).
 
 use ffdl::telemetry::percentile;
-use std::path::{Path, PathBuf};
+use std::ffi::OsString;
+use std::path::PathBuf;
 use std::time::Instant;
 
 pub use std::hint::black_box;
@@ -152,11 +154,7 @@ impl BenchSet {
     ///
     /// Propagates I/O errors from writing the JSON file.
     pub fn finish(&self) -> std::io::Result<PathBuf> {
-        let dir = match std::env::var("FFDL_BENCH_OUT_DIR") {
-            Ok(d) => PathBuf::from(d),
-            Err(_) => workspace_root(),
-        };
-        let path = dir.join(format!("BENCH_{}.json", self.name));
+        let path = out_dir().join(format!("BENCH_{}.json", self.name));
         std::fs::write(&path, self.to_json())?;
         eprintln!("wrote {}", path.display());
         Ok(path)
@@ -210,17 +208,35 @@ fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// The workspace root (two levels above this crate's manifest).
-fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| PathBuf::from("."))
+/// Where every bench writes its `BENCH_<name>.json`: `FFDL_BENCH_OUT_DIR`
+/// when set, else the root of the workspace being benched.
+pub fn out_dir() -> PathBuf {
+    let dir = choose_out_dir(
+        std::env::var_os("FFDL_BENCH_OUT_DIR"),
+        std::env::var_os("CARGO_MANIFEST_DIR"),
+    );
+    dir.canonicalize().unwrap_or(dir)
+}
+
+/// The choice behind [`out_dir`], from the two variables' run-time values.
+/// The workspace root is two levels above the manifest directory cargo
+/// sets for `cargo bench` / `cargo run` / `cargo test`. Only without it
+/// does the compile-time value count: a binary built in one checkout and
+/// run from another (a copied `target/`, a shared `CARGO_TARGET_DIR`)
+/// would otherwise write into the checkout it was built in.
+fn choose_out_dir(out_dir: Option<OsString>, manifest_dir: Option<OsString>) -> PathBuf {
+    match out_dir {
+        Some(dir) => PathBuf::from(dir),
+        None => manifest_dir
+            .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from)
+            .join("../.."),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     #[test]
     fn percentile_interpolates() {
@@ -276,7 +292,30 @@ mod tests {
 
     #[test]
     fn workspace_root_contains_workspace_manifest() {
-        let root = workspace_root();
+        let root = choose_out_dir(None, std::env::var_os("CARGO_MANIFEST_DIR"));
         assert!(root.join("Cargo.toml").exists(), "{root:?}");
+        assert!(
+            root.join("crates/bench/src/harness.rs").exists(),
+            "{root:?}"
+        );
+    }
+
+    #[test]
+    fn out_dir_prefers_the_override_then_the_run_time_manifest() {
+        let pick = |out: Option<&str>, manifest: Option<&str>| {
+            choose_out_dir(out.map(OsString::from), manifest.map(OsString::from))
+        };
+        assert_eq!(
+            pick(Some("/tmp/out"), Some("/copy/crates/bench")),
+            Path::new("/tmp/out")
+        );
+        assert_eq!(
+            pick(None, Some("/copy/crates/bench")),
+            Path::new("/copy/crates/bench/../..")
+        );
+        assert_eq!(
+            pick(None, None),
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+        );
     }
 }

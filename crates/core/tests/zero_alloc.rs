@@ -10,7 +10,8 @@
 //! for every form the one Algorithm 1 routine is served in — training
 //! layer, frozen `f32` spectra, fixed-point levels, the CONV layer's
 //! spectral image and its im2col fallback — at power-of-two blocks and at
-//! the odd and even chirp-transform blocks of Arch. 2's sizes.
+//! the odd and even chirp-transform blocks of Arch. 2's sizes, and for the
+//! dense product under `Conv2d` and a multi-chunk `Dense`.
 //!
 //! This lives in an integration test (its own crate) deliberately: the
 //! allocator shim needs `unsafe`, which the library crates forbid.
@@ -18,7 +19,7 @@
 use ffdl_core::{
     CirculantConv2d, CirculantDense, QuantBits, QuantizedSpectralDense, SpectralDense,
 };
-use ffdl_nn::{Dense, Flatten, Network, Relu, Scratch, Softmax};
+use ffdl_nn::{Conv2d, Dense, Flatten, Network, Relu, Scratch, Softmax};
 use ffdl_rng::{Rng, SeedableRng, SmallRng};
 use ffdl_tensor::{ConvGeometry, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -129,12 +130,22 @@ fn stacks() -> Vec<(&'static str, Network, Vec<usize>)> {
     chirp.push(SpectralDense::from_matrix(head.matrix(), head.bias().clone()));
     chirp.push(Softmax::new());
 
+    // The dense product's term buffer under both of its layers, with a
+    // head wider than one compaction chunk (336 > 256 terms a row).
+    let mut dense_conv = Network::new();
+    dense_conv.push(Conv2d::new(4, 21, 6, 6, ConvGeometry::valid(3), &mut rng).unwrap());
+    dense_conv.push(Relu::new());
+    dense_conv.push(Flatten::new());
+    dense_conv.push(Dense::new(21 * 4 * 4, 4, &mut rng));
+    dense_conv.push(Softmax::new());
+
     vec![
         ("circulant_dense", training, vec![16]),
         ("frozen_f32_int8", frozen, vec![16]),
         ("circulant_conv2d_fallback", conv, vec![2, 6, 6]),
         ("circulant_conv2d_image", conv_image, vec![8, 6, 6]),
         ("chirp_blocks", chirp, vec![121]),
+        ("dense_conv2d_multi_chunk", dense_conv, vec![4, 6, 6]),
     ]
 }
 

@@ -2,7 +2,7 @@
 //! `ffdl_rng::prop` harness (seeded cases, replayable failures).
 
 use ffdl_rng::prop::{check, small_f32};
-use ffdl_rng::{prop_assert, prop_assert_eq, Rng, SmallRng};
+use ffdl_rng::{prop_assert, prop_assert_eq, Rng, SeedableRng, SmallRng};
 use ffdl_tensor::{bilinear_resize, col2im, im2col, ConvGeometry, Tensor};
 
 fn matrix(rng: &mut SmallRng, max_dim: usize) -> Tensor {
@@ -48,6 +48,104 @@ fn matmul_distributes() {
             for (x, y) in lhs.as_slice().iter().zip(rhs.as_slice()) {
                 prop_assert!((x - y).abs() < 1e-3, "{x} vs {y}");
             }
+            Ok(())
+        },
+    );
+}
+
+/// The `ikj` product that skips each zero of `a` — the loop `matmul_into`
+/// replaced, kept here as the bit reference.
+fn ikj_skipping_zeros(a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
+    let mut o = vec![0.0f32; m * n];
+    for i in 0..m {
+        for p in 0..k {
+            let aip = a[i * k + p];
+            if aip == 0.0 {
+                continue;
+            }
+            for j in 0..n {
+                o[i * n + j] += aip * b[p * n + j];
+            }
+        }
+    }
+    o
+}
+
+fn same_bits(x: &[f32], y: &[f32]) -> bool {
+    x.len() == y.len()
+        && x.iter()
+            .zip(y)
+            .all(|(p, q)| (p.is_nan() && q.is_nan()) || p.to_bits() == q.to_bits())
+}
+
+/// `matmul_into` keeps every bit of the `ikj` loop — signed zeros, ±∞ and
+/// NaN included — on sparse post-ReLU-like rows, at inner dimensions on
+/// both sides of its compaction chunk, and leaves `out` alone on a shape
+/// error.
+#[test]
+fn matmul_into_keeps_the_bits_of_the_ikj_loop() {
+    // The kernel compacts this many terms of a row per pass.
+    const TERMS: usize = 256;
+    check(
+        "matmul_into_keeps_the_bits_of_the_ikj_loop",
+        96,
+        |rng| {
+            let pick = |rng: &mut SmallRng, from: &[usize]| from[rng.gen_range(0..from.len())];
+            let m = pick(rng, &[0, 1, 2, 33]);
+            let k = pick(
+                rng,
+                &[0, 1, 3, 4, 5, TERMS - 1, TERMS, TERMS + 1, 2 * TERMS + 3],
+            );
+            let n = pick(rng, &[0, 1, 10, 64, 129]);
+            (m, k, n, rng.next_u64())
+        },
+        |&(m, k, n, seed)| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut a: Vec<f32> = (0..m * k)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => small_f32(&mut rng),
+                })
+                .collect();
+            let mut b: Vec<f32> = (0..k * n)
+                .map(|_| match rng.gen_range(0..20) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => small_f32(&mut rng),
+                })
+                .collect();
+            // A few non-finite values, so most outputs stay finite.
+            for (data, specials) in [
+                (&mut a, &[f32::NAN, f32::INFINITY, f32::NEG_INFINITY][..]),
+                (&mut b, &[f32::INFINITY, f32::NEG_INFINITY][..]),
+            ] {
+                for _ in 0..rng.gen_range(0..=2) {
+                    if !data.is_empty() {
+                        let at = rng.gen_range(0..data.len());
+                        data[at] = specials[rng.gen_range(0..specials.len())];
+                    }
+                }
+            }
+            let want = ikj_skipping_zeros(&a, &b, (m, k, n));
+            let a = Tensor::from_vec(a, &[m, k]).unwrap();
+            let b = Tensor::from_vec(b, &[k, n]).unwrap();
+            let mut out = Tensor::from_fn(&[3, 7], |i| i as f32 - 5.0);
+            a.matmul_into(&b, &mut out).unwrap();
+            prop_assert_eq!(out.shape(), &[m, n][..]);
+            prop_assert!(
+                same_bits(out.as_slice(), &want),
+                "product bits differ from the ikj loop"
+            );
+
+            let before = out.as_slice().to_vec();
+            let wrong_inner = Tensor::zeros(&[k + 1, n]);
+            prop_assert!(a.matmul_into(&wrong_inner, &mut out).is_err());
+            prop_assert!(a.matmul_into(&Tensor::zeros(&[k]), &mut out).is_err());
+            prop_assert!(
+                same_bits(out.as_slice(), &before) && out.shape() == [m, n],
+                "out changed on a shape error"
+            );
             Ok(())
         },
     );

@@ -126,6 +126,15 @@ if [ "${hits}" != "crates/nn/src/softmax.rs" ]; then
     exit 1
 fi
 echo "row-argmax only in ${hits}"
+# One dense product under every Dense and Conv2d: Tensor::matmul_into (and
+# the loop it calls, matmul_into_rows) is written once, and it compacts a
+# row's non-zero terms instead of branching on each zero (a mispredict on
+# every other post-ReLU term).
+only_in 'fn matmul_into' 'crates/tensor/src/ops.rs'
+if awk '/fn matmul_into(_rows)?\(/,/^    }$/' crates/tensor/src/ops.rs | grep -nE 'continue|== 0\.0' >&2; then
+    echo "one-mechanism guard: a 'continue' or an '== 0.0' is back in Tensor::matmul_into (compact the non-zero terms, do not branch on each)" >&2
+    exit 1
+fi
 # Layering: the serving runtime does not link the bench harness.
 if grep -q 'ffdl-bench' crates/serve/Cargo.toml; then
     echo "layering guard: crates/serve/Cargo.toml names ffdl-bench" >&2
