@@ -3,9 +3,10 @@
 //! pass on a warm `Scratch`), at a small shape and at Arch. 3's. Runs on
 //! the in-house harness and writes `BENCH_conv_reformulation.json`.
 
-use ffdl::core::{CirculantConv2d, FftConv2d};
+use ffdl::core::CirculantConv2d;
 use ffdl::nn::{Conv2d, Layer, Scratch};
 use ffdl::tensor::{conv2d_direct, filters_to_matrix, im2col, ConvGeometry, Tensor};
+use ffdl_bench::fft_conv::FftConv2d;
 use ffdl_bench::harness::{black_box, BenchSet};
 use ffdl_rng::SeedableRng;
 

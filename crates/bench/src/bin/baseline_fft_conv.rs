@@ -7,7 +7,8 @@
 //! Compares, per CONV-layer configuration:
 //!
 //! - the direct dense CONV layer (im2col GEMM),
-//! - the FFT-convolution baseline (`FftConv2d`, same parameter count),
+//! - the FFT-convolution baseline (`ffdl_bench::fft_conv::FftConv2d`,
+//!   same parameter count, forward only),
 //! - the block-circulant CONV layer (`CirculantConv2d`, FFT kernel AND
 //!   compressed parameters),
 //!
@@ -16,10 +17,11 @@
 //!
 //! `cargo run -p ffdl-bench --release --bin baseline_fft_conv`
 
-use ffdl::core::{CirculantConv2d, FftConv2d};
+use ffdl::core::CirculantConv2d;
 use ffdl::nn::{Conv2d, Layer};
 use ffdl::platform::{time_reps, Implementation, PowerState, RuntimeModel, HONOR_6X};
 use ffdl::tensor::{ConvGeometry, Tensor};
+use ffdl_bench::fft_conv::FftConv2d;
 use ffdl_rng::SeedableRng;
 
 fn main() {

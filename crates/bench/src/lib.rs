@@ -21,7 +21,9 @@
 //! | `fig2`   | Fig. 2 — FFT kernel vs direct circulant mat-vec |
 //! | `fig5`   | Fig. 5 — accuracy vs performance scatter vs IBM TrueNorth |
 //! | `ablation_block_size` | A1 — compression/accuracy trade-off over b |
+//! | `baseline_fft_conv` | A3 — dense vs FFT \[11\] ([`fft_conv`]) vs block-circulant CONV |
 
+pub mod fft_conv;
 pub mod harness;
 
 use ffdl::data::{

@@ -608,7 +608,6 @@ pub fn cmd_serve_bench(flags: &Flags) -> Result<String, CliError> {
             check_finite: chaos,
             unhealthy_threshold: 0,
         },
-        tenant: None,
     };
     // --chaos SEED arms a deterministic fault campaign for the whole
     // run: one worker panic, one latency spike, one NaN activation and

@@ -13,12 +13,14 @@
 //!   projection of a pretrained dense matrix onto the circulant structure.
 //! - [`CirculantDense`] — the FC layer (§IV-A), a drop-in replacement for
 //!   `ffdl_nn::Dense` implementing the `Layer` trait.
-//! - [`CirculantConv2d`] — the CONV layer (§IV-B, Eqn. 6) via the Fig. 3
-//!   im2col lowering.
+//! - [`CirculantConv2d`] — the CONV layer (§IV-B, Eqn. 6): the Fig. 3
+//!   lowering's product, read from a spectral image of the input (one
+//!   transform a pixel) when the block divides the channel count, and
+//!   from the im2col rows otherwise.
 //! - [`SpectralDense`] — inference-only frozen layer that stores
 //!   `FFT(wᵢ)` instead of weights, as the paper ships to devices.
 //! - [`QuantizedSpectralDense`] — the same frozen layer with the spectra
-//!   in narrow fixed point (8/12/16 bits, one scale per output block),
+//!   in narrow fixed point (8 or 16 bits, one scale per output block),
 //!   served without dequantizing the weight tensor.
 //! - [`CirculantGru`] — block-circulant recurrent cell (the E-RNN
 //!   direction): six circulant matrices per step, stateful streaming
@@ -49,7 +51,6 @@ mod circulant;
 mod conv_layer;
 mod dense_layer;
 mod error;
-mod fft_conv;
 mod inference;
 mod quant;
 mod recurrent;
@@ -59,7 +60,6 @@ pub use circulant::{BlockCirculantMatrix, ForwardCache};
 pub use conv_layer::{circulant_conv2d_from_config, CirculantConv2d};
 pub use dense_layer::{circulant_dense_from_config, CirculantDense};
 pub use error::CirculantError;
-pub use fft_conv::{fft_conv2d_from_config, FftConv2d};
 pub use inference::{spectral_dense_from_config, SpectralDense};
 pub use quant::{
     quantized_spectral_dense_from_config, QuantBits, QuantizedSpectralDense, QuantizedSpectrum,
@@ -86,7 +86,6 @@ pub fn register_circulant_layers(registry: &mut LayerRegistry) {
     registry.register("circulant_dense", circulant_dense_from_config);
     registry.register("circulant_conv2d", circulant_conv2d_from_config);
     registry.register("spectral_dense", spectral_dense_from_config);
-    registry.register("fft_conv2d", fft_conv2d_from_config);
     registry.register("quantized_spectral_dense", quantized_spectral_dense_from_config);
     registry.register("circulant_gru", circulant_gru_from_config);
 }
@@ -116,11 +115,12 @@ mod tests {
             "circulant_dense",
             "circulant_conv2d",
             "spectral_dense",
-            "fft_conv2d",
             "quantized_spectral_dense",
             "circulant_gru",
         ] {
             assert!(r.builder(tag).is_some(), "missing {tag}");
         }
+        // The §I FFT-convolution baseline is a bench fixture, not a model.
+        assert!(r.builder("fft_conv2d").is_none());
     }
 }

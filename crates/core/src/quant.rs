@@ -629,7 +629,7 @@ mod tests {
                 .collect();
             for i in 0..kb_out {
                 let scale = q.scales()[i];
-                let mut acc = kernel.zero_accumulator();
+                let mut acc = vec![Complex32::zero(); bins];
                 for (j, x_j) in x_spec.iter().enumerate() {
                     let base = (i * kb_in + j) * 2 * bins;
                     let w: Spectrum = (0..bins)
@@ -642,7 +642,9 @@ mod tests {
                         .collect();
                     SpectralKernel::mul_accumulate(&mut acc, &w, x_j);
                 }
-                for (k, v) in kernel.inverse(&acc).iter().enumerate() {
+                let mut y_block = Vec::new();
+                kernel.inverse_into(&acc, &mut Vec::new(), &mut y_block);
+                for (k, v) in y_block.iter().enumerate() {
                     let idx = i * b + k;
                     if idx < q.out_dim() {
                         y_ref.push(v * scale + q.bias().as_slice()[idx]);

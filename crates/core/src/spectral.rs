@@ -157,15 +157,6 @@ impl SpectralKernel {
         self.plan.forward(x).expect("block length is fixed")
     }
 
-    /// Inverse transform back to a real block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec.len() != self.bins()`.
-    pub fn inverse(&self, spec: &[Complex32]) -> Vec<f32> {
-        self.plan.inverse(spec).expect("bin count is fixed")
-    }
-
     /// Allocation-reusing variant of [`SpectralKernel::spectrum`]: writes
     /// the half spectrum into `out`, using `fft_scratch` for the packed
     /// intermediate. Steady-state calls perform no heap allocation once
@@ -180,9 +171,8 @@ impl SpectralKernel {
             .expect("block length is fixed");
     }
 
-    /// Allocation-reusing variant of [`SpectralKernel::inverse`]: writes
-    /// the real block into `out`, using `fft_scratch` for the complex
-    /// intermediate.
+    /// Inverse transform back to a real block: writes it into `out`,
+    /// using `fft_scratch` for the complex intermediate.
     ///
     /// # Panics
     ///
@@ -366,11 +356,6 @@ impl SpectralKernel {
             *o += x * y.conj();
         }
     }
-
-    /// A zeroed accumulator of the right length.
-    pub fn zero_accumulator(&self) -> Spectrum {
-        vec![Complex32::zero(); self.bins()]
-    }
 }
 
 impl std::fmt::Debug for SpectralKernel {
@@ -389,6 +374,16 @@ mod tests {
 
     fn signal(n: usize, seed: f32) -> Vec<f32> {
         (0..n).map(|k| (k as f32 * seed).sin() + 0.2).collect()
+    }
+
+    fn zeros(k: &SpectralKernel) -> Spectrum {
+        vec![Complex32::zero(); k.bins()]
+    }
+
+    fn inverse(k: &SpectralKernel, spec: &[Complex32]) -> Vec<f32> {
+        let mut out = Vec::new();
+        k.inverse_into(spec, &mut Vec::new(), &mut out);
+        out
     }
 
     /// Values that are exact in `f32`, so the pinned bits below depend on
@@ -453,7 +448,7 @@ mod tests {
         for b in [1usize, 2, 3, 8, 11, 64, 121, 128] {
             let k = SpectralKernel::new(b);
             let x = signal(b, 0.7);
-            let back = k.inverse(&k.spectrum(&x));
+            let back = inverse(&k, &k.spectrum(&x));
             for (a, v) in back.iter().zip(&x) {
                 assert!((a - v).abs() < 1e-4, "b={b}");
             }
@@ -466,9 +461,9 @@ mod tests {
             let k = SpectralKernel::new(b);
             let w = signal(b, 1.3);
             let x = signal(b, 0.4);
-            let mut acc = k.zero_accumulator();
+            let mut acc = zeros(&k);
             SpectralKernel::mul_accumulate(&mut acc, &k.spectrum(&w), &k.spectrum(&x));
-            let fast = k.inverse(&acc);
+            let fast = inverse(&k, &acc);
             let slow = circular_convolve_direct(&w, &x);
             for (a, v) in fast.iter().zip(&slow) {
                 assert!((a - v).abs() < 1e-3, "b={b}: {a} vs {v}");
@@ -482,9 +477,9 @@ mod tests {
         let k = SpectralKernel::new(b);
         let g = signal(b, 0.9);
         let x = signal(b, 2.1);
-        let mut acc = k.zero_accumulator();
+        let mut acc = zeros(&k);
         SpectralKernel::mul_conj_accumulate(&mut acc, &k.spectrum(&g), &k.spectrum(&x));
-        let fast = k.inverse(&acc);
+        let fast = inverse(&k, &acc);
         let slow = circular_correlate_direct(&g, &x);
         for (a, v) in fast.iter().zip(&slow) {
             assert!((a - v).abs() < 1e-3);
@@ -498,10 +493,10 @@ mod tests {
         let w1 = signal(b, 0.3);
         let w2 = signal(b, 1.7);
         let x = signal(b, 0.8);
-        let mut acc = k.zero_accumulator();
+        let mut acc = zeros(&k);
         SpectralKernel::mul_accumulate(&mut acc, &k.spectrum(&w1), &k.spectrum(&x));
         SpectralKernel::mul_accumulate(&mut acc, &k.spectrum(&w2), &k.spectrum(&x));
-        let sum = k.inverse(&acc);
+        let sum = inverse(&k, &acc);
         let mut expected = circular_convolve_direct(&w1, &x);
         for (e, v) in expected.iter_mut().zip(circular_convolve_direct(&w2, &x)) {
             *e += v;

@@ -12,7 +12,7 @@
 
 use ffdl_core::{
     full_registry, BlockCirculantMatrix, CirculantConv2d, CirculantDense, CirculantGru,
-    CirculantScratch, FftConv2d, QuantBits, QuantizedSpectralDense, SpectralDense,
+    CirculantScratch, QuantBits, QuantizedSpectralDense, SpectralDense,
 };
 use ffdl_nn::{
     copy_layer, load_network, save_network, AvgPool2d, Conv2d, Dense, Flatten, Layer, MaxPool2d,
@@ -165,8 +165,7 @@ fn layer_forms(case: &FormsCase) -> Vec<(Box<dyn Layer>, Vec<usize>, bool)> {
         (Box::new(SpectralDense::from_matrix(circ.matrix(), circ.bias().clone())), flat.clone(), false),
         (Box::new(quantized(QuantBits::Eight)), flat.clone(), false),
         (Box::new(quantized(QuantBits::Sixteen)), flat.clone(), false),
-        (Box::new(CirculantConv2d::new(c, filters, h, w, geom, block, rng).unwrap()), image.clone(), true),
-        (Box::new(FftConv2d::new(c, filters, h, w, kernel, rng).unwrap()), image, true),
+        (Box::new(CirculantConv2d::new(c, filters, h, w, geom, block, rng).unwrap()), image, true),
         (Box::new(CirculantGru::new(width, out, block, rng).unwrap()), flat.clone(), false),
     ];
     layers.push((Box::new(circ), flat, true));

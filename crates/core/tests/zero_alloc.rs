@@ -11,7 +11,7 @@
 //! layer, frozen `f32` spectra, fixed-point levels, the CONV layer's
 //! spectral image and its im2col fallback — at power-of-two blocks and at
 //! the odd and even chirp-transform blocks of Arch. 2's sizes, and for the
-//! dense product under `Conv2d` and a multi-chunk `Dense`.
+//! dense product under `Conv2d` (wide and narrow) and a multi-chunk `Dense`.
 //!
 //! This lives in an integration test (its own crate) deliberately: the
 //! allocator shim needs `unsafe`, which the library crates forbid.
@@ -139,6 +139,16 @@ fn stacks() -> Vec<(&'static str, Network, Vec<usize>)> {
     dense_conv.push(Dense::new(21 * 4 * 4, 4, &mut rng));
     dense_conv.push(Softmax::new());
 
+    // Few output maps over a wide input: the pooled buffers trade call
+    // sites from pass to pass, so the pool must rank them by capacity,
+    // not by the length of their last use.
+    let mut dense_conv_narrow = Network::new();
+    dense_conv_narrow.push(Conv2d::new(2, 5, 10, 10, ConvGeometry::valid(3), &mut rng).unwrap());
+    dense_conv_narrow.push(Relu::new());
+    dense_conv_narrow.push(Flatten::new());
+    dense_conv_narrow.push(Dense::new(5 * 8 * 8, 4, &mut rng));
+    dense_conv_narrow.push(Softmax::new());
+
     vec![
         ("circulant_dense", training, vec![16]),
         ("frozen_f32_int8", frozen, vec![16]),
@@ -146,6 +156,7 @@ fn stacks() -> Vec<(&'static str, Network, Vec<usize>)> {
         ("circulant_conv2d_image", conv_image, vec![8, 6, 6]),
         ("chirp_blocks", chirp, vec![121]),
         ("dense_conv2d_multi_chunk", dense_conv, vec![4, 6, 6]),
+        ("dense_conv2d_c2_p5", dense_conv_narrow, vec![2, 10, 10]),
     ]
 }
 

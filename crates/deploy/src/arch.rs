@@ -12,7 +12,6 @@
 //! softmax
 //! conv 64 kernel=3 [stride=1] [pad=0]
 //! circulant_conv 128 kernel=3 block=27 [stride=1] [pad=0]
-//! fft_conv 64 kernel=3            # LeCun-style FFT conv (valid, stride 1)
 //! maxpool 2 [stride=k]
 //! avgpool 2 [stride=k]
 //! flatten
@@ -24,7 +23,7 @@
 //! a `flatten`.
 
 use crate::error::DeployError;
-use ffdl_core::{CirculantConv2d, CirculantDense, CirculantGru, FftConv2d};
+use ffdl_core::{CirculantConv2d, CirculantDense, CirculantGru};
 use ffdl_nn::{AvgPool2d, Conv2d, Dense, Flatten, MaxPool2d, Network, Relu, Sigmoid, Softmax, Tanh};
 use ffdl_tensor::ConvGeometry;
 use ffdl_rng::rngs::SmallRng;
@@ -284,29 +283,6 @@ pub fn parse_architecture(text: &str, seed: u64) -> Result<ParsedNetwork, Deploy
                     (w - k) / stride + 1,
                 ));
             }
-            "fft_conv" => {
-                let (c, h, w) = match current {
-                    Shape::Image(c, h, w) => (c, h, w),
-                    Shape::Flat(_) => {
-                        return Err(syntax(line, "fft_conv requires an image shape"))
-                    }
-                };
-                if toks.len() < 3 {
-                    return Err(syntax(line, "usage: fft_conv <out_channels> kernel=<k>"));
-                }
-                let p = parse_usize(line, toks[1], "output channels")?;
-                let opts = parse_options(line, &toks[2..], &["kernel"])?;
-                let kernel = *opts
-                    .get("kernel")
-                    .ok_or_else(|| syntax(line, "fft_conv requires kernel=<k>"))?;
-                if kernel == 0 || kernel > h || kernel > w {
-                    return Err(syntax(line, format!("kernel {kernel} does not fit {h}×{w}")));
-                }
-                let layer = FftConv2d::new(c, p, h, w, kernel, &mut rng)
-                    .map_err(|e| syntax(line, e.to_string()))?;
-                network.push(layer);
-                shape = Some(Shape::Image(p, h - kernel + 1, w - kernel + 1));
-            }
             "flatten" => {
                 network.push(Flatten::new());
                 shape = Some(Shape::Flat(current.elements()));
@@ -466,7 +442,7 @@ softmax
 
     #[test]
     fn avgpool_and_fft_conv_directives() {
-        let text = "\ninput 2x8x8\nfft_conv 4 kernel=3\nrelu\navgpool 2\nflatten\nfc 5\n";
+        let text = "\ninput 2x8x8\nconv 4 kernel=3\nrelu\navgpool 2\nflatten\nfc 5\n";
         let mut parsed = parse_architecture(text, 3).unwrap();
         assert_eq!(parsed.output_shape, Shape::Flat(5));
         let y = parsed
@@ -474,10 +450,16 @@ softmax
             .forward(&Tensor::zeros(&[1, 2, 8, 8]))
             .unwrap();
         assert_eq!(y.shape(), &[1, 5]);
-        assert!(parse_architecture("input 4x4x4\nfft_conv 2\n", 0).is_err());
-        assert!(parse_architecture("input 8\nfft_conv 2 kernel=3\n", 0).is_err());
-        assert!(parse_architecture("input 1x4x4\nfft_conv 2 kernel=9\n", 0).is_err());
         assert!(parse_architecture("input 1x4x4\navgpool 9\n", 0).is_err());
+        // The §I FFT-convolution baseline is a bench fixture, not a
+        // deployable layer: its directive is an unknown one.
+        match parse_architecture("input 2x8x8\nfft_conv 4 kernel=3\n", 0).unwrap_err() {
+            DeployError::ArchSyntax { line, message } => {
+                assert_eq!(line, 2);
+                assert!(message.contains("unknown directive \"fft_conv\""), "{message}");
+            }
+            other => panic!("unexpected error {other:?}"),
+        }
     }
 
     #[test]

@@ -36,7 +36,10 @@ impl Scratch {
 
     /// Hands out a zeroed tensor of `shape`, reusing a pooled buffer
     /// when a uniquely-owned one is available — preferring the smallest
-    /// that already fits so big buffers stay with big call sites.
+    /// that already fits so big buffers stay with big call sites. Buffers
+    /// are ranked by capacity, not by the length of their last use: a
+    /// large buffer last handed to a small call site still fits a large
+    /// one without growing.
     pub fn take(&mut self, shape: &[usize]) -> Tensor {
         let need: usize = shape.iter().product();
         let mut pick: Option<usize> = None;
@@ -44,11 +47,11 @@ impl Scratch {
             if !t.is_unique() {
                 continue; // buffer still shared with a live tensor
             }
-            let cap = t.len();
+            let cap = t.capacity();
             match pick {
                 None => pick = Some(i),
                 Some(j) => {
-                    let best = self.free[j].len();
+                    let best = self.free[j].capacity();
                     let fits = cap >= need;
                     let best_fits = best >= need;
                     // A fitting buffer beats a non-fitting one; among

@@ -123,7 +123,6 @@ fn ab_hot_swap_f32_int16_f32_loses_nothing() {
             check_finite: true,
             unhealthy_threshold: 0,
         },
-        tenant: None,
     };
     let (net, _) = store.load("prod", Some(1), &layers).expect("load gen 1");
     let server = Server::start(&net, &config).expect("start pool");

@@ -120,7 +120,6 @@ fn chaos_on_quantized_generation_rolls_back_to_f32_parent() {
             check_finite: true,
             unhealthy_threshold: UNHEALTHY_THRESHOLD,
         },
-        tenant: None,
     };
     let (net, _) = store.load("prod", Some(1), &layers).expect("load gen 1");
     let server = Server::start(&net, &config).expect("start pool");

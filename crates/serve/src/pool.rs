@@ -63,13 +63,6 @@ pub struct ServeConfig {
     pub deadline: Option<Duration>,
     /// Numerical-health policy (finiteness checking and auto-rollback).
     pub health: HealthConfig,
-    /// Tenant label for this server. `None` (the default) keeps the
-    /// classic single-tenant behaviour; with a label set, every
-    /// response, failure and overload/deadline error this server emits
-    /// carries the tenant name, and the report grows a per-tenant
-    /// breakdown row — the building block the multi-tenant scheduler
-    /// (`ffdl-sched`) composes.
-    pub tenant: Option<String>,
 }
 
 impl Default for ServeConfig {
@@ -81,7 +74,6 @@ impl Default for ServeConfig {
             queue_depth: 256,
             deadline: None,
             health: HealthConfig::default(),
-            tenant: None,
         }
     }
 }
@@ -173,8 +165,8 @@ pub struct ServeFailure {
     pub kind: FailureKind,
     /// Model generation active when the failure was recorded.
     pub generation: u64,
-    /// Tenant the request belonged to (`None` on a single-tenant
-    /// server).
+    /// Tenant the request belonged to (set by `ffdl-sched`; `None`
+    /// from [`Server`] and `ffdl-stream`).
     pub tenant: Option<Arc<str>>,
 }
 
@@ -226,9 +218,9 @@ pub struct ServeResponse {
     /// Model generation that served the request (starts at 1; bumped by
     /// every [`Server::swap_model`]).
     pub generation: u64,
-    /// Tenant the request belonged to (`None` on a single-tenant
-    /// server). An `Arc<str>` so stamping every response costs one
-    /// refcount bump, not a string copy.
+    /// Tenant the request belonged to (set by `ffdl-sched`; `None`
+    /// from [`Server`] and `ffdl-stream`). An `Arc<str>` so stamping
+    /// every response costs one refcount bump, not a string copy.
     pub tenant: Option<Arc<str>>,
 }
 
@@ -253,7 +245,6 @@ pub struct Server {
     model: Arc<ModelSlot>,
     workers: usize,
     deadline: Option<Duration>,
-    tenant: Option<Arc<str>>,
     started: Instant,
     registry: Registry,
     rejections_counter: Arc<ffdl_telemetry::Counter>,
@@ -311,16 +302,13 @@ impl Server {
         let recorded = Arc::new(AtomicU64::new(0));
         let max_batch = config.max_batch;
         let max_wait = config.max_wait;
-        let tenant: Option<Arc<str>> = config.tenant.as_deref().map(Arc::from);
         let pool = WorkerPool::new("serve");
         for index in 0..config.workers {
             let queue = Arc::clone(&queue);
             let recorded = Arc::clone(&recorded);
             let model = Arc::clone(&model);
-            let tenant = tenant.clone();
             pool.spawn(index, move |worker| {
                 let depth_hist = worker.telemetry.histogram("ffdl.serve.queue_depth_at_pop");
-                let tenant = tenant.as_ref();
                 let mut adopted = Adopted::empty();
                 let mut batch = Vec::new();
                 loop {
@@ -337,7 +325,7 @@ impl Server {
                         Popped::Idle => continue,
                         Popped::Batch => {}
                     }
-                    worker.split_expired(&mut batch, Instant::now(), generation, tenant);
+                    worker.split_expired(&mut batch, Instant::now(), generation, None);
                     if batch.is_empty() {
                         continue;
                     }
@@ -345,7 +333,7 @@ impl Server {
                         depth_hist.record(queue.len() as u64);
                     }
                     let predict = |rows: &[&Tensor]| engine.predict_batch(rows);
-                    match worker.step(&batch, predict, generation, tenant, &model, threshold)? {
+                    match worker.step(&batch, predict, generation, None, &model, threshold)? {
                         Stepped::Served(_) => {
                             recorded.fetch_add(batch.len() as u64, Ordering::Relaxed);
                         }
@@ -365,7 +353,6 @@ impl Server {
             model,
             workers: config.workers,
             deadline: config.deadline,
-            tenant,
             started: Instant::now(),
             registry,
             rejections_counter,
@@ -404,7 +391,6 @@ impl Server {
             None => self.queue.try_push(request),
         };
         let telemetry_on = ffdl_telemetry::enabled();
-        let tenant = || self.tenant.as_ref().map(|t| t.to_string());
         match pushed {
             Ok(()) => {
                 if telemetry_on {
@@ -418,14 +404,14 @@ impl Server {
                 if telemetry_on {
                     self.shed_counter.inc();
                 }
-                Err(ServeError::DeadlineExceeded { tenant: tenant() })
+                Err(ServeError::deadline_exceeded())
             }
             Err(PushError::Full) => {
                 self.rejections.fetch_add(1, Ordering::Relaxed);
                 if telemetry_on {
                     self.rejections_counter.inc();
                 }
-                Err(ServeError::QueueFull { tenant: tenant() })
+                Err(ServeError::queue_full())
             }
         }
     }

@@ -114,7 +114,6 @@ fn seeded_chaos_campaign_loses_nothing_and_rolls_back_bit_identically() {
             check_finite: true,
             unhealthy_threshold: UNHEALTHY_THRESHOLD,
         },
-        tenant: None,
     };
     let (net_a, v1) = store.load("prod", Some(1), &layers).expect("load gen 1");
     assert_eq!(v1.generation, 1);

@@ -72,7 +72,7 @@ pub use registry::{Metric, MetricSnapshot, Registry, RegistrySnapshot};
 pub use span::SpanTimer;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Process-global telemetry switch, off by default.
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -122,20 +122,14 @@ pub fn count(name: &str, n: u64) {
     }
 }
 
-/// Fetches (registering on first use) a counter from the [`global`]
-/// registry regardless of the enabled flag — callers cache the handle
-/// and guard each increment on [`enabled`] themselves.
-pub fn global_counter(name: &str) -> Arc<Counter> {
-    global().counter(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn global_registry_is_shared() {
-        let a = global_counter("ffdl.telemetry.selftest");
+        let a = global().counter("ffdl.telemetry.selftest");
         let b = global().counter("ffdl.telemetry.selftest");
         a.inc();
         assert!(b.get() >= 1);

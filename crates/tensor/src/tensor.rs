@@ -223,6 +223,12 @@ impl Tensor {
         self.data.len()
     }
 
+    /// Elements the buffer holds without reallocating: what
+    /// [`reuse_as`](Self::reuse_as) can grow to for free.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// `true` when the tensor holds no elements.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()

@@ -135,6 +135,16 @@ if awk '/fn matmul_into(_rows)?\(/,/^    }$/' crates/tensor/src/ops.rs | grep -n
     echo "one-mechanism guard: a 'continue' or an '== 0.0' is back in Tensor::matmul_into (compact the non-zero terms, do not branch on each)" >&2
     exit 1
 fi
+# The deployable CONV layers are the dense and the block-circulant one: the
+# §I FFT-convolution baseline (LeCun et al. [11]) is experiment A3's
+# forward-only fixture in crates/bench/src, in no registry or grammar.
+hits="$(non_test_files_matching 'FftConv2d|fft_conv2d|"fft_conv"' | grep -v '^crates/bench/src/' || true)"
+if [ -n "${hits}" ]; then
+    echo "one-mechanism guard: a deployable FFT-convolution layer is back outside crates/bench/src:" >&2
+    echo "${hits}" >&2
+    exit 1
+fi
+echo "FFT-convolution baseline only in crates/bench/src"
 # Layering: the serving runtime does not link the bench harness.
 if grep -q 'ffdl-bench' crates/serve/Cargo.toml; then
     echo "layering guard: crates/serve/Cargo.toml names ffdl-bench" >&2

@@ -1,14 +1,11 @@
-//! Integration: the compression stack across crates — spectral freezing,
-//! fixed-point quantization, the FFT-conv baseline, and their interaction
-//! with training and the platform model.
+//! Integration: the compression stack across crates — spectral freezing
+//! and fixed-point quantization, and their interaction with training and
+//! the platform model.
 
-use ffdl::core::{
-    BlockCirculantMatrix, CirculantDense, FftConv2d, QuantBits, QuantizedSpectralDense,
-};
+use ffdl::core::{BlockCirculantMatrix, CirculantDense, QuantBits, QuantizedSpectralDense};
 use ffdl::data::{mnist_preprocess, synthetic_mnist, MnistConfig};
 use ffdl::nn::{Layer, Network};
 use ffdl::paper;
-use ffdl::platform::{Implementation, PowerState, RuntimeModel, HONOR_6X};
 use ffdl::tensor::Tensor;
 use ffdl_rng::rngs::SmallRng;
 use ffdl_rng::SeedableRng;
@@ -86,64 +83,6 @@ fn quantized_layer_storage_strictly_decreases() {
         assert!(q16.storage_bytes() < q16.float_storage_bytes());
         assert!(q16.float_storage_bytes() < q16.dense_storage_bytes());
     }
-}
-
-#[test]
-fn fft_conv_baseline_agrees_with_dense_conv_in_a_network() {
-    // Swap a dense Conv2d for FftConv2d with shared parameters inside a
-    // small network: outputs must agree to float tolerance.
-    use ffdl::nn::{Conv2d, Flatten, Relu};
-    use ffdl::tensor::ConvGeometry;
-    let mut rng = SmallRng::seed_from_u64(43);
-    let (c, p, h) = (2usize, 4usize, 8usize);
-
-    let dense_conv = Conv2d::new(c, p, h, h, ConvGeometry::valid(3), &mut rng).unwrap();
-    let mut fft_conv = FftConv2d::new(c, p, h, h, 3, &mut rng).unwrap();
-    let params: Vec<Tensor> = dense_conv.param_tensors().into_iter().cloned().collect();
-    fft_conv.load_params(&params).unwrap();
-
-    let mut net_a = Network::new();
-    net_a.push(dense_conv);
-    net_a.push(Relu::new());
-    net_a.push(Flatten::new());
-
-    let mut net_b = Network::new();
-    net_b.push(fft_conv);
-    net_b.push(Relu::new());
-    net_b.push(Flatten::new());
-
-    let x = Tensor::from_fn(&[2, c, h, h], |i| ((i * 11 + 3) % 23) as f32 * 0.07 - 0.7);
-    let ya = net_a.forward(&x).unwrap();
-    let yb = net_b.forward(&x).unwrap();
-    for (a, b) in ya.as_slice().iter().zip(yb.as_slice()) {
-        assert!((a - b).abs() < 1e-3, "{a} vs {b}");
-    }
-}
-
-#[test]
-fn platform_model_ranks_the_three_conv_strategies() {
-    // At CNN-typical 3×3 kernels: circulant < dense < fft-conv runtime.
-    use ffdl::nn::Conv2d;
-    use ffdl::tensor::ConvGeometry;
-    let mut rng = SmallRng::seed_from_u64(44);
-    let (c, p, h) = (16usize, 32usize, 16usize);
-    let m = RuntimeModel::new(HONOR_6X, Implementation::Cpp, PowerState::PluggedIn);
-    let x = Tensor::zeros(&[1, c, h, h]);
-
-    let mut dense = Conv2d::new(c, p, h, h, ConvGeometry::valid(3), &mut rng).unwrap();
-    let mut fft = FftConv2d::new(c, p, h, h, 3, &mut rng).unwrap();
-    let mut circ =
-        ffdl::core::CirculantConv2d::new(c, p, h, h, ConvGeometry::valid(3), 16, &mut rng)
-            .unwrap();
-    let _ = dense.forward(&x).unwrap();
-    let _ = fft.forward(&x).unwrap();
-    let _ = circ.forward(&x).unwrap();
-
-    let t_dense = m.estimate_layer_us(&dense);
-    let t_fft = m.estimate_layer_us(&fft);
-    let t_circ = m.estimate_layer_us(&circ);
-    assert!(t_circ < t_dense, "circulant {t_circ} vs dense {t_dense}");
-    assert!(t_dense < t_fft, "dense {t_dense} vs fft {t_fft}");
 }
 
 #[test]
