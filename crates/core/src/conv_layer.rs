@@ -3,13 +3,18 @@
 //! block-circulant matrix (Eqn. 6), and the lowered product `Y = X·F` runs
 //! through the same FFT kernel as the FC layer. Complexity drops from
 //! `O(W·H·r²·C·P)` to `O(W·H·Q·log Q)` with `Q = max(r²C, P)`.
+//!
+//! Everything around the product — validation, config words, the
+//! per-sample loop, the output tail, the gradient gather and the `col2im`
+//! scatter — is `ffdl_nn::ConvShape`'s, shared with the dense `Conv2d`;
+//! this file holds the product and the weight gradient only.
 
 use crate::circulant::BlockCirculantMatrix;
 use crate::spectral::{identity_view, CirculantScratch};
 use ffdl_fft::Complex32;
-use ffdl_nn::{wire, Layer, NnError, OpCost, ParamRef, Scratch};
-use ffdl_tensor::{col2im, im2col_into, ConvGeometry, Tensor};
+use ffdl_nn::{wire, ConvShape, Layer, NnError, OpCost, ParamRef, Scratch};
 use ffdl_rng::Rng;
+use ffdl_tensor::{im2col_into, ConvGeometry, Tensor};
 
 /// Convolutional layer whose lowered filter matrix is block-circulant:
 /// input `[batch, C, H, W]` → output `[batch, P, H_out, W_out]`.
@@ -19,11 +24,7 @@ use ffdl_rng::Rng;
 /// when `b | C`, straight out of a spectral image of the input that
 /// transforms each pixel once instead of once per kernel offset.
 pub struct CirculantConv2d {
-    in_channels: usize,
-    out_channels: usize,
-    geom: ConvGeometry,
-    in_h: usize,
-    in_w: usize,
+    shape: ConvShape,
     /// Lowered filter matrix, logical shape `[C·r², P]`, block-circulant.
     matrix: BlockCirculantMatrix,
     bias: Tensor,
@@ -55,16 +56,11 @@ impl CirculantConv2d {
         block: usize,
         rng: &mut R,
     ) -> Result<Self, NnError> {
-        geom.output_extent(in_h)?;
-        geom.output_extent(in_w)?;
+        let shape = ConvShape::new(in_channels, out_channels, in_h, in_w, geom)?;
         let rows = in_channels * geom.kernel * geom.kernel;
         let matrix = BlockCirculantMatrix::random(rows, out_channels, block, rng)?;
         Ok(Self {
-            in_channels,
-            out_channels,
-            geom,
-            in_h,
-            in_w,
+            shape,
             weight_grad: Tensor::zeros(matrix.weights().shape()),
             bias_grad: Tensor::zeros(&[out_channels]),
             matrix,
@@ -76,16 +72,12 @@ impl CirculantConv2d {
 
     /// Output spatial height.
     pub fn out_h(&self) -> usize {
-        self.geom
-            .output_extent(self.in_h)
-            .expect("validated at construction")
+        self.shape.out_h()
     }
 
     /// Output spatial width.
     pub fn out_w(&self) -> usize {
-        self.geom
-            .output_extent(self.in_w)
-            .expect("validated at construction")
+        self.shape.out_w()
     }
 
     /// The lowered block-circulant filter matrix (`[Cr², P]` logical).
@@ -106,7 +98,8 @@ impl CirculantConv2d {
     /// `C/b` when `b | C` and a sample is read as a spectral image; `None`
     /// when its rows are lowered with im2col.
     fn channel_blocks(&self) -> Option<usize> {
-        self.in_channels.is_multiple_of(self.block()).then_some(self.in_channels / self.block())
+        let c = self.shape.dims().0;
+        c.is_multiple_of(self.block()).then_some(c / self.block())
     }
 
     /// The view both passes read a sample's `X̂` through. Over a spectral
@@ -115,44 +108,15 @@ impl CirculantConv2d {
     /// taps in Eqn. 6 column order and padded taps on the zero pixel; the
     /// spectra of lowered rows are read in place.
     fn view(&self) -> impl Fn(usize, &mut Vec<usize>) + Copy {
-        let (h, w, ow, geom) = (self.in_h, self.in_w, self.out_w(), self.geom);
+        let ((_, h, w), ow, geom) = (self.shape.dims(), self.out_w(), self.shape.geometry());
         let (channel_blocks, kb_in) = (self.channel_blocks(), self.matrix.in_blocks());
         move |pixel, slots| match channel_blocks {
             None => identity_view(kb_in)(pixel, slots),
-            Some(cb) => {
-                let (oy, ox) = (pixel / ow, pixel % ow);
-                for kj in 0..geom.kernel {
-                    for ki in 0..geom.kernel {
-                        // A tap left of or above the image wraps to a
-                        // huge coordinate and fails the same test.
-                        let iy = (oy * geom.stride + ki).wrapping_sub(geom.pad);
-                        let ix = (ox * geom.stride + kj).wrapping_sub(geom.pad);
-                        let read = if iy < h && ix < w { iy * w + ix } else { h * w };
-                        slots.extend(read * cb..(read + 1) * cb);
-                    }
-                }
-            }
+            Some(cb) => geom.for_each_tap((pixel / ow, pixel % ow), (h, w), |_, read| {
+                let read = read.unwrap_or(h * w);
+                slots.extend(read * cb..(read + 1) * cb);
+            }),
         }
-    }
-
-    fn check_input(&self, input: &Tensor) -> Result<(), NnError> {
-        if input.ndim() != 4
-            || input.shape()[1] != self.in_channels
-            || input.shape()[2] != self.in_h
-            || input.shape()[3] != self.in_w
-        {
-            return Err(NnError::BadInput {
-                layer: "circulant_conv2d".into(),
-                message: format!(
-                    "expected [batch, {}, {}, {}], got {:?}",
-                    self.in_channels,
-                    self.in_h,
-                    self.in_w,
-                    input.shape()
-                ),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -171,128 +135,68 @@ impl Layer for CirculantConv2d {
     /// The same floats give the same spectra and the order of
     /// accumulation is that of the lowered rows, so every output bit is
     /// too. When `b ∤ C` the rows are lowered with im2col and read in
-    /// place. Either way the `[oh·ow, P]` product is transposed to
-    /// `[P, oh, ow]` with bias, and with `keep` each sample's `X̂` is
-    /// retained for `backward`.
+    /// place. With `keep` each sample's `X̂` is retained for `backward`.
     fn forward_with(
         &mut self,
         input: &Tensor,
         scratch: &mut Scratch,
         keep: bool,
     ) -> Result<Tensor, NnError> {
-        self.check_input(input)?;
-        let batch = input.shape()[0];
-        let (c, h, w, ow) = (self.in_channels, self.in_h, self.in_w, self.out_w());
-        let (pixels, hw) = (self.out_h() * ow, h * w);
-        let plane_out = self.out_channels * pixels;
-        let (channel_blocks, view) = (self.channel_blocks(), self.view());
-        let mut out = scratch.take(&[batch, self.out_channels, self.out_h(), ow]);
-        // The sample as it is transformed (pixel-major, zero pixel last) or
-        // as im2col reads it, and the lowered rows of the fallback.
-        let staged_shape = if channel_blocks.is_some() { [hw + 1, c, 1] } else { [c, h, w] };
-        let mut staged = scratch.take(&staged_shape);
-        let mut cols = channel_blocks.is_none().then(|| scratch.take(&[pixels, self.matrix.in_dim()]));
-        let mut y = scratch.take(&[pixels, self.out_channels]);
-        let sc = &mut self.infer_scratch;
-        let kernel = self.matrix.kernel();
+        let (shape, channel_blocks, view) = (self.shape, self.channel_blocks(), self.view());
+        let ((c, h, w), in_dim) = (shape.dims(), self.matrix.in_dim());
+        // What `spectra_of` transforms: the sample pixel-major with its
+        // zero pixel, in rows of `C`, or its lowered rows.
+        let (rows_shape, row_len) = match channel_blocks {
+            Some(_) => ([h * w + 1, c], c),
+            None => ([shape.pixels(), in_dim], in_dim),
+        };
+        let mut rows = scratch.take(&rows_shape);
+        let (matrix, kernel) = (&self.matrix, self.matrix.kernel());
+        let (sc, kept) = (&mut self.infer_scratch, &mut self.kept);
         if keep {
-            self.kept.clear();
+            kept.clear();
         }
-
-        for s in 0..batch {
-            let sample = &input.as_slice()[s * c * hw..(s + 1) * c * hw];
-            let rows = match &mut cols {
-                None => {
-                    let pixel_major = staged.as_mut_slice();
-                    for (ch, plane) in sample.chunks_exact(hw).enumerate() {
-                        for (p, &v) in plane.iter().enumerate() {
-                            pixel_major[p * c + ch] = v;
-                        }
+        let out = shape.forward("circulant_conv2d", input, scratch, &self.bias, |_, x, y| {
+            if channel_blocks.is_some() {
+                let pixel_major = rows.as_mut_slice();
+                for (ch, plane) in x.chunks_exact(h * w).enumerate() {
+                    for (p, &v) in plane.iter().enumerate() {
+                        pixel_major[p * c + ch] = v;
                     }
-                    (&*pixel_major, c)
                 }
-                Some(cols) => {
-                    staged.as_mut_slice().copy_from_slice(sample);
-                    im2col_into(&staged, self.geom, cols)?;
-                    (cols.as_slice(), self.matrix.in_dim())
-                }
-            };
-            let len = kernel.spectra_of(rows, &mut sc.bufs, &mut sc.x_spec);
+            } else {
+                im2col_into(x, (c, h, w), shape.geometry(), &mut rows)?;
+            }
+            let len = kernel.spectra_of((rows.as_slice(), row_len), &mut sc.bufs, &mut sc.x_spec);
             if keep {
-                self.kept.push(sc.x_spec[..len].to_vec());
+                kept.push(sc.x_spec[..len].to_vec());
             }
-            self.matrix
-                .product((&sc.x_spec, view), y.as_mut_slice(), &mut sc.bufs, |_, _, v| v);
-            let dst = &mut out.as_mut_slice()[s * plane_out..(s + 1) * plane_out];
-            let ys = y.as_slice();
-            for p in 0..self.out_channels {
-                let b = self.bias.as_slice()[p];
-                for pix in 0..pixels {
-                    dst[p * pixels + pix] = ys[pix * self.out_channels + p] + b;
-                }
-            }
-        }
-        scratch.recycle(staged);
-        if let Some(cols) = cols {
-            scratch.recycle(cols);
-        }
-        scratch.recycle(y);
-        Ok(out)
+            let y = y.as_mut_slice();
+            matrix.product((&sc.x_spec, view), y, &mut sc.bufs, |_, _, v| v);
+            Ok(())
+        });
+        scratch.recycle(rows);
+        out
     }
 
+    /// Algorithm 2 on each kept `X̂`, through the view the forward pass
+    /// read it by: `∂L/∂w` is added per sample, as the lowered rows' would be.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        if self.kept.is_empty() {
-            return Err(NnError::NoForwardCache("circulant_conv2d".into()));
-        }
-        let (oh, ow) = (self.out_h(), self.out_w());
-        if grad_output.ndim() != 4
-            || grad_output.shape()[0] != self.kept.len()
-            || grad_output.shape()[1] != self.out_channels
-            || grad_output.shape()[2] != oh
-            || grad_output.shape()[3] != ow
-        {
-            return Err(NnError::BadInput {
-                layer: "circulant_conv2d".into(),
-                message: format!(
-                    "expected gradient [{}, {}, {oh}, {ow}], got {:?}",
-                    self.kept.len(),
-                    self.out_channels,
-                    grad_output.shape()
-                ),
-            });
-        }
-
-        let plane_out = self.out_channels * oh * ow;
         let mut weight_grad = Tensor::zeros(self.matrix.weights().shape());
-        let mut bias_grad = vec![0.0f32; self.out_channels];
-        let mut grad_input =
-            Vec::with_capacity(self.kept.len() * self.in_channels * self.in_h * self.in_w);
-        let view = self.view();
-
-        for (s, x_hat) in self.kept.iter().enumerate() {
-            // Reassemble g as [oh·ow, P] from [P, oh, ow].
-            let gslice = &grad_output.as_slice()[s * plane_out..(s + 1) * plane_out];
-            let mut g = vec![0.0f32; oh * ow * self.out_channels];
-            for p in 0..self.out_channels {
-                for pix in 0..oh * ow {
-                    let v = gslice[p * oh * ow + pix];
-                    g[pix * self.out_channels + p] = v;
-                    bias_grad[p] += v;
-                }
-            }
-            let g = Tensor::from_vec(g, &[oh * ow, self.out_channels])?;
-            let (dcols, dw) = self.matrix.backward_rows((x_hat, view), &g);
-            weight_grad = weight_grad.add(&dw)?;
-            let dx = col2im(&dcols, self.in_channels, self.in_h, self.in_w, self.geom)?;
-            grad_input.extend_from_slice(dx.as_slice());
-        }
-
+        let (view, matrix, kept) = (self.view(), &self.matrix, &self.kept);
+        let grad_input = self.shape.backward(
+            "circulant_conv2d",
+            grad_output,
+            kept.len(),
+            &mut self.bias_grad,
+            |s, g| {
+                let (dcols, dw) = matrix.backward_rows((&kept[s], view), g);
+                weight_grad = weight_grad.add(&dw)?;
+                Ok(dcols)
+            },
+        )?;
         self.weight_grad = weight_grad;
-        self.bias_grad = Tensor::from_slice(&bias_grad);
-        Ok(Tensor::from_vec(
-            grad_input,
-            &[self.kept.len(), self.in_channels, self.in_h, self.in_w],
-        )?)
+        Ok(grad_input)
     }
 
     fn parameters(&mut self) -> Vec<ParamRef<'_>> {
@@ -324,8 +228,8 @@ impl Layer for CirculantConv2d {
     /// reads when `b | C`: the platform model behind Tables III / A3 is
     /// calibrated on these counts.
     fn op_cost(&self) -> OpCost {
-        let (oh, ow) = (self.out_h(), self.out_w());
-        let pixels = (oh * ow) as u64;
+        let (s, (c, h, w)) = (self.shape, self.shape.dims());
+        let pixels = s.pixels() as u64;
         let b = self.matrix.block() as u64;
         let bins = (self.matrix.block() / 2 + 1) as u64;
         let kb_in = self.matrix.in_blocks() as u64;
@@ -337,28 +241,16 @@ impl Layer for CirculantConv2d {
         let mults = pixels * per_pixel + kb_in * kb_out * fft_mults;
         OpCost {
             mults,
-            adds: mults + pixels * self.out_channels as u64,
+            adds: mults + pixels * s.filters() as u64,
             nonlin: 0,
             param_reads: self.param_count() as u64,
-            act_traffic: (self.in_channels * self.in_h * self.in_w
-                + self.out_channels * oh * ow) as u64,
+            act_traffic: (c * h * w + s.filters() * s.pixels()) as u64,
         }
     }
 
     fn config_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        for v in [
-            self.in_channels,
-            self.out_channels,
-            self.in_h,
-            self.in_w,
-            self.geom.kernel,
-            self.geom.stride,
-            self.geom.pad,
-            self.matrix.block(),
-        ] {
-            wire::write_u32(&mut buf, v as u32).expect("vec write is infallible");
-        }
+        let mut buf = self.shape.config_bytes();
+        wire::write_u32(&mut buf, self.block() as u32).expect("vec write is infallible");
         buf
     }
 
@@ -369,7 +261,7 @@ impl Layer for CirculantConv2d {
     fn load_params(&mut self, params: &[Tensor]) -> Result<(), NnError> {
         if params.len() != 2
             || params[0].shape() != self.matrix.weights().shape()
-            || params[1].shape() != [self.out_channels]
+            || params[1].shape() != self.bias.shape()
         {
             return Err(NnError::ModelFormat(
                 "circulant_conv2d parameter shapes do not match".into(),
@@ -382,11 +274,7 @@ impl Layer for CirculantConv2d {
 
     fn clone_layer(&self) -> Option<Box<dyn Layer>> {
         Some(Box::new(Self {
-            in_channels: self.in_channels,
-            out_channels: self.out_channels,
-            geom: self.geom,
-            in_h: self.in_h,
-            in_w: self.in_w,
+            shape: self.shape,
             matrix: self.matrix.clone(),
             bias: self.bias.clone(),
             weight_grad: self.weight_grad.clone(),
@@ -403,18 +291,11 @@ impl Layer for CirculantConv2d {
 ///
 /// Returns [`NnError::ModelFormat`]/[`NnError::Io`] on malformed config.
 pub fn circulant_conv2d_from_config(mut config: &[u8]) -> Result<Box<dyn Layer>, NnError> {
-    let mut vals = [0usize; 8];
-    for v in &mut vals {
-        *v = wire::read_u32(&mut config)? as usize;
-    }
-    let [cin, cout, h, w, k, s, p, block] = vals;
-    let geom = ConvGeometry {
-        kernel: k,
-        stride: s,
-        pad: p,
-    };
+    let s = ConvShape::read_config(&mut config)?;
+    let block = wire::read_u32(&mut config)? as usize;
     let mut rng = ffdl_rng::rngs::mock::StepRng::new(1, 1);
-    let layer = CirculantConv2d::new(cin, cout, h, w, geom, block, &mut rng)?;
+    let (c, h, w) = s.dims();
+    let layer = CirculantConv2d::new(c, s.filters(), h, w, s.geometry(), block, &mut rng)?;
     Ok(Box::new(layer))
 }
 

@@ -5,9 +5,12 @@
 //! gradients on both of its paths. Every value's `to_bits()` is folded
 //! into one FNV-1a word per tensor; inputs are exact in `f32`, so the
 //! words depend on the transforms and the order of accumulation alone.
+//! Last, the model-format bytes of both CONV layers, captured at the
+//! commit before their geometry and config words moved into one shared
+//! shape.
 
-use ffdl_core::{BlockCirculantMatrix, CirculantConv2d};
-use ffdl_nn::Layer;
+use ffdl_core::{full_registry, BlockCirculantMatrix, CirculantConv2d};
+use ffdl_nn::{load_network, save_network, Conv2d, Layer, MaxPool2d, Network};
 use ffdl_rng::StepRng;
 use ffdl_tensor::{ConvGeometry, Tensor};
 
@@ -15,10 +18,14 @@ fn exact(shape: &[usize], salt: usize) -> Tensor {
     Tensor::from_fn(shape, |i| ((i * 7 + salt * 5 + 3) % 19) as f32 * 0.125 - 1.0)
 }
 
-fn fnv(t: &Tensor) -> u64 {
-    t.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+fn fnv_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, byte| {
         (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+fn fnv(t: &Tensor) -> u64 {
+    fnv_bytes(t.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
 /// `[y, ∂L/∂x, ∂L/∂w]` of one `forward_batch` / `backward_batch` pair.
@@ -66,4 +73,31 @@ fn both_algorithms_keep_the_bits_of_the_per_row_spectra_copies() {
     ] {
         assert_eq!(conv(dims, geom, b), bits, "conv {dims:?} block {b}: [y, dx, dfilters, dbias]");
     }
+}
+
+#[test]
+fn conv_layers_keep_their_wire_format() {
+    // A dense CONV layer, the spectral image (`b | C`), the im2col fallback
+    // (`b ∤ C`) with padding and stride 2, then max pooling.
+    let geom = |kernel, stride, pad| ConvGeometry { kernel, stride, pad };
+    let mut dense = Conv2d::new(4, 8, 9, 9, geom(3, 1, 0), &mut StepRng::new(1, 1)).unwrap();
+    dense.load_params(&[exact(&[8, 4, 3, 3], 1), exact(&[8], 3)]).unwrap();
+    let circulant = |p, geom, b| {
+        let mut layer = CirculantConv2d::new(8, p, 7, 7, geom, b, &mut StepRng::new(1, 1)).unwrap();
+        let grid = layer.matrix().weights().shape().to_vec();
+        layer.load_params(&[exact(&grid, 1), exact(&[p], 3)]).unwrap();
+        layer
+    };
+    let mut net = Network::new();
+    net.push(dense);
+    net.push(circulant(8, geom(3, 1, 1), 4));
+    net.push(circulant(6, geom(3, 2, 1), 3));
+    net.push(MaxPool2d::new(2));
+    let mut file = Vec::new();
+    save_network(&net, &mut file).unwrap();
+    assert_eq!(fnv_bytes(file.iter().copied()), 0xc13378234d4a249f, "model-format bytes");
+    // What this commit loads, it writes back byte for byte.
+    let mut again = Vec::new();
+    save_network(&load_network(&file[..], &full_registry()).unwrap(), &mut again).unwrap();
+    assert_eq!(again, file);
 }

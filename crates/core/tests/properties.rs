@@ -15,7 +15,7 @@ use ffdl_core::{
     CirculantScratch, QuantBits, QuantizedSpectralDense, SpectralDense,
 };
 use ffdl_nn::{
-    copy_layer, load_network, save_network, AvgPool2d, Conv2d, Dense, Flatten, Layer, MaxPool2d,
+    copy_layer, load_network, save_network, Conv2d, Dense, Flatten, Layer, MaxPool2d,
     Network, NnError, Relu, Scratch, Sigmoid, Softmax, Tanh,
 };
 use ffdl_rng::prop::{check, PropResult};
@@ -141,8 +141,9 @@ fn forms_case(rng: &mut SmallRng) -> FormsCase {
     )
 }
 
-/// Every registered layer type in every deployable form (both quant
-/// widths), with the input shape it takes and whether it can train.
+/// Every registered layer type in every deployable form — 13 tags, 14
+/// forms with both quant widths — with the input shape it takes and
+/// whether it can train.
 fn layer_forms(case: &FormsCase) -> Vec<(Box<dyn Layer>, Vec<usize>, bool)> {
     let &((width, out, block, batch, seed), (c, h, w), filters, (kernel, stride, pad)) = case;
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -156,7 +157,6 @@ fn layer_forms(case: &FormsCase) -> Vec<(Box<dyn Layer>, Vec<usize>, bool)> {
         (Box::new(Dense::new(width, out, rng)), flat.clone(), true),
         (Box::new(Conv2d::new(c, filters, h, w, geom, rng).unwrap()), image.clone(), true),
         (Box::new(MaxPool2d::with_stride(kernel, stride)), image.clone(), true),
-        (Box::new(AvgPool2d::with_stride(kernel, stride)), image.clone(), true),
         (Box::new(Relu::new()), flat.clone(), true),
         (Box::new(Sigmoid::new()), flat.clone(), true),
         (Box::new(Tanh::new()), image.clone(), true),

@@ -13,7 +13,6 @@
 //! conv 64 kernel=3 [stride=1] [pad=0]
 //! circulant_conv 128 kernel=3 block=27 [stride=1] [pad=0]
 //! maxpool 2 [stride=k]
-//! avgpool 2 [stride=k]
 //! flatten
 //! relu | sigmoid | tanh | softmax
 //! ```
@@ -24,7 +23,7 @@
 
 use crate::error::DeployError;
 use ffdl_core::{CirculantConv2d, CirculantDense, CirculantGru};
-use ffdl_nn::{AvgPool2d, Conv2d, Dense, Flatten, MaxPool2d, Network, Relu, Sigmoid, Softmax, Tanh};
+use ffdl_nn::{Conv2d, Dense, Flatten, MaxPool2d, Network, Relu, Sigmoid, Softmax, Tanh};
 use ffdl_tensor::ConvGeometry;
 use ffdl_rng::rngs::SmallRng;
 use ffdl_rng::SeedableRng;
@@ -256,15 +255,13 @@ pub fn parse_architecture(text: &str, seed: u64) -> Result<ParsedNetwork, Deploy
                 }
                 shape = Some(Shape::Image(p, oh, ow));
             }
-            "maxpool" | "avgpool" => {
+            "maxpool" => {
                 let (c, h, w) = match current {
                     Shape::Image(c, h, w) => (c, h, w),
-                    Shape::Flat(_) => {
-                        return Err(syntax(line, format!("{keyword} requires an image shape")))
-                    }
+                    Shape::Flat(_) => return Err(syntax(line, "maxpool requires an image shape")),
                 };
                 if toks.len() < 2 {
-                    return Err(syntax(line, format!("usage: {keyword} <k> [stride=<s>]")));
+                    return Err(syntax(line, "usage: maxpool <k> [stride=<s>]"));
                 }
                 let k = parse_usize(line, toks[1], "pool size")?;
                 let opts = parse_options(line, &toks[2..], &["stride"])?;
@@ -272,11 +269,7 @@ pub fn parse_architecture(text: &str, seed: u64) -> Result<ParsedNetwork, Deploy
                 if k == 0 || stride == 0 || k > h || k > w {
                     return Err(syntax(line, format!("pool {k}/{stride} does not fit {h}×{w}")));
                 }
-                if keyword == "maxpool" {
-                    network.push(MaxPool2d::with_stride(k, stride));
-                } else {
-                    network.push(AvgPool2d::with_stride(k, stride));
-                }
+                network.push(MaxPool2d::with_stride(k, stride));
                 shape = Some(Shape::Image(
                     c,
                     (h - k) / stride + 1,
@@ -442,7 +435,7 @@ softmax
 
     #[test]
     fn avgpool_and_fft_conv_directives() {
-        let text = "\ninput 2x8x8\nconv 4 kernel=3\nrelu\navgpool 2\nflatten\nfc 5\n";
+        let text = "\ninput 2x8x8\nconv 4 kernel=3\nrelu\nmaxpool 2 stride=1\nflatten\nfc 5\n";
         let mut parsed = parse_architecture(text, 3).unwrap();
         assert_eq!(parsed.output_shape, Shape::Flat(5));
         let y = parsed
@@ -450,15 +443,24 @@ softmax
             .forward(&Tensor::zeros(&[1, 2, 8, 8]))
             .unwrap();
         assert_eq!(y.shape(), &[1, 5]);
-        assert!(parse_architecture("input 1x4x4\navgpool 9\n", 0).is_err());
-        // The §I FFT-convolution baseline is a bench fixture, not a
-        // deployable layer: its directive is an unknown one.
-        match parse_architecture("input 2x8x8\nfft_conv 4 kernel=3\n", 0).unwrap_err() {
-            DeployError::ArchSyntax { line, message } => {
-                assert_eq!(line, 2);
-                assert!(message.contains("unknown directive \"fft_conv\""), "{message}");
+        assert!(parse_architecture("input 1x4x4\nmaxpool 2 stride=0\n", 0).is_err());
+        // Average pooling (no paper architecture uses it) and the §I
+        // FFT-convolution baseline (a bench fixture) are not deployable
+        // layers: their directives are unknown ones.
+        for (directive, name) in [
+            ("avgpool 2", "avgpool"),
+            ("fft_conv 4 kernel=3", "fft_conv"),
+        ] {
+            match parse_architecture(&format!("input 2x8x8\n{directive}\n"), 0).unwrap_err() {
+                DeployError::ArchSyntax { line, message } => {
+                    assert_eq!(line, 2);
+                    assert!(
+                        message.contains(&format!("unknown directive {name:?}")),
+                        "{message}"
+                    );
+                }
+                other => panic!("unexpected error {other:?}"),
             }
-            other => panic!("unexpected error {other:?}"),
         }
     }
 

@@ -1,36 +1,248 @@
-//! The dense (uncompressed) convolutional layer of Eqn. 5, computed via
-//! the im2col lowering of Fig. 3: `Y = X·F` with
-//! `X ∈ ℝ^{(H−r+1)(W−r+1) × Cr²}` and `F ∈ ℝ^{Cr² × P}`.
+//! The CONV layers' one shape and driver, and the dense (uncompressed)
+//! convolutional layer of Eqn. 5.
+//!
+//! Every CONV layer computes the Fig. 3 lowering `Y = X·F`, with
+//! `X ∈ ℝ^{H_out·W_out × Cr²}` and `F ∈ ℝ^{Cr² × P}`; the dense layer here
+//! and the block-circulant one of `ffdl-core` differ only in the product of
+//! a lowered row with `F`. Everything around that product is written once,
+//! on [`ConvShape`]: validation, the config words, the per-sample loop, the
+//! `[oh·ow, P] → [P, oh, ow]` + bias tail, and the backward gradient gather
+//! and `col2im` scatter. The tap rule under the lowering is
+//! [`ConvGeometry::for_each_tap`].
 
 use crate::error::NnError;
 use crate::layer::{check_features, Layer, OpCost, ParamRef};
 use crate::scratch::Scratch;
 use crate::wire;
-use ffdl_tensor::{
-    col2im, filters_to_matrix, filters_to_matrix_into, im2col_into, matrix_to_filters,
-    ConvGeometry, Init, Tensor,
-};
 use ffdl_rng::Rng;
+use ffdl_tensor::{
+    col2im, filters_to_matrix, im2col_into, matrix_to_filters, ConvGeometry, Init, Tensor,
+};
+use std::sync::OnceLock;
+
+/// Output pixels per tile of the forward tail: the `[pixels, P]` rows of a
+/// tile stay in L1 while each of the `P` output maps gets its run of them.
+const TAIL_TILE: usize = 16;
+
+/// The shape of a CONV layer — input `[batch, C, H, W]` → output
+/// `[batch, P, H_out, W_out]` — and the driver both CONV layers run their
+/// product under. [`ConvShape::new`] checks that the kernel fits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConvShape {
+    channels: usize,
+    filters: usize,
+    height: usize,
+    width: usize,
+    geom: ConvGeometry,
+    /// `(H_out, W_out)`, fixed by the check in `new`.
+    out: (usize, usize),
+}
+
+impl ConvShape {
+    /// A CONV layer shape: `channels` → `filters` maps over
+    /// `height × width` inputs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::Tensor`] when the kernel does not fit the input.
+    pub fn new(
+        channels: usize,
+        filters: usize,
+        height: usize,
+        width: usize,
+        geom: ConvGeometry,
+    ) -> Result<Self, NnError> {
+        let out = (geom.output_extent(height)?, geom.output_extent(width)?);
+        Ok(Self {
+            channels,
+            filters,
+            height,
+            width,
+            geom,
+            out,
+        })
+    }
+
+    /// `(C, H, W)`, the shape of one input sample.
+    pub fn dims(&self) -> (usize, usize, usize) {
+        (self.channels, self.height, self.width)
+    }
+
+    /// Output channels (filters) `P`.
+    pub fn filters(&self) -> usize {
+        self.filters
+    }
+
+    /// Kernel side `r`, stride and zero padding.
+    pub fn geometry(&self) -> ConvGeometry {
+        self.geom
+    }
+
+    /// Output spatial height.
+    pub fn out_h(&self) -> usize {
+        self.out.0
+    }
+
+    /// Output spatial width.
+    pub fn out_w(&self) -> usize {
+        self.out.1
+    }
+
+    /// Output pixels per map: the rows of the lowering.
+    pub fn pixels(&self) -> usize {
+        self.out.0 * self.out.1
+    }
+
+    /// The seven config words every CONV layer's model-format blob starts
+    /// with (a layer appends its own after them).
+    pub fn config_bytes(&self) -> Vec<u8> {
+        let ((c, h, w), g) = (self.dims(), self.geom);
+        let mut buf = Vec::new();
+        for v in [c, self.filters, h, w, g.kernel, g.stride, g.pad] {
+            wire::write_u32(&mut buf, v as u32).expect("vec write is infallible");
+        }
+        buf
+    }
+
+    /// Reads the words [`Self::config_bytes`] wrote, leaving `config` at
+    /// the layer's own.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::Io`] on a short blob, [`NnError::Tensor`] when the
+    /// geometry does not fit.
+    pub fn read_config(config: &mut &[u8]) -> Result<Self, NnError> {
+        let mut words = [0usize; 7];
+        for v in &mut words {
+            *v = wire::read_u32(config)? as usize;
+        }
+        let [c, p, h, w, kernel, stride, pad] = words;
+        let geom = ConvGeometry {
+            kernel,
+            stride,
+            pad,
+        };
+        Self::new(c, p, h, w, geom)
+    }
+
+    /// The forward pass around a layer's product. Validates that `input`
+    /// is `[batch, C, H, W]`, draws the output and one `[oh·ow, P]`
+    /// product buffer from `scratch`, and per sample `s` calls
+    /// `product(s, x, y)` — `x` the sample's `C·H·W` values, `y` to receive
+    /// its lowered product `X·F` — then writes `y` transposed to
+    /// `[P, oh, ow]`, plus `bias[p]`: one add per output, so the tail's
+    /// blocking does not move a bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::BadInput`] tagged `layer` on an input of the
+    /// wrong shape, and whatever `product` returns.
+    pub fn forward(
+        &self,
+        layer: &str,
+        input: &Tensor,
+        scratch: &mut Scratch,
+        bias: &Tensor,
+        mut product: impl FnMut(usize, &[f32], &mut Tensor) -> Result<(), NnError>,
+    ) -> Result<Tensor, NnError> {
+        let (c, h, w) = self.dims();
+        check_features(layer, input, 4, &[c, h, w])?;
+        let (batch, pixels, filters) = (input.shape()[0], self.pixels(), self.filters);
+        let mut out = scratch.take(&[batch, filters, self.out.0, self.out.1]);
+        let mut y = scratch.take(&[pixels, filters]);
+        let plane = c * h * w;
+        for s in 0..batch {
+            product(s, &input.as_slice()[s * plane..(s + 1) * plane], &mut y)?;
+            let dst = &mut out.as_mut_slice()[s * filters * pixels..];
+            let ys = y.as_slice();
+            for tile in (0..pixels).step_by(TAIL_TILE) {
+                for (p, &b) in bias.as_slice().iter().enumerate() {
+                    for pix in tile..(tile + TAIL_TILE).min(pixels) {
+                        dst[p * pixels + pix] = ys[pix * filters + p] + b;
+                    }
+                }
+            }
+        }
+        scratch.recycle(y);
+        Ok(out)
+    }
+
+    /// The backward pass around a layer's product, over the `kept` samples
+    /// of the last keeping pass. Validates that `grad_output` is
+    /// `[kept, P, oh, ow]`; per sample gathers it to `[oh·ow, P]` while
+    /// summing `∂bias` (samples, then pixels, ascending) into `bias_grad`;
+    /// calls `product_grad(s, g)` for the gradient of the sample's lowered
+    /// rows, `[oh·ow, C·r²]` (the layer accumulates its weight gradient
+    /// there); and scatters that back with `col2im` into `∂x`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::NoForwardCache`] when nothing was kept,
+    /// [`NnError::BadInput`] on a gradient of the wrong shape, and whatever
+    /// `product_grad` returns.
+    pub fn backward(
+        &self,
+        layer: &str,
+        grad_output: &Tensor,
+        kept: usize,
+        bias_grad: &mut Tensor,
+        mut product_grad: impl FnMut(usize, &Tensor) -> Result<Tensor, NnError>,
+    ) -> Result<Tensor, NnError> {
+        if kept == 0 {
+            return Err(NnError::NoForwardCache(layer.into()));
+        }
+        let ((c, h, w), filters, pixels) = (self.dims(), self.filters, self.pixels());
+        check_features(layer, grad_output, 4, &[filters, self.out.0, self.out.1])?;
+        let batch = grad_output.shape()[0];
+        if batch != kept {
+            return Err(NnError::BadInput {
+                layer: layer.into(),
+                message: format!("gradient batch {batch} does not match kept batch {kept}"),
+            });
+        }
+        let mut bias_sum = vec![0.0f32; filters];
+        let mut grad_input = Vec::with_capacity(kept * c * h * w);
+        for s in 0..kept {
+            let gs = &grad_output.as_slice()[s * filters * pixels..];
+            let mut g = vec![0.0f32; pixels * filters];
+            for (p, sum) in bias_sum.iter_mut().enumerate() {
+                for pix in 0..pixels {
+                    let v = gs[p * pixels + pix];
+                    g[pix * filters + p] = v;
+                    *sum += v;
+                }
+            }
+            let dcols = product_grad(s, &Tensor::from_vec(g, &[pixels, filters])?)?;
+            let dx = col2im(&dcols, c, h, w, self.geom)?;
+            grad_input.extend_from_slice(dx.as_slice());
+        }
+        *bias_grad = Tensor::from_slice(&bias_sum);
+        Ok(Tensor::from_vec(grad_input, &[kept, c, h, w])?)
+    }
+}
 
 /// A 2-D convolutional layer: input `[batch, C, H, W]` →
 /// output `[batch, P, H_out, W_out]`.
 ///
-/// Filters are stored as `[P, C, r, r]`; the forward pass lowers each
-/// sample with [`im2col_into`] and multiplies by the `[Cr², P]` filter matrix,
-/// exactly the software reformulation the paper describes for its OpenCV
-/// implementation (§IV-B, Fig. 3).
+/// Filters are stored as `[P, C, r, r]`; the product under the
+/// [`ConvShape`] driver lowers each sample with [`im2col_into`] and
+/// multiplies by the `[Cr², P]` filter matrix, exactly the software
+/// reformulation the paper describes for its OpenCV implementation (§IV-B,
+/// Fig. 3). The filter matrix is built once, like a circulant layer's
+/// weight spectra, and a keeping pass retains the input, not its 9× larger
+/// lowering: `backward` lowers each sample again.
+#[derive(Clone)]
 pub struct Conv2d {
-    in_channels: usize,
-    out_channels: usize,
-    geom: ConvGeometry,
-    in_h: usize,
-    in_w: usize,
+    shape: ConvShape,
     filters: Tensor,      // [P, C, r, r]
     bias: Tensor,         // [P]
     filters_grad: Tensor, // [P, C, r, r]
     bias_grad: Tensor,    // [P]
-    /// Per-sample im2col matrices of the last pass that kept them.
-    cached_cols: Vec<Tensor>,
+    /// The lowered filter matrix, built on first use and shared by clones;
+    /// reset wherever the filters can change (`parameters`, `load_params`).
+    fmat: OnceLock<Tensor>,
+    /// The input of the last keeping pass.
+    kept: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -48,51 +260,29 @@ impl Conv2d {
         geom: ConvGeometry,
         rng: &mut R,
     ) -> Result<Self, NnError> {
-        geom.output_extent(in_h)?;
-        geom.output_extent(in_w)?;
-        let fan_in = in_channels * geom.kernel * geom.kernel;
-        let filters = Init::HeNormal.sample(
-            &[out_channels, in_channels, geom.kernel, geom.kernel],
-            fan_in,
-            out_channels,
-            rng,
-        );
+        let shape = ConvShape::new(in_channels, out_channels, in_h, in_w, geom)?;
+        let (c, p, k) = (in_channels, out_channels, geom.kernel);
+        let filters = Init::HeNormal.sample(&[p, c, k, k], c * k * k, p, rng);
         Ok(Self {
-            in_channels,
-            out_channels,
-            geom,
-            in_h,
-            in_w,
-            filters_grad: Tensor::zeros(&[out_channels, in_channels, geom.kernel, geom.kernel]),
-            bias_grad: Tensor::zeros(&[out_channels]),
+            shape,
+            filters_grad: Tensor::zeros(filters.shape()),
+            bias_grad: Tensor::zeros(&[p]),
             filters,
-            bias: Tensor::zeros(&[out_channels]),
-            cached_cols: Vec::new(),
+            bias: Tensor::zeros(&[p]),
+            fmat: OnceLock::new(),
+            kept: None,
         })
-    }
-
-    /// Output spatial height.
-    pub fn out_h(&self) -> usize {
-        self.geom
-            .output_extent(self.in_h)
-            .expect("validated at construction")
-    }
-
-    /// Output spatial width.
-    pub fn out_w(&self) -> usize {
-        self.geom
-            .output_extent(self.in_w)
-            .expect("validated at construction")
-    }
-
-    /// Convolution geometry.
-    pub fn geometry(&self) -> ConvGeometry {
-        self.geom
     }
 
     /// The filter bank (`[P, C, r, r]`).
     pub fn filters(&self) -> &Tensor {
         &self.filters
+    }
+
+    /// The lowered `[Cr², P]` filter matrix `F`.
+    fn matrix(&self) -> &Tensor {
+        self.fmat
+            .get_or_init(|| filters_to_matrix(&self.filters).expect("filters are [P, C, r, r]"))
     }
 }
 
@@ -107,123 +297,50 @@ impl Layer for Conv2d {
         scratch: &mut Scratch,
         keep: bool,
     ) -> Result<Tensor, NnError> {
-        check_features(
-            "conv2d",
-            input,
-            4,
-            &[self.in_channels, self.in_h, self.in_w],
-        )?;
-        let batch = input.shape()[0];
-        let (oh, ow) = (self.out_h(), self.out_w());
-        let cr2 = self.in_channels * self.geom.kernel * self.geom.kernel;
-        let plane = self.in_channels * self.in_h * self.in_w;
-        let plane_out = self.out_channels * oh * ow;
-
-        let mut fmat = scratch.take(&[cr2, self.out_channels]);
-        filters_to_matrix_into(&self.filters, &mut fmat)?;
-        let mut out = scratch.take(&[batch, self.out_channels, oh, ow]);
-        let mut sample = scratch.take(&[self.in_channels, self.in_h, self.in_w]);
-        let mut cols = scratch.take(&[oh * ow, cr2]);
-        let mut y = scratch.take(&[oh * ow, self.out_channels]);
-        if keep {
-            self.cached_cols.clear();
-        }
-
-        for s in 0..batch {
-            sample
-                .as_mut_slice()
-                .copy_from_slice(&input.as_slice()[s * plane..(s + 1) * plane]);
-            im2col_into(&sample, self.geom, &mut cols)?;
-            cols.matmul_into(&fmat, &mut y)?;
-            // Transpose [oh·ow, P] → [P, oh, ow] with bias.
-            let dst = &mut out.as_mut_slice()[s * plane_out..(s + 1) * plane_out];
-            let ys = y.as_slice();
-            for p in 0..self.out_channels {
-                let b = self.bias.as_slice()[p];
-                for pix in 0..oh * ow {
-                    dst[p * oh * ow + pix] = ys[pix * self.out_channels + p] + b;
-                }
-            }
-            if keep {
-                // A copy-on-write alias: the next `im2col_into` finds
-                // `cols` shared and lowers into a fresh buffer.
-                self.cached_cols.push(cols.clone());
-            }
-        }
-        scratch.recycle(fmat);
-        scratch.recycle(sample);
+        let (shape, fmat) = (self.shape, self.matrix());
+        let (dims, geom) = (shape.dims(), shape.geometry());
+        let mut cols = scratch.take(&[shape.pixels(), fmat.rows()]);
+        let out = shape.forward("conv2d", input, scratch, &self.bias, |_, x, y| {
+            im2col_into(x, dims, geom, &mut cols)?;
+            Ok(cols.matmul_into(fmat, y)?)
+        });
         scratch.recycle(cols);
-        scratch.recycle(y);
-        Ok(out)
+        if keep && out.is_ok() {
+            self.kept = Some(input.clone());
+        }
+        out
     }
 
     fn clone_layer(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(Self {
-            in_channels: self.in_channels,
-            out_channels: self.out_channels,
-            geom: self.geom,
-            in_h: self.in_h,
-            in_w: self.in_w,
-            filters: self.filters.clone(),
-            bias: self.bias.clone(),
-            filters_grad: self.filters_grad.clone(),
-            bias_grad: self.bias_grad.clone(),
-            cached_cols: Vec::new(),
-        }))
+        let mut clone = self.clone();
+        clone.kept = None;
+        Some(Box::new(clone))
     }
 
+    /// `∂F = Σₛ colsₛᵀ·gₛ` and `∂colsₛ = gₛ·Fᵀ`, each sample's `cols` lowered
+    /// again from the kept input — the same floats the forward pass
+    /// multiplied, so the same bits.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        if self.cached_cols.is_empty() {
-            return Err(NnError::NoForwardCache("conv2d".into()));
-        }
-        let (oh, ow) = (self.out_h(), self.out_w());
-        check_features("conv2d", grad_output, 4, &[self.out_channels, oh, ow])?;
-        let batch = grad_output.shape()[0];
-        if batch != self.cached_cols.len() {
-            return Err(NnError::BadInput {
-                layer: "conv2d".into(),
-                message: format!(
-                    "gradient batch {batch} does not match cached batch {}",
-                    self.cached_cols.len()
-                ),
-            });
-        }
-
-        let fmat = filters_to_matrix(&self.filters)?; // [Cr², P]
-        let mut fmat_grad = Tensor::zeros(fmat.shape());
-        let mut bias_grad = vec![0.0f32; self.out_channels];
-        let plane_out = self.out_channels * oh * ow;
-        let mut grad_input =
-            Vec::with_capacity(batch * self.in_channels * self.in_h * self.in_w);
-
-        for (s, cols) in self.cached_cols.iter().enumerate() {
-            // Reassemble g as [oh·ow, P] from [P, oh, ow].
-            let gslice = &grad_output.as_slice()[s * plane_out..(s + 1) * plane_out];
-            let mut g = vec![0.0f32; oh * ow * self.out_channels];
-            for p in 0..self.out_channels {
-                for pix in 0..oh * ow {
-                    let v = gslice[p * oh * ow + pix];
-                    g[pix * self.out_channels + p] = v;
-                    bias_grad[p] += v;
-                }
-            }
-            let g = Tensor::from_vec(g, &[oh * ow, self.out_channels])?;
-            // dF_mat += colsᵀ·g; dcols = g·F_matᵀ.
-            fmat_grad = fmat_grad.add(&cols.transpose()?.matmul(&g)?)?;
-            let dcols = g.matmul(&fmat.transpose()?)?;
-            let dx = col2im(&dcols, self.in_channels, self.in_h, self.in_w, self.geom)?;
-            grad_input.extend_from_slice(dx.as_slice());
-        }
-
-        self.filters_grad = matrix_to_filters(&fmat_grad, self.in_channels, self.geom.kernel)?;
-        self.bias_grad = Tensor::from_slice(&bias_grad);
-        Ok(Tensor::from_vec(
-            grad_input,
-            &[batch, self.in_channels, self.in_h, self.in_w],
-        )?)
+        let (shape, fmat_t) = (self.shape, self.matrix().transpose()?);
+        let ((c, h, w), geom) = (shape.dims(), shape.geometry());
+        let batch = self.kept.as_ref().map_or(0, |x| x.shape()[0]);
+        let kept = self.kept.as_ref().map_or(&[][..], Tensor::as_slice);
+        let mut fmat_grad = Tensor::zeros(&[fmat_t.cols(), fmat_t.rows()]);
+        let mut cols = Tensor::zeros(&[0]);
+        let bias_grad = &mut self.bias_grad;
+        let plane = c * h * w;
+        let grad_input = shape.backward("conv2d", grad_output, batch, bias_grad, |s, g| {
+            let x = &kept[s * plane..(s + 1) * plane];
+            im2col_into(x, (c, h, w), geom, &mut cols)?;
+            fmat_grad = fmat_grad.add(&cols.transpose()?.matmul(g)?)?;
+            Ok(g.matmul(&fmat_t)?)
+        })?;
+        self.filters_grad = matrix_to_filters(&fmat_grad, c, geom.kernel)?;
+        Ok(grad_input)
     }
 
     fn parameters(&mut self) -> Vec<ParamRef<'_>> {
+        self.fmat = OnceLock::new();
         vec![
             ParamRef {
                 name: "filters",
@@ -245,33 +362,20 @@ impl Layer for Conv2d {
     fn op_cost(&self) -> OpCost {
         // O(W·H·r²·C·P) MACs — the complexity the paper quotes for the
         // uncompressed CONV layer.
-        let (oh, ow) = (self.out_h(), self.out_w());
-        let macs = (oh * ow * self.geom.kernel * self.geom.kernel * self.in_channels
-            * self.out_channels) as u64;
+        let (s, (c, h, w)) = (self.shape, self.shape.dims());
+        let r = s.geometry().kernel;
+        let macs = (s.pixels() * r * r * c * s.filters()) as u64;
         OpCost {
             mults: macs,
             adds: macs,
             nonlin: 0,
             param_reads: self.param_count() as u64,
-            act_traffic: (self.in_channels * self.in_h * self.in_w
-                + self.out_channels * oh * ow) as u64,
+            act_traffic: (c * h * w + s.filters() * s.pixels()) as u64,
         }
     }
 
     fn config_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        for v in [
-            self.in_channels,
-            self.out_channels,
-            self.in_h,
-            self.in_w,
-            self.geom.kernel,
-            self.geom.stride,
-            self.geom.pad,
-        ] {
-            wire::write_u32(&mut buf, v as u32).expect("vec write is infallible");
-        }
-        buf
+        self.shape.config_bytes()
     }
 
     fn param_tensors(&self) -> Vec<&Tensor> {
@@ -289,6 +393,7 @@ impl Layer for Conv2d {
         }
         self.filters = params[0].clone();
         self.bias = params[1].clone();
+        self.fmat = OnceLock::new();
         Ok(())
     }
 }
@@ -299,19 +404,11 @@ impl Layer for Conv2d {
 ///
 /// Returns [`NnError::ModelFormat`]/[`NnError::Io`] on malformed config.
 pub fn conv2d_from_config(mut config: &[u8]) -> Result<Box<dyn Layer>, NnError> {
-    let mut vals = [0usize; 7];
-    for v in &mut vals {
-        *v = wire::read_u32(&mut config)? as usize;
-    }
-    let [cin, cout, h, w, k, s, p] = vals;
-    let geom = ConvGeometry {
-        kernel: k,
-        stride: s,
-        pad: p,
-    };
+    let s = ConvShape::read_config(&mut config)?;
+    let (c, h, w) = s.dims();
     // Deterministic zero-seeded construction; params are loaded afterwards.
     let mut rng = ffdl_rng::rngs::mock::StepRng::new(1, 1);
-    let layer = Conv2d::new(cin, cout, h, w, geom, &mut rng)?;
+    let layer = Conv2d::new(c, s.filters(), h, w, s.geometry(), &mut rng)?;
     Ok(Box::new(layer))
 }
 
@@ -393,13 +490,18 @@ mod tests {
             let ana = grad_in.as_slice()[i];
             assert!((num - ana).abs() < 2e-2 * (1.0 + ana.abs()), "dx[{i}]: {num} vs {ana}");
         }
+        // Through `parameters()`, as the optimizer writes: that is what
+        // tells the layer its filter matrix is stale.
+        let set_filter = |layer: &mut Conv2d, i: usize, v: f32| {
+            layer.parameters()[0].value.as_mut_slice()[i] = v;
+        };
         for i in 0..fg.len() {
             let orig = layer.filters.as_slice()[i];
-            layer.filters.as_mut_slice()[i] = orig + eps;
+            set_filter(&mut layer, i, orig + eps);
             let lp = loss(&mut layer, &x);
-            layer.filters.as_mut_slice()[i] = orig - eps;
+            set_filter(&mut layer, i, orig - eps);
             let lm = loss(&mut layer, &x);
-            layer.filters.as_mut_slice()[i] = orig;
+            set_filter(&mut layer, i, orig);
             let num = (lp - lm) / (2.0 * eps);
             let ana = fg.as_slice()[i];
             assert!((num - ana).abs() < 2e-2 * (1.0 + ana.abs()), "dF[{i}]: {num} vs {ana}");
@@ -463,5 +565,54 @@ mod tests {
         let yb = b.forward(&x).unwrap();
         assert_eq!(ya.as_slice(), yb.as_slice());
         assert!(b.load_params(&[Tensor::zeros(&[1])]).is_err());
+    }
+
+    #[test]
+    fn the_cached_filter_matrix_follows_every_filter_write() {
+        let geom = ConvGeometry {
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let mut layer = Conv2d::new(2, 3, 5, 5, geom, &mut rng()).unwrap();
+        let x = Tensor::from_fn(&[2, 2, 5, 5], |i| ((i * 7 + 1) % 13) as f32 * 0.1);
+        let shared = layer.clone_layer().unwrap();
+        let before = layer.forward(&x).unwrap();
+        let fresh = |layer: &Conv2d| {
+            let mut twin = Conv2d::new(2, 3, 5, 5, geom, &mut rng()).unwrap();
+            let params: Vec<Tensor> = layer.param_tensors().into_iter().cloned().collect();
+            twin.load_params(&params).unwrap();
+            twin.forward(&x).unwrap()
+        };
+        // An optimizer-style write through `parameters()`…
+        layer.parameters()[0].value.as_mut_slice()[4] += 1.0;
+        let after = layer.forward(&x).unwrap();
+        assert_ne!(after, before);
+        assert_eq!(after, fresh(&layer));
+        // …and a load both reach the next pass; a clone made before
+        // either keeps the filters it was cloned with.
+        let mut loaded = layer.clone_layer().unwrap();
+        loaded
+            .load_params(&[Tensor::zeros(&[3, 2, 3, 3]), Tensor::ones(&[3])])
+            .unwrap();
+        assert_eq!(loaded.forward(&x).unwrap(), Tensor::ones(&[2, 3, 5, 5]));
+        let mut shared = shared;
+        assert_eq!(shared.forward(&x).unwrap(), before);
+    }
+
+    #[test]
+    fn the_shape_writes_and_reads_the_seven_config_words() {
+        let geom = ConvGeometry {
+            kernel: 3,
+            stride: 2,
+            pad: 1,
+        };
+        let shape = ConvShape::new(3, 5, 9, 7, geom).unwrap();
+        let bytes = shape.config_bytes();
+        assert_eq!(bytes.len(), 7 * 4);
+        assert_eq!(ConvShape::read_config(&mut &bytes[..]).unwrap(), shape);
+        assert!(ConvShape::read_config(&mut &bytes[..20]).is_err());
+        assert!(ConvShape::new(1, 1, 2, 2, ConvGeometry::valid(5)).is_err());
+        assert_eq!((shape.out_h(), shape.out_w(), shape.pixels()), (5, 4, 20));
     }
 }

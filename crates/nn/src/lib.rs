@@ -7,6 +7,9 @@
 //!
 //! - Layers: [`Dense`], [`Conv2d`] (via im2col, Fig. 3), [`Relu`] /
 //!   [`Sigmoid`] / [`Tanh`], [`MaxPool2d`], [`Flatten`], [`Softmax`].
+//! - [`ConvShape`]: the one shape and driver under every CONV layer —
+//!   this crate's `Conv2d` and `ffdl-core`'s block-circulant one — which
+//!   differ only in their product.
 //! - Loss: [`SoftmaxCrossEntropy`].
 //! - Optimizer: [`Sgd`] with momentum (the paper trains with lr 0.001,
 //!   momentum 0.9).
@@ -49,7 +52,6 @@
 #![warn(missing_docs)]
 
 mod activation;
-mod avgpool;
 mod conv;
 mod dense;
 mod error;
@@ -66,8 +68,7 @@ mod softmax;
 pub mod wire;
 
 pub use activation::{Relu, Sigmoid, Tanh};
-pub use avgpool::{avgpool2d_from_config, AvgPool2d};
-pub use conv::{conv2d_from_config, Conv2d};
+pub use conv::{conv2d_from_config, Conv2d, ConvShape};
 pub use dense::{dense_from_config, Dense};
 pub use error::NnError;
 pub use flatten::{flatten_from_config, Flatten};

@@ -45,7 +45,6 @@
 //! register their own layer types without this crate knowing about them.
 
 use crate::activation::{Relu, Sigmoid, Tanh};
-use crate::avgpool::avgpool2d_from_config;
 use crate::conv::conv2d_from_config;
 use crate::dense::dense_from_config;
 use crate::error::NnError;
@@ -83,13 +82,12 @@ impl LayerRegistry {
 
     /// A registry pre-populated with every layer type this crate defines
     /// (`dense`, `conv2d`, `relu`, `sigmoid`, `tanh`, `maxpool2d`,
-    /// `avgpool2d`, `flatten`, `softmax`).
+    /// `flatten`, `softmax`).
     pub fn with_builtin_layers() -> Self {
         let mut r = Self::new();
         r.register("dense", dense_from_config);
         r.register("conv2d", conv2d_from_config);
         r.register("maxpool2d", maxpool2d_from_config);
-        r.register("avgpool2d", avgpool2d_from_config);
         r.register("flatten", flatten_from_config);
         r.register("softmax", softmax_from_config);
         r.register("relu", |_| Ok(Box::new(Relu::new())));
@@ -723,7 +721,8 @@ mod tests {
         let r = LayerRegistry::with_builtin_layers();
         assert!(r.builder("dense").is_some());
         assert!(r.builder("nope").is_none());
-        assert_eq!(r.len(), 9);
+        assert_eq!(r.len(), 8);
+        assert!(r.builder("avgpool2d").is_none());
         assert!(!r.is_empty());
         assert!(LayerRegistry::new().is_empty());
     }

@@ -48,6 +48,58 @@ impl ConvGeometry {
         }
         Ok((padded - self.kernel) / self.stride + 1)
     }
+
+    /// The tap rule of Eqn. 6, written once: for output pixel `(oy, ox)`
+    /// over an `h × w` input, calls `f(t, read)` for every kernel tap in
+    /// im2col column order — `t = ki + r·kj`, `kj` outer, `ki` inner —
+    /// where `read` is the flat index `iy·w + ix` of the input pixel the
+    /// tap reads, or `None` when it falls on the zero padding.
+    #[inline]
+    pub fn for_each_tap(
+        &self,
+        (oy, ox): (usize, usize),
+        (h, w): (usize, usize),
+        mut f: impl FnMut(usize, Option<usize>),
+    ) {
+        for kj in 0..self.kernel {
+            for ki in 0..self.kernel {
+                // A tap left of or above the image wraps to a huge
+                // coordinate and fails the same test.
+                let iy = (oy * self.stride + ki).wrapping_sub(self.pad);
+                let ix = (ox * self.stride + kj).wrapping_sub(self.pad);
+                let read = if iy < h && ix < w {
+                    Some(iy * w + ix)
+                } else {
+                    None
+                };
+                f(ki + self.kernel * kj, read);
+            }
+        }
+    }
+}
+
+/// Every `(im2col index, image index)` pair of the Fig. 3 lowering of a
+/// `[c, h, w]` image, output pixel by output pixel: the one walk that
+/// [`im2col_into`] copies along and [`col2im`] accumulates along.
+fn for_each_lowered(
+    (c, h, w): (usize, usize, usize),
+    geom: ConvGeometry,
+    (oh, ow): (usize, usize),
+    mut f: impl FnMut(usize, usize),
+) {
+    let cols = c * geom.kernel * geom.kernel;
+    for oy in 0..oh {
+        for ox in 0..ow {
+            let base = (oy * ow + ox) * cols;
+            geom.for_each_tap((oy, ox), (h, w), |t, read| {
+                if let Some(pixel) = read {
+                    for ch in 0..c {
+                        f(base + t * c + ch, ch * h * w + pixel);
+                    }
+                }
+            });
+        }
+    }
 }
 
 /// Lowers a `[C, H, W]` image into the im2col matrix
@@ -64,24 +116,6 @@ impl ConvGeometry {
 /// Returns [`TensorError::RankMismatch`] unless the input is rank 3, or
 /// [`TensorError::InvalidGeometry`] when the kernel does not fit.
 pub fn im2col(input: &Tensor, geom: ConvGeometry) -> Result<Tensor, TensorError> {
-    let mut out = Tensor::zeros(&[0]);
-    im2col_into(input, geom, &mut out)?;
-    Ok(out)
-}
-
-/// Allocation-reusing variant of [`im2col`]: lowers into `out`, reshaping
-/// and zeroing its existing buffer when uniquely owned. Steady-state
-/// callers (the inference hot path) pay no heap allocation once `out` has
-/// grown to the required capacity.
-///
-/// # Errors
-///
-/// Same conditions as [`im2col`]; `out` is untouched on error.
-pub fn im2col_into(
-    input: &Tensor,
-    geom: ConvGeometry,
-    out: &mut Tensor,
-) -> Result<(), TensorError> {
     if input.ndim() != 3 {
         return Err(TensorError::RankMismatch {
             expected: 3,
@@ -89,36 +123,40 @@ pub fn im2col_into(
             op: "im2col",
         });
     }
-    let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-    let oh = geom.output_extent(h)?;
-    let ow = geom.output_extent(w)?;
-    let r = geom.kernel;
-    let cols = c * r * r;
-    out.reuse_as(&[oh * ow, cols]);
-    let data = input.as_slice();
-    let dst = out.as_mut_slice();
+    let mut out = Tensor::zeros(&[0]);
+    let s = input.shape();
+    im2col_into(input.as_slice(), (s[0], s[1], s[2]), geom, &mut out)?;
+    Ok(out)
+}
 
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let row = oy * ow + ox;
-            let base = row * cols;
-            for kj in 0..r {
-                for ki in 0..r {
-                    // Signed coordinates account for zero padding.
-                    let iy = (oy * geom.stride + ki) as isize - geom.pad as isize;
-                    let ix = (ox * geom.stride + kj) as isize - geom.pad as isize;
-                    if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
-                        continue; // padded region stays zero
-                    }
-                    let (iy, ix) = (iy as usize, ix as usize);
-                    for ch in 0..c {
-                        let col = ch + c * ki + c * r * kj;
-                        dst[base + col] = data[ch * h * w + iy * w + ix];
-                    }
-                }
-            }
-        }
+/// Allocation-reusing variant of [`im2col`] over one `[C, H, W]` image
+/// given as a flat slice (a sample of a batch, read in place): lowers into
+/// `out`, reshaping and zeroing its existing buffer when uniquely owned.
+/// Steady-state callers (the inference hot path) pay no heap allocation
+/// once `out` has grown to the required capacity.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeDataMismatch`] unless `input` holds
+/// `C·H·W` values, or [`TensorError::InvalidGeometry`] when the kernel
+/// does not fit; `out` is untouched on error.
+pub fn im2col_into(
+    input: &[f32],
+    (c, h, w): (usize, usize, usize),
+    geom: ConvGeometry,
+    out: &mut Tensor,
+) -> Result<(), TensorError> {
+    if input.len() != c * h * w {
+        return Err(TensorError::ShapeDataMismatch {
+            shape: vec![c, h, w],
+            elements: input.len(),
+        });
     }
+    let (oh, ow) = (geom.output_extent(h)?, geom.output_extent(w)?);
+    out.reuse_as(&[oh * ow, c * geom.kernel * geom.kernel]);
+    let dst = out.as_mut_slice();
+    // The padded region stays zero.
+    for_each_lowered((c, h, w), geom, (oh, ow), |col, x| dst[col] = input[x]);
     Ok(())
 }
 
@@ -141,10 +179,8 @@ pub fn col2im(
     width: usize,
     geom: ConvGeometry,
 ) -> Result<Tensor, TensorError> {
-    let oh = geom.output_extent(height)?;
-    let ow = geom.output_extent(width)?;
-    let r = geom.kernel;
-    let cols = channels * r * r;
+    let (oh, ow) = (geom.output_extent(height)?, geom.output_extent(width)?);
+    let cols = channels * geom.kernel * geom.kernel;
     if cols_mat.shape() != [oh * ow, cols] {
         return Err(TensorError::ShapeMismatch {
             left: cols_mat.shape().to_vec(),
@@ -154,27 +190,9 @@ pub fn col2im(
     }
     let mut out = vec![0.0f32; channels * height * width];
     let data = cols_mat.as_slice();
-
-    for oy in 0..oh {
-        for ox in 0..ow {
-            let row = oy * ow + ox;
-            let base = row * cols;
-            for kj in 0..r {
-                for ki in 0..r {
-                    let iy = (oy * geom.stride + ki) as isize - geom.pad as isize;
-                    let ix = (ox * geom.stride + kj) as isize - geom.pad as isize;
-                    if iy < 0 || ix < 0 || iy >= height as isize || ix >= width as isize {
-                        continue;
-                    }
-                    let (iy, ix) = (iy as usize, ix as usize);
-                    for ch in 0..channels {
-                        let col = ch + channels * ki + channels * r * kj;
-                        out[ch * height * width + iy * width + ix] += data[base + col];
-                    }
-                }
-            }
-        }
-    }
+    for_each_lowered((channels, height, width), geom, (oh, ow), |col, x| {
+        out[x] += data[col]
+    });
     Tensor::from_vec(out, &[channels, height, width])
 }
 
@@ -257,18 +275,6 @@ pub fn conv2d_direct(
 ///
 /// Returns [`TensorError::RankMismatch`] unless the filters are rank 4.
 pub fn filters_to_matrix(filters: &Tensor) -> Result<Tensor, TensorError> {
-    let mut out = Tensor::zeros(&[0]);
-    filters_to_matrix_into(filters, &mut out)?;
-    Ok(out)
-}
-
-/// Allocation-reusing variant of [`filters_to_matrix`]: lowers into `out`,
-/// reshaping its existing buffer in place when uniquely owned.
-///
-/// # Errors
-///
-/// Same conditions as [`filters_to_matrix`]; `out` is untouched on error.
-pub fn filters_to_matrix_into(filters: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
     if filters.ndim() != 4 {
         return Err(TensorError::RankMismatch {
             expected: 4,
@@ -283,8 +289,7 @@ pub fn filters_to_matrix_into(filters: &Tensor, out: &mut Tensor) -> Result<(), 
         filters.shape()[3],
     );
     let f = filters.as_slice();
-    out.reuse_as(&[c * r * r, p]);
-    let dst = out.as_mut_slice();
+    let mut dst = vec![0.0f32; c * r * r * p];
     for op_ in 0..p {
         for ch in 0..c {
             for ki in 0..r {
@@ -295,7 +300,7 @@ pub fn filters_to_matrix_into(filters: &Tensor, out: &mut Tensor) -> Result<(), 
             }
         }
     }
-    Ok(())
+    Tensor::from_vec(dst, &[c * r * r, p])
 }
 
 /// Inverse of [`filters_to_matrix`]: raises a `[C·r·r, P]` matrix back to
@@ -517,13 +522,28 @@ mod tests {
         // reuse it in place rather than allocate.
         let mut out = Tensor::zeros(&[64, 32]);
         let ptr = out.as_slice().as_ptr();
-        im2col_into(&x, geom, &mut out).unwrap();
+        im2col_into(x.as_slice(), (2, 6, 5), geom, &mut out).unwrap();
         assert_eq!(out, fresh);
         assert_eq!(out.as_slice().as_ptr(), ptr, "buffer was reallocated");
         // Error path leaves `out` untouched.
         let mut out2 = Tensor::zeros(&[3]);
-        assert!(im2col_into(&Tensor::zeros(&[4, 4]), geom, &mut out2).is_err());
+        assert!(im2col_into(&[0.0; 16], (2, 6, 5), geom, &mut out2).is_err());
+        assert!(im2col(&Tensor::zeros(&[4, 4]), geom).is_err());
         assert_eq!(out2.shape(), &[3]);
+    }
+
+    #[test]
+    fn taps_follow_eqn6_column_order_with_padding() {
+        let geom = ConvGeometry {
+            kernel: 2,
+            stride: 2,
+            pad: 1,
+        };
+        let mut taps = Vec::new();
+        geom.for_each_tap((0, 1), (3, 3), |t, read| taps.push((t, read)));
+        // (ki, kj) = (0,0), (1,0), (0,1), (1,1): input rows −1, 0 and
+        // columns 1, 2 of a 3 × 3 image.
+        assert_eq!(taps, [(0, None), (1, Some(1)), (2, None), (3, Some(2))]);
     }
 
     #[test]

@@ -40,8 +40,8 @@ mod tensor;
 
 pub use error::TensorError;
 pub use image::{
-    bilinear_resize, col2im, conv2d_direct, filters_to_matrix, filters_to_matrix_into, im2col,
-    im2col_into, matrix_to_filters, ConvGeometry,
+    bilinear_resize, col2im, conv2d_direct, filters_to_matrix, im2col, im2col_into,
+    matrix_to_filters, ConvGeometry,
 };
 pub use init::Init;
 pub use tensor::Tensor;

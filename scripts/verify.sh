@@ -145,6 +145,25 @@ if [ -n "${hits}" ]; then
     exit 1
 fi
 echo "FFT-convolution baseline only in crates/bench/src"
+# One CONV driver (DESIGN.md §3): Conv2d and CirculantConv2d keep only their
+# product and weight gradient. The tap rule (which input pixel tap (ki, kj)
+# of an output pixel reads, or padding) is ConvGeometry::for_each_tap in
+# crates/tensor/src/image.rs, where conv2d_direct, the reference oracle,
+# keeps its own; the [oh*ow, P] <-> [P, oh, ow] output tail and gradient
+# gather are ConvShape::{forward, backward}'s in crates/nn/src/conv.rs, and
+# not Conv2d's, which shares that file.
+only_in 'stride \+ k[ij]\b|wrapping_sub\(.*pad' 'crates/tensor/src/image.rs'
+only_in '\[pix \* [a-z_.]+ \+ p\]' 'crates/nn/src/conv.rs'
+if awk '/^impl Layer for Conv2d/,/^}$/' crates/nn/src/conv.rs | grep -nE 'pix \*|for p in 0\.\.' >&2; then
+    echo "one-mechanism guard: Conv2d keeps its own output tail or gradient gather (the driver is ConvShape's)" >&2
+    exit 1
+fi
+hits="$(non_test_files_matching 'for p in 0\.\.self\.out_channels')"
+if [ -n "${hits}" ]; then
+    echo "one-mechanism guard: a per-layer [oh*ow, P] transpose is back in ${hits}" >&2
+    exit 1
+fi
+echo "CONV tap rule only in crates/tensor/src/image.rs, output tail and gradient gather only in ConvShape"
 # Layering: the serving runtime does not link the bench harness.
 if grep -q 'ffdl-bench' crates/serve/Cargo.toml; then
     echo "layering guard: crates/serve/Cargo.toml names ffdl-bench" >&2
