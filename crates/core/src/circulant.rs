@@ -20,15 +20,146 @@
 //! matrix has `W[j·b + q][i·b + p] = w_ij[(p − q) mod b]`, where `i`
 //! indexes output blocks and `j` input blocks. Dimensions that are not
 //! multiples of `b` are zero-padded, as the paper's footnote prescribes.
+//!
+//! That padding is written once, in [`BlockGrid`], the geometry under the
+//! matrix and under every circulant layer: with it come the zero-size
+//! checks, the `[in, out, block]` config words, the `[rows, in_dim]` input
+//! screen, the shapes a weight store is built to and Algorithm 1's
+//! multiply count, which the platform model behind Tables II / III reads.
 
 use crate::error::CirculantError;
 use crate::spectral::{
-    identity_view, Adjoint, BlockBuffers, CirculantScratch, SpectralKernel, Spectrum,
+    identity_view, Adjoint, BlockBuffers, BlockWeights, CirculantScratch, SpectralKernel, Spectrum,
 };
 use ffdl_fft::Complex32;
-use ffdl_tensor::{Init, Tensor};
+use ffdl_nn::{wire, NnError, OpCost};
 use ffdl_rng::Rng;
+use ffdl_tensor::{Init, Tensor};
 use std::sync::{Arc, OnceLock};
+
+/// A logical `in_dim × out_dim` matrix cut into `⌈in/b⌉ × ⌈out/b⌉` blocks
+/// of size `b`, with the transform engine of that size.
+#[derive(Clone)]
+pub(crate) struct BlockGrid {
+    pub(crate) in_dim: usize,
+    pub(crate) out_dim: usize,
+    pub(crate) block: usize,
+    pub(crate) kb_in: usize,
+    pub(crate) kb_out: usize,
+    pub(crate) kernel: SpectralKernel,
+}
+
+impl BlockGrid {
+    /// `Err` when any size is zero.
+    pub(crate) fn new(in_dim: usize, out_dim: usize, block: usize) -> Result<Self, CirculantError> {
+        let sizes = [in_dim, out_dim, block];
+        let what = ["input dimension", "output dimension", "block size"];
+        if let Some(at) = sizes.iter().position(|&size| size == 0) {
+            return Err(CirculantError::ZeroDimension(what[at]));
+        }
+        let (kb_in, kb_out) = (in_dim.div_ceil(block), out_dim.div_ceil(block));
+        Ok(Self {
+            in_dim,
+            out_dim,
+            block,
+            kb_in,
+            kb_out,
+            kernel: SpectralKernel::new(block),
+        })
+    }
+
+    /// Reads the words [`Self::config_bytes`] wrote, leaving `config` at
+    /// the layer's own tail.
+    pub(crate) fn read_config(config: &mut &[u8]) -> Result<Self, NnError> {
+        let mut word = || wire::read_u32(config).map(|v| v as usize);
+        let (in_dim, out_dim, block) = (word()?, word()?, word()?);
+        Self::new(in_dim, out_dim, block).map_err(|e| NnError::ModelFormat(e.to_string()))
+    }
+
+    /// The config words `[in_dim, out_dim, block]`, then `tail`.
+    pub(crate) fn config_bytes(&self, tail: &[u32]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for &v in [self.in_dim as u32, self.out_dim as u32, self.block as u32]
+            .iter()
+            .chain(tail)
+        {
+            wire::write_u32(&mut buf, v).expect("vec write is infallible");
+        }
+        buf
+    }
+
+    /// `Err` unless `input` is `[rows, in_dim]` — the input screen of
+    /// every layer whose rows are the grid's inputs.
+    pub(crate) fn check_input(&self, layer: &str, input: &Tensor) -> Result<(), NnError> {
+        if input.ndim() != 2 || input.cols() != self.in_dim {
+            return Err(NnError::BadInput {
+                layer: layer.into(),
+                message: format!("expected [rows, {}], got {:?}", self.in_dim, input.shape()),
+            });
+        }
+        Ok(())
+    }
+
+    /// `[kb_out, kb_in, b]`: the defining vectors.
+    pub(crate) fn weight_shape(&self) -> [usize; 3] {
+        [self.kb_out, self.kb_in, self.block]
+    }
+
+    /// `[kb_out, kb_in, bins]`: the weight spectra (twice as many reals,
+    /// re / im interleaved, on the wire and as fixed-point levels).
+    pub(crate) fn spectra_shape(&self) -> [usize; 3] {
+        [self.kb_out, self.kb_in, self.kernel.bins()]
+    }
+
+    /// Real multiplies of one length-`b` transform, `b·⌈log₂(b + 1)⌉`.
+    fn transform_mults(&self) -> u64 {
+        let b = self.block as u64;
+        b * (64 - b.leading_zeros() as u64).max(1)
+    }
+
+    /// Multiplies of one row's product on precomputed weight spectra
+    /// (Algorithm 1): a transform per input and per output block, and a
+    /// complex multiply-accumulate (4 real multiplies) per bin per block
+    /// pair.
+    pub(crate) fn row_mults(&self) -> u64 {
+        let (kb_in, kb_out) = (self.kb_in as u64, self.kb_out as u64);
+        (kb_in + kb_out) * self.transform_mults() + kb_in * kb_out * self.kernel.bins() as u64 * 4
+    }
+
+    /// Multiplies of transforming the weights: one transform per block pair.
+    pub(crate) fn weight_mults(&self) -> u64 {
+        (self.kb_in * self.kb_out) as u64 * self.transform_mults()
+    }
+
+    /// The cost of a layer mapping one row through the grid: `mults`, an
+    /// add per multiply plus the bias, and the row in and out.
+    pub(crate) fn row_cost(&self, mults: u64, param_reads: u64) -> OpCost {
+        OpCost {
+            mults,
+            adds: mults + self.out_dim as u64,
+            nonlin: 0,
+            param_reads,
+            act_traffic: (self.in_dim + self.out_dim) as u64,
+        }
+    }
+
+    /// `out = epilogue(x·W)`: [`SpectralKernel::rows_product`] over the
+    /// `[rows, in_dim]` rows of `x` into the `[rows, out_dim]` `out`.
+    pub(crate) fn rows_product<'s, W: BlockWeights + ?Sized>(
+        &self,
+        weights: &W,
+        x: &Tensor,
+        sc: &'s mut CirculantScratch,
+        out: &mut Tensor,
+        epilogue: impl Fn(usize, usize, f32) -> f32,
+    ) -> &'s [Complex32] {
+        let (x, y) = (
+            (x.as_slice(), self.in_dim),
+            (out.as_mut_slice(), self.out_dim),
+        );
+        self.kernel.rows_product(weights, x, y, sc, epilogue)
+    }
+}
 
 /// The input spectra `X̂` of a forward pass, consumed by the backward
 /// pass (Algorithm 2 reuses `FFT(x)`).
@@ -63,14 +194,9 @@ impl ForwardCache {
 /// ```
 #[derive(Clone)]
 pub struct BlockCirculantMatrix {
-    in_dim: usize,
-    out_dim: usize,
-    block: usize,
-    kb_in: usize,
-    kb_out: usize,
+    grid: BlockGrid,
     /// Defining vectors, shape `[kb_out, kb_in, block]`.
     weights: Tensor,
-    kernel: SpectralKernel,
     /// Lazily computed weight spectra, shared across clones (an Arc
     /// pointer bump) and invalidated whenever the weights are touched
     /// through [`BlockCirculantMatrix::weights_mut`].
@@ -84,19 +210,17 @@ impl BlockCirculantMatrix {
     ///
     /// Returns [`CirculantError::ZeroDimension`] when any size is zero.
     pub fn zeros(in_dim: usize, out_dim: usize, block: usize) -> Result<Self, CirculantError> {
-        Self::validate(in_dim, out_dim, block)?;
-        let kb_in = in_dim.div_ceil(block);
-        let kb_out = out_dim.div_ceil(block);
-        Ok(Self {
-            in_dim,
-            out_dim,
-            block,
-            kb_in,
-            kb_out,
-            weights: Tensor::zeros(&[kb_out, kb_in, block]),
-            kernel: SpectralKernel::new(block),
+        BlockGrid::new(in_dim, out_dim, block).map(Self::from_grid)
+    }
+
+    /// The zero matrix of `grid`.
+    pub(crate) fn from_grid(grid: BlockGrid) -> Self {
+        let weights = Tensor::zeros(&grid.weight_shape());
+        Self {
+            grid,
+            weights,
             spectra_cache: OnceLock::new(),
-        })
+        }
     }
 
     /// Creates a matrix with Xavier-scaled random defining vectors.
@@ -114,12 +238,11 @@ impl BlockCirculantMatrix {
         rng: &mut R,
     ) -> Result<Self, CirculantError> {
         let mut m = Self::zeros(in_dim, out_dim, block)?;
-        m.weights = Init::XavierUniform.sample(
-            &[m.kb_out, m.kb_in, block],
-            m.kb_in * block,
-            m.kb_out * block,
-            rng,
+        let (shape, fans) = (
+            m.grid.weight_shape(),
+            (m.grid.kb_in * block, m.grid.kb_out * block),
         );
+        m.weights = Init::XavierUniform.sample(&shape, fans.0, fans.1, rng);
         Ok(m)
     }
 
@@ -135,65 +258,51 @@ impl BlockCirculantMatrix {
         block: usize,
         weights: Tensor,
     ) -> Result<Self, CirculantError> {
-        Self::validate(in_dim, out_dim, block)?;
-        let kb_in = in_dim.div_ceil(block);
-        let kb_out = out_dim.div_ceil(block);
-        if weights.shape() != [kb_out, kb_in, block] {
+        let grid = BlockGrid::new(in_dim, out_dim, block)?;
+        if weights.shape() != grid.weight_shape() {
             return Err(CirculantError::GridMismatch {
                 message: format!(
-                    "weights shape {:?}, expected [{kb_out}, {kb_in}, {block}]",
-                    weights.shape()
+                    "weights shape {:?}, expected {:?}",
+                    weights.shape(),
+                    grid.weight_shape()
                 ),
             });
         }
         Ok(Self {
-            in_dim,
-            out_dim,
-            block,
-            kb_in,
-            kb_out,
+            grid,
             weights,
-            kernel: SpectralKernel::new(block),
             spectra_cache: OnceLock::new(),
         })
     }
 
-    fn validate(in_dim: usize, out_dim: usize, block: usize) -> Result<(), CirculantError> {
-        if in_dim == 0 {
-            return Err(CirculantError::ZeroDimension("input dimension"));
-        }
-        if out_dim == 0 {
-            return Err(CirculantError::ZeroDimension("output dimension"));
-        }
-        if block == 0 {
-            return Err(CirculantError::ZeroDimension("block size"));
-        }
-        Ok(())
+    /// The block geometry.
+    pub(crate) fn grid(&self) -> &BlockGrid {
+        &self.grid
     }
 
     /// Logical input dimension.
     pub fn in_dim(&self) -> usize {
-        self.in_dim
+        self.grid.in_dim
     }
 
     /// Logical output dimension.
     pub fn out_dim(&self) -> usize {
-        self.out_dim
+        self.grid.out_dim
     }
 
     /// Block size `b`.
     pub fn block(&self) -> usize {
-        self.block
+        self.grid.block
     }
 
     /// Number of input blocks (`⌈in/b⌉`).
     pub fn in_blocks(&self) -> usize {
-        self.kb_in
+        self.grid.kb_in
     }
 
     /// Number of output blocks (`⌈out/b⌉`).
     pub fn out_blocks(&self) -> usize {
-        self.kb_out
+        self.grid.kb_out
     }
 
     /// The defining vectors, shape `[out_blocks, in_blocks, block]`.
@@ -218,19 +327,19 @@ impl BlockCirculantMatrix {
     ///
     /// Panics when indices are out of range.
     pub fn block_vector(&self, out_block: usize, in_block: usize) -> &[f32] {
-        assert!(out_block < self.kb_out && in_block < self.kb_in);
-        let start = (out_block * self.kb_in + in_block) * self.block;
-        &self.weights.as_slice()[start..start + self.block]
+        assert!(out_block < self.grid.kb_out && in_block < self.grid.kb_in);
+        let start = (out_block * self.grid.kb_in + in_block) * self.grid.block;
+        &self.weights.as_slice()[start..start + self.grid.block]
     }
 
     /// Stored parameter count: `out_blocks · in_blocks · b`.
     pub fn param_count(&self) -> usize {
-        self.kb_out * self.kb_in * self.block
+        self.grid.weight_shape().iter().product()
     }
 
     /// Parameters of the equivalent dense matrix: `in_dim · out_dim`.
     pub fn logical_param_count(&self) -> usize {
-        self.in_dim * self.out_dim
+        self.grid.in_dim * self.grid.out_dim
     }
 
     /// Storage compression `logical / stored` (≈ `b` when dimensions
@@ -242,10 +351,10 @@ impl BlockCirculantMatrix {
     /// Precomputed weight spectra, indexed `[out_block][in_block]` — the
     /// quantity the paper stores for inference instead of `W`.
     pub fn weight_spectra(&self) -> Vec<Vec<Spectrum>> {
-        (0..self.kb_out)
+        (0..self.grid.kb_out)
             .map(|i| {
-                (0..self.kb_in)
-                    .map(|j| self.kernel.spectrum(self.block_vector(i, j)))
+                (0..self.grid.kb_in)
+                    .map(|j| self.grid.kernel.spectrum(self.block_vector(i, j)))
                     .collect()
             })
             .collect()
@@ -271,11 +380,6 @@ impl BlockCirculantMatrix {
         Ok(())
     }
 
-    /// The transform engine of this matrix's block size.
-    pub(crate) fn kernel(&self) -> &SpectralKernel {
-        &self.kernel
-    }
-
     /// `out = epilogue(X̂·Ŵ)`: [`SpectralKernel::product`] on the cached
     /// weight spectra, over input spectra the caller transformed (the
     /// CONV layer's spectral image, the GRU's shared `x̂` and `ĥ`). `out`
@@ -288,8 +392,13 @@ impl BlockCirculantMatrix {
         epilogue: impl Fn(usize, usize, f32) -> f32,
     ) {
         let weights = self.shared_weight_spectra();
-        self.kernel
-            .product(&weights[..], x_hat, (out, self.out_dim), bufs, epilogue);
+        self.grid.kernel.product(
+            &weights[..],
+            x_hat,
+            (out, self.grid.out_dim),
+            bufs,
+            epilogue,
+        );
     }
 
     /// `out = epilogue(x·W)`, both halves of Algorithm 1 over the rows of
@@ -304,13 +413,8 @@ impl BlockCirculantMatrix {
         out: &mut Tensor,
         epilogue: impl Fn(usize, usize, f32) -> f32,
     ) -> &'s [Complex32] {
-        self.kernel.rows_product(
-            &self.shared_weight_spectra()[..],
-            (x.as_slice(), self.in_dim),
-            (out.as_mut_slice(), self.out_dim),
-            scratch,
-            epilogue,
-        )
+        self.grid
+            .rows_product(&self.shared_weight_spectra()[..], x, scratch, out, epilogue)
     }
 
     /// Batched product `Y = X·W` through the FFT kernel (Algorithm 1,
@@ -322,8 +426,8 @@ impl BlockCirculantMatrix {
     /// Returns [`CirculantError::GridMismatch`] when `x` is not
     /// `[batch, in_dim]`.
     pub fn forward_batch(&self, x: &Tensor) -> Result<(Tensor, ForwardCache), CirculantError> {
-        self.check_rows("input", x, self.in_dim)?;
-        let mut out = Tensor::zeros(&[x.rows(), self.out_dim]);
+        self.check_rows("input", x, self.grid.in_dim)?;
+        let mut out = Tensor::zeros(&[x.rows(), self.grid.out_dim]);
         let x_hat = self
             .rows_product(x, &mut CirculantScratch::new(), &mut out, |_, _, v| v)
             .to_vec();
@@ -347,8 +451,8 @@ impl BlockCirculantMatrix {
         scratch: &mut CirculantScratch,
         out: &mut Tensor,
     ) -> Result<(), CirculantError> {
-        self.check_rows("input", x, self.in_dim)?;
-        out.reuse_as(&[x.rows(), self.out_dim]);
+        self.check_rows("input", x, self.grid.in_dim)?;
+        out.reuse_as(&[x.rows(), self.grid.out_dim]);
         self.rows_product(x, scratch, out, |_, _, v| v);
         Ok(())
     }
@@ -369,9 +473,9 @@ impl BlockCirculantMatrix {
         cache: &ForwardCache,
         grad_out: &Tensor,
     ) -> Result<(Tensor, Tensor), CirculantError> {
-        self.check_rows("gradient", grad_out, self.out_dim)?;
-        let (batch, bins) = (grad_out.rows(), self.kernel.bins());
-        if batch != cache.rows || cache.x_hat.len() != batch * self.kb_in * bins {
+        self.check_rows("gradient", grad_out, self.grid.out_dim)?;
+        let (batch, bins) = (grad_out.rows(), self.grid.kernel.bins());
+        if batch != cache.rows || cache.x_hat.len() != batch * self.grid.kb_in * bins {
             return Err(CirculantError::GridMismatch {
                 message: format!(
                     "gradient batch {batch}, but the cache holds {} rows ({} values): not the input spectra of this matrix",
@@ -380,7 +484,7 @@ impl BlockCirculantMatrix {
                 ),
             });
         }
-        Ok(self.backward_rows((&cache.x_hat, identity_view(self.kb_in)), grad_out))
+        Ok(self.backward_rows((&cache.x_hat, identity_view(self.grid.kb_in)), grad_out))
     }
 
     /// Algorithm 2 on Algorithm 1's two halves, over the `X̂` and the view
@@ -395,17 +499,18 @@ impl BlockCirculantMatrix {
         grad_out: &Tensor,
     ) -> (Tensor, Tensor) {
         let mut sc = CirculantScratch::new();
-        let mut grad_x = Tensor::zeros(&[grad_out.rows(), self.in_dim]);
-        let g_hat = self.kernel.rows_product(
+        let mut grad_x = Tensor::zeros(&[grad_out.rows(), self.grid.in_dim]);
+        let g_hat = self.grid.kernel.rows_product(
             &Adjoint(&self.shared_weight_spectra()),
-            (grad_out.as_slice(), self.out_dim),
-            (grad_x.as_mut_slice(), self.in_dim),
+            (grad_out.as_slice(), self.grid.out_dim),
+            (grad_x.as_mut_slice(), self.grid.in_dim),
             &mut sc,
             |_, _, v| v,
         );
-        let mut grad_w = Tensor::zeros(&[self.kb_out, self.kb_in, self.block]);
-        self.kernel
-            .weight_gradient((g_hat, self.kb_out), x_hat, grad_w.as_mut_slice());
+        let mut grad_w = Tensor::zeros(&self.grid.weight_shape());
+        self.grid
+            .kernel
+            .weight_gradient((g_hat, self.grid.kb_out), x_hat, grad_w.as_mut_slice());
         (grad_x, grad_w)
     }
 
@@ -430,19 +535,19 @@ impl BlockCirculantMatrix {
     /// `[in_dim, out_dim]` (row-vector convention) — the `O(n²)` object
     /// the compression replaces; used by tests and the dense baselines.
     pub fn to_dense(&self) -> Tensor {
-        let b = self.block;
-        let mut dense = Tensor::zeros(&[self.in_dim, self.out_dim]);
-        for i in 0..self.kb_out {
-            for j in 0..self.kb_in {
+        let b = self.grid.block;
+        let mut dense = Tensor::zeros(&[self.grid.in_dim, self.grid.out_dim]);
+        for i in 0..self.grid.kb_out {
+            for j in 0..self.grid.kb_in {
                 let w = self.block_vector(i, j);
                 for p in 0..b {
                     let col = i * b + p;
-                    if col >= self.out_dim {
+                    if col >= self.grid.out_dim {
                         continue;
                     }
                     for q in 0..b {
                         let row = j * b + q;
-                        if row >= self.in_dim {
+                        if row >= self.grid.in_dim {
                             continue;
                         }
                         *dense.at_mut(&[row, col]) = w[(p + b - q) % b];
@@ -473,9 +578,9 @@ impl BlockCirculantMatrix {
         let (in_dim, out_dim) = (dense.rows(), dense.cols());
         let mut m = Self::zeros(in_dim, out_dim, block)?;
         let b = block;
-        let mut weights = Tensor::zeros(&[m.kb_out, m.kb_in, b]);
-        for i in 0..m.kb_out {
-            for j in 0..m.kb_in {
+        let mut weights = Tensor::zeros(&m.grid.weight_shape());
+        for i in 0..m.grid.kb_out {
+            for j in 0..m.grid.kb_in {
                 let mut sums = vec![0.0f32; b];
                 let mut counts = vec![0u32; b];
                 for p in 0..b {
@@ -508,9 +613,9 @@ impl BlockCirculantMatrix {
 impl std::fmt::Debug for BlockCirculantMatrix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BlockCirculantMatrix")
-            .field("in_dim", &self.in_dim)
-            .field("out_dim", &self.out_dim)
-            .field("block", &self.block)
+            .field("in_dim", &self.grid.in_dim)
+            .field("out_dim", &self.grid.out_dim)
+            .field("block", &self.grid.block)
             .field("stored_params", &self.param_count())
             .field("compression", &self.compression_ratio())
             .finish()

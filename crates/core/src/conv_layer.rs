@@ -6,8 +6,10 @@
 //!
 //! Everything around the product — validation, config words, the
 //! per-sample loop, the output tail, the gradient gather and the `col2im`
-//! scatter — is `ffdl_nn::ConvShape`'s, shared with the dense `Conv2d`;
-//! this file holds the product and the weight gradient only.
+//! scatter — is `ffdl_nn::ConvShape`'s, shared with the dense `Conv2d`,
+//! and the op count is one product of the filter matrix's block grid
+//! (`circulant::BlockGrid`) per output pixel; this file holds the product
+//! and the weight gradient only.
 
 use crate::circulant::BlockCirculantMatrix;
 use crate::spectral::{identity_view, CirculantScratch};
@@ -151,7 +153,7 @@ impl Layer for CirculantConv2d {
             None => ([shape.pixels(), in_dim], in_dim),
         };
         let mut rows = scratch.take(&rows_shape);
-        let (matrix, kernel) = (&self.matrix, self.matrix.kernel());
+        let (matrix, kernel) = (&self.matrix, &self.matrix.grid().kernel);
         let (sc, kept) = (&mut self.infer_scratch, &mut self.kept);
         if keep {
             kept.clear();
@@ -228,17 +230,10 @@ impl Layer for CirculantConv2d {
     /// reads when `b | C`: the platform model behind Tables III / A3 is
     /// calibrated on these counts.
     fn op_cost(&self) -> OpCost {
-        let (s, (c, h, w)) = (self.shape, self.shape.dims());
+        let (s, (c, h, w), g) = (self.shape, self.shape.dims(), self.matrix.grid());
         let pixels = s.pixels() as u64;
-        let b = self.matrix.block() as u64;
-        let bins = (self.matrix.block() / 2 + 1) as u64;
-        let kb_in = self.matrix.in_blocks() as u64;
-        let kb_out = self.matrix.out_blocks() as u64;
-        let log_b = (64 - b.leading_zeros() as u64).max(1);
-        let fft_mults = b * log_b;
         // Weight spectra are shared across pixels: count them once.
-        let per_pixel = (kb_in + kb_out) * fft_mults + kb_in * kb_out * bins * 4;
-        let mults = pixels * per_pixel + kb_in * kb_out * fft_mults;
+        let mults = pixels * g.row_mults() + g.weight_mults();
         OpCost {
             mults,
             adds: mults + pixels * s.filters() as u64,

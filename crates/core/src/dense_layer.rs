@@ -1,12 +1,14 @@
 //! The block-circulant fully-connected layer — Algorithm 1 (inference)
-//! and Algorithm 2 (training) of the paper, §IV-A.
+//! and Algorithm 2 (training) of the paper, §IV-A. Its input screen,
+//! config words and op count are its matrix's block grid's
+//! (`circulant::BlockGrid`); its arithmetic is the matrix's.
 
-use crate::circulant::{BlockCirculantMatrix, ForwardCache};
+use crate::circulant::{BlockCirculantMatrix, BlockGrid, ForwardCache};
 use crate::error::CirculantError;
 use crate::spectral::CirculantScratch;
-use ffdl_nn::{wire, Layer, NnError, OpCost, ParamRef, Scratch};
-use ffdl_tensor::Tensor;
+use ffdl_nn::{Layer, NnError, OpCost, ParamRef, Scratch};
 use ffdl_rng::Rng;
+use ffdl_tensor::Tensor;
 
 impl From<CirculantError> for NnError {
     fn from(e: CirculantError) -> Self {
@@ -15,18 +17,6 @@ impl From<CirculantError> for NnError {
             message: e.to_string(),
         }
     }
-}
-
-/// `Err` unless `input` is `[rows, in_dim]` — the input screen of every
-/// FC-shaped layer in this crate.
-pub(crate) fn check_batch_input(layer: &str, input: &Tensor, in_dim: usize) -> Result<(), NnError> {
-    if input.ndim() != 2 || input.cols() != in_dim {
-        return Err(NnError::BadInput {
-            layer: layer.into(),
-            message: format!("expected [rows, {in_dim}], got {:?}", input.shape()),
-        });
-    }
-    Ok(())
 }
 
 /// Fully-connected layer whose weight matrix is block-circulant:
@@ -153,7 +143,7 @@ impl Layer for CirculantDense {
         scratch: &mut Scratch,
         keep: bool,
     ) -> Result<Tensor, NnError> {
-        check_batch_input("circulant_dense", input, self.matrix.in_dim())?;
+        self.matrix.grid().check_input("circulant_dense", input)?;
         let mut y = scratch.take(&[input.rows(), self.matrix.out_dim()]);
         let bias = self.bias.as_slice();
         let x_hat = self
@@ -210,41 +200,16 @@ impl Layer for CirculantDense {
         self.matrix.logical_param_count() + self.bias.len()
     }
 
+    /// Algorithm 1 on precomputed spectra plus re-transforming the weights
+    /// each pass, which the frozen [`SpectralDense`](crate::SpectralDense)
+    /// skips.
     fn op_cost(&self) -> OpCost {
-        // Algorithm 1 cost: one FFT per input block, one spectral MAC per
-        // grid cell, one IFFT per output block. A real FFT of size b costs
-        // ≈ b·log₂b real multiplies; a complex MAC costs 4 mults + 4 adds
-        // over b/2+1 bins. The training layer also re-transforms its
-        // weights each pass (one FFT per grid cell); the frozen
-        // [`SpectralDense`](crate::SpectralDense) skips those.
-        let b = self.matrix.block() as u64;
-        let bins = (self.matrix.block() / 2 + 1) as u64;
-        let kb_in = self.matrix.in_blocks() as u64;
-        let kb_out = self.matrix.out_blocks() as u64;
-        let log_b = (64 - b.leading_zeros() as u64).max(1);
-        let fft_mults = b * log_b;
-        let mults =
-            (kb_in + kb_out + kb_in * kb_out) * fft_mults + kb_in * kb_out * bins * 4;
-        let adds = mults + self.matrix.out_dim() as u64;
-        OpCost {
-            mults,
-            adds,
-            nonlin: 0,
-            param_reads: self.param_count() as u64,
-            act_traffic: (self.matrix.in_dim() + self.matrix.out_dim()) as u64,
-        }
+        let g = self.matrix.grid();
+        g.row_cost(g.row_mults() + g.weight_mults(), self.param_count() as u64)
     }
 
     fn config_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        for v in [
-            self.matrix.in_dim(),
-            self.matrix.out_dim(),
-            self.matrix.block(),
-        ] {
-            wire::write_u32(&mut buf, v as u32).expect("vec write is infallible");
-        }
-        buf
+        self.matrix.grid().config_bytes(&[])
     }
 
     fn param_tensors(&self) -> Vec<&Tensor> {
@@ -276,14 +241,11 @@ impl Layer for CirculantDense {
 ///
 /// Returns [`NnError::ModelFormat`]/[`NnError::Io`] on malformed config.
 pub fn circulant_dense_from_config(mut config: &[u8]) -> Result<Box<dyn Layer>, NnError> {
-    let in_dim = wire::read_u32(&mut config)? as usize;
-    let out_dim = wire::read_u32(&mut config)? as usize;
-    let block = wire::read_u32(&mut config)? as usize;
-    let matrix = BlockCirculantMatrix::zeros(in_dim, out_dim, block)
-        .map_err(|e| NnError::ModelFormat(e.to_string()))?;
+    let grid = BlockGrid::read_config(&mut config)?;
+    let bias = Tensor::zeros(&[grid.out_dim]);
     Ok(Box::new(CirculantDense::from_matrix(
-        matrix,
-        Tensor::zeros(&[out_dim]),
+        BlockCirculantMatrix::from_grid(grid),
+        bias,
     )))
 }
 

@@ -8,11 +8,17 @@
 //! shared Algorithm 1 routine (`SpectralKernel::product`) on the
 //! stored spectra with a `+ bias` epilogue. There is nothing to record
 //! for a backward pass, so `forward` and `forward_infer` are one route.
+//!
+//! The layer holds the block grid of the matrix it froze
+//! (`circulant::BlockGrid`): its input screen, config words, op count and
+//! the `[kb_out, kb_in, bins]` shape of its store are the grid's, and its
+//! config builder starts from zero spectra of that shape, transforming
+//! nothing.
 
-use crate::circulant::BlockCirculantMatrix;
-use crate::dense_layer::check_batch_input;
-use crate::spectral::{CirculantScratch, SpectralKernel, Spectrum};
-use ffdl_nn::{wire, Layer, NnError, OpCost, Scratch};
+use crate::circulant::{BlockCirculantMatrix, BlockGrid};
+use crate::spectral::{CirculantScratch, Spectrum};
+use ffdl_fft::Complex32;
+use ffdl_nn::{Layer, NnError, OpCost, Scratch};
 use ffdl_tensor::Tensor;
 use std::sync::{Arc, OnceLock};
 
@@ -23,11 +29,7 @@ use std::sync::{Arc, OnceLock};
 /// supported: `backward` returns an error, and the layer exposes no
 /// parameters to the optimizer.
 pub struct SpectralDense {
-    in_dim: usize,
-    out_dim: usize,
-    block: usize,
-    kb_in: usize,
-    kb_out: usize,
+    pub(crate) grid: BlockGrid,
     /// `spectra[out_block][in_block]`, each of length `b/2 + 1`.
     /// Reference-counted: worker clones share one table.
     spectra: Arc<Vec<Vec<Spectrum>>>,
@@ -36,57 +38,79 @@ pub struct SpectralDense {
     /// and dropped by `load_params`.
     wire_spectra: OnceLock<Tensor>,
     bias: Tensor,
-    kernel: SpectralKernel,
     /// Per-layer FFT scratch for the inference path (never cloned).
     infer_scratch: CirculantScratch,
 }
 
 impl SpectralDense {
     /// Freezes a block-circulant matrix and bias into spectral form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bias.len() != matrix.out_dim()`.
     pub fn from_matrix(matrix: &BlockCirculantMatrix, bias: Tensor) -> Self {
+        Self::new(matrix.grid().clone(), matrix.shared_weight_spectra(), bias)
+    }
+
+    fn new(grid: BlockGrid, spectra: Arc<Vec<Vec<Spectrum>>>, bias: Tensor) -> Self {
         assert_eq!(
             bias.len(),
-            matrix.out_dim(),
+            grid.out_dim,
             "bias length must equal the output dimension"
         );
+        let (wire_spectra, infer_scratch) = (OnceLock::new(), CirculantScratch::new());
         Self {
-            in_dim: matrix.in_dim(),
-            out_dim: matrix.out_dim(),
-            block: matrix.block(),
-            kb_in: matrix.in_blocks(),
-            kb_out: matrix.out_blocks(),
-            spectra: matrix.shared_weight_spectra(),
-            wire_spectra: OnceLock::new(),
+            grid,
+            spectra,
+            wire_spectra,
             bias,
-            kernel: SpectralKernel::new(matrix.block()),
-            infer_scratch: CirculantScratch::new(),
+            infer_scratch,
         }
     }
 
     /// Input dimension.
     pub fn in_dim(&self) -> usize {
-        self.in_dim
+        self.grid.in_dim
     }
 
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
-        self.out_dim
+        self.grid.out_dim
     }
 
     /// Block size.
     pub fn block(&self) -> usize {
-        self.block
+        self.grid.block
     }
 
     /// Stored spectral coefficients (complex values across all blocks).
     pub fn stored_complex_values(&self) -> usize {
-        self.kb_in * self.kb_out * (self.block / 2 + 1)
+        self.grid.spectra_shape().iter().product()
     }
 
     /// The frozen weight spectra, `spectra[out_block][in_block]` — what
     /// the quantizer consumes when re-quantizing an already-frozen layer.
     pub fn spectra(&self) -> &[Vec<Spectrum>] {
         &self.spectra
+    }
+
+    /// Serializes the spectra to a `[out_blocks, in_blocks, 2·bins]`
+    /// tensor (re/im interleaved) — the on-disk form of "store FFT(w)".
+    pub fn spectra_tensor(&self) -> Tensor {
+        let data = self
+            .spectra
+            .iter()
+            .flatten()
+            .flatten()
+            .flat_map(|c| [c.re, c.im])
+            .collect();
+        let [kb_out, kb_in, bins] = self.grid.spectra_shape();
+        Tensor::from_vec(data, &[kb_out, kb_in, 2 * bins]).expect("size by construction")
+    }
+
+    /// The bias vector.
+    pub fn bias(&self) -> &Tensor {
+        &self.bias
     }
 }
 
@@ -102,32 +126,24 @@ impl Layer for SpectralDense {
         scratch: &mut Scratch,
         _keep: bool,
     ) -> Result<Tensor, NnError> {
-        check_batch_input("spectral_dense", input, self.in_dim)?;
-        let mut out = scratch.take(&[input.rows(), self.out_dim]);
+        self.grid.check_input("spectral_dense", input)?;
+        let mut out = scratch.take(&[input.rows(), self.grid.out_dim]);
         let bias = self.bias.as_slice();
-        self.kernel.rows_product(
-            &self.spectra[..],
-            (input.as_slice(), self.in_dim),
-            (out.as_mut_slice(), self.out_dim),
-            &mut self.infer_scratch,
-            |_, k, v| v + bias[k],
-        );
+        let sc = &mut self.infer_scratch;
+        self.grid
+            .rows_product(&self.spectra[..], input, sc, &mut out, |_, k, v| {
+                v + bias[k]
+            });
         Ok(out)
     }
 
     fn clone_layer(&self) -> Option<Box<dyn Layer>> {
-        Some(Box::new(Self {
-            in_dim: self.in_dim,
-            out_dim: self.out_dim,
-            block: self.block,
-            kb_in: self.kb_in,
-            kb_out: self.kb_out,
-            spectra: Arc::clone(&self.spectra),
-            wire_spectra: OnceLock::new(),
-            bias: self.bias.clone(),
-            kernel: self.kernel.clone(),
-            infer_scratch: CirculantScratch::new(),
-        }))
+        let spectra = Arc::clone(&self.spectra);
+        Some(Box::new(Self::new(
+            self.grid.clone(),
+            spectra,
+            self.bias.clone(),
+        )))
     }
 
     fn backward(&mut self, _grad_output: &Tensor) -> Result<Tensor, NnError> {
@@ -141,37 +157,21 @@ impl Layer for SpectralDense {
 
     fn param_count(&self) -> usize {
         // Two reals per stored complex bin, plus bias.
-        2 * self.stored_complex_values() + self.out_dim
+        2 * self.stored_complex_values() + self.grid.out_dim
     }
 
     fn logical_param_count(&self) -> usize {
-        self.in_dim * self.out_dim + self.out_dim
+        self.grid.in_dim * self.grid.out_dim + self.grid.out_dim
     }
 
+    /// No weight-side transforms: Algorithm 1 on the stored spectra.
     fn op_cost(&self) -> OpCost {
-        // No weight-side FFTs: input FFTs + spectral MACs + output IFFTs.
-        let b = self.block as u64;
-        let bins = (self.block / 2 + 1) as u64;
-        let kb_in = self.kb_in as u64;
-        let kb_out = self.kb_out as u64;
-        let log_b = (64 - b.leading_zeros() as u64).max(1);
-        let fft_mults = b * log_b;
-        let mults = (kb_in + kb_out) * fft_mults + kb_in * kb_out * bins * 4;
-        OpCost {
-            mults,
-            adds: mults + self.out_dim as u64,
-            nonlin: 0,
-            param_reads: self.param_count() as u64,
-            act_traffic: (self.in_dim + self.out_dim) as u64,
-        }
+        self.grid
+            .row_cost(self.grid.row_mults(), self.param_count() as u64)
     }
 
     fn config_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        for v in [self.in_dim, self.out_dim, self.block] {
-            wire::write_u32(&mut buf, v as u32).expect("vec write is infallible");
-        }
-        buf
+        self.grid.config_bytes(&[])
     }
 
     /// `[spectra, bias]`, exactly what `load_params` parses: the wire
@@ -186,30 +186,24 @@ impl Layer for SpectralDense {
                 "spectral_dense expects [spectra, bias]".into(),
             ));
         }
-        let bins = self.block / 2 + 1;
-        if params[0].shape() != [self.kb_out, self.kb_in, 2 * bins]
-            || params[1].shape() != [self.out_dim]
+        let [kb_out, kb_in, bins] = self.grid.spectra_shape();
+        if params[0].shape() != [kb_out, kb_in, 2 * bins]
+            || params[1].shape() != [self.grid.out_dim]
         {
             return Err(NnError::ModelFormat(
                 "spectral_dense parameter shapes do not match".into(),
             ));
         }
-        let flat = params[0].as_slice();
-        let mut spectra = Vec::with_capacity(self.kb_out);
-        for i in 0..self.kb_out {
-            let mut row = Vec::with_capacity(self.kb_in);
-            for j in 0..self.kb_in {
-                let base = (i * self.kb_in + j) * 2 * bins;
-                let spec: Spectrum = (0..bins)
-                    .map(|k| ffdl_fft::Complex32::new(flat[base + 2 * k], flat[base + 2 * k + 1]))
-                    .collect();
-                row.push(spec);
-            }
-            spectra.push(row);
-        }
-        self.spectra = Arc::new(spectra);
-        self.wire_spectra = OnceLock::new();
-        self.bias = params[1].clone();
+        let mut blocks = params[0].as_slice().chunks_exact(2 * bins).map(|block| {
+            block
+                .chunks_exact(2)
+                .map(|c| Complex32::new(c[0], c[1]))
+                .collect()
+        });
+        let spectra = (0..kb_out)
+            .map(|_| blocks.by_ref().take(kb_in).collect())
+            .collect();
+        *self = Self::new(self.grid.clone(), Arc::new(spectra), params[1].clone());
         Ok(())
     }
 
@@ -218,45 +212,18 @@ impl Layer for SpectralDense {
     }
 }
 
-impl SpectralDense {
-    /// Serializes the spectra to a `[out_blocks, in_blocks, 2·bins]`
-    /// tensor (re/im interleaved) — the on-disk form of "store FFT(w)".
-    pub fn spectra_tensor(&self) -> Tensor {
-        let bins = self.block / 2 + 1;
-        let mut data = Vec::with_capacity(self.kb_out * self.kb_in * 2 * bins);
-        for row in self.spectra.iter() {
-            for spec in row {
-                for c in spec {
-                    data.push(c.re);
-                    data.push(c.im);
-                }
-            }
-        }
-        Tensor::from_vec(data, &[self.kb_out, self.kb_in, 2 * bins])
-            .expect("size by construction")
-    }
-
-    /// The bias vector.
-    pub fn bias(&self) -> &Tensor {
-        &self.bias
-    }
-}
-
-/// Reconstructs an (empty) [`SpectralDense`] from its config blob.
+/// Reconstructs an (empty) [`SpectralDense`] from its config blob: zero
+/// spectra of the grid's shape, straight from the config words.
 ///
 /// # Errors
 ///
 /// Returns [`NnError::ModelFormat`]/[`NnError::Io`] on malformed config.
 pub fn spectral_dense_from_config(mut config: &[u8]) -> Result<Box<dyn Layer>, NnError> {
-    let in_dim = wire::read_u32(&mut config)? as usize;
-    let out_dim = wire::read_u32(&mut config)? as usize;
-    let block = wire::read_u32(&mut config)? as usize;
-    let matrix = BlockCirculantMatrix::zeros(in_dim, out_dim, block)
-        .map_err(|e| NnError::ModelFormat(e.to_string()))?;
-    Ok(Box::new(SpectralDense::from_matrix(
-        &matrix,
-        Tensor::zeros(&[out_dim]),
-    )))
+    let grid = BlockGrid::read_config(&mut config)?;
+    let [kb_out, kb_in, bins] = grid.spectra_shape();
+    let spectra = vec![vec![vec![Complex32::zero(); bins]; kb_in]; kb_out];
+    let bias = Tensor::zeros(&[grid.out_dim]);
+    Ok(Box::new(SpectralDense::new(grid, Arc::new(spectra), bias)))
 }
 
 #[cfg(test)]

@@ -61,9 +61,7 @@ pub use conv_layer::{circulant_conv2d_from_config, CirculantConv2d};
 pub use dense_layer::{circulant_dense_from_config, CirculantDense};
 pub use error::CirculantError;
 pub use inference::{spectral_dense_from_config, SpectralDense};
-pub use quant::{
-    quantized_spectral_dense_from_config, QuantBits, QuantizedSpectralDense, QuantizedSpectrum,
-};
+pub use quant::{quantized_spectral_dense_from_config, QuantBits, QuantizedSpectralDense};
 pub use recurrent::{circulant_gru_from_config, CirculantGru, GruScratch};
 pub use spectral::{CirculantScratch, SpectralKernel, Spectrum};
 

@@ -19,13 +19,16 @@
 //!   one token at a time is therefore **bit-identical** to single-shot
 //!   replay of the same rows.
 //!
+//! The cell's config words and input screen are the block grid of its
+//! input-side matrices (`circulant::BlockGrid`, `in_dim × hidden`), and
+//! its op count is six of that grid's products.
+//!
 //! [`SpectralDense`]: crate::SpectralDense
 
-use crate::circulant::BlockCirculantMatrix;
-use crate::dense_layer::check_batch_input;
+use crate::circulant::{BlockCirculantMatrix, BlockGrid};
 use crate::spectral::{identity_view, CirculantScratch};
 use ffdl_fft::Complex32;
-use ffdl_nn::{wire, Layer, NnError, OpCost, Scratch};
+use ffdl_nn::{Layer, NnError, OpCost, Scratch};
 use ffdl_rng::Rng;
 use ffdl_tensor::Tensor;
 
@@ -42,9 +45,6 @@ use ffdl_tensor::Tensor;
 /// All six matrices are block-circulant; see the module docs for the
 /// serving contract.
 pub struct CirculantGru {
-    in_dim: usize,
-    hidden: usize,
-    block: usize,
     /// Input-to-hidden matrices, `in_dim × hidden` each: z, r, n.
     w: [BlockCirculantMatrix; 3],
     /// Hidden-to-hidden matrices, `hidden × hidden` each: z, r, n.
@@ -101,34 +101,39 @@ impl CirculantGru {
         let mut mk = |rows: usize| BlockCirculantMatrix::random(rows, hidden, block, rng);
         let w = [mk(in_dim)?, mk(in_dim)?, mk(in_dim)?];
         let u = [mk(hidden)?, mk(hidden)?, mk(hidden)?];
-        Ok(Self {
-            in_dim,
-            hidden,
-            block,
+        Ok(Self::from_matrices(w, u))
+    }
+
+    /// The cell on its six matrices, with zero biases.
+    fn from_matrices(w: [BlockCirculantMatrix; 3], u: [BlockCirculantMatrix; 3]) -> Self {
+        let b = std::array::from_fn(|_| Tensor::zeros(&[w[0].out_dim()]));
+        Self {
             w,
             u,
-            b: [
-                Tensor::zeros(&[hidden]),
-                Tensor::zeros(&[hidden]),
-                Tensor::zeros(&[hidden]),
-            ],
+            b,
             infer_scratch: GruScratch::new(),
-        })
+        }
+    }
+
+    /// The `in_dim × hidden` grid of the input-side matrices, whose
+    /// config words and input screen are the cell's.
+    fn grid(&self) -> &BlockGrid {
+        self.w[0].grid()
     }
 
     /// Input dimension.
     pub fn in_dim(&self) -> usize {
-        self.in_dim
+        self.grid().in_dim
     }
 
     /// Hidden-state width (also the per-step output width).
     pub fn hidden(&self) -> usize {
-        self.hidden
+        self.grid().out_dim
     }
 
     /// Circulant block size `b` (the compression knob).
     pub fn block(&self) -> usize {
-        self.block
+        self.grid().block
     }
 
     /// Advances the cell one step: reads the token `x` (length
@@ -147,13 +152,13 @@ impl CirculantGru {
     /// Returns [`NnError::BadInput`] when `x` or `h` has the wrong
     /// length.
     pub fn step(&self, x: &[f32], h: &mut [f32], scratch: &mut GruScratch) -> Result<(), NnError> {
-        if x.len() != self.in_dim || h.len() != self.hidden {
+        if x.len() != self.in_dim() || h.len() != self.hidden() {
             return Err(NnError::BadInput {
                 layer: "circulant_gru".into(),
                 message: format!(
                     "step expects x[{}] and h[{}], got x[{}] h[{}]",
-                    self.in_dim,
-                    self.hidden,
+                    self.in_dim(),
+                    self.hidden(),
                     x.len(),
                     h.len()
                 ),
@@ -162,13 +167,13 @@ impl CirculantGru {
         // One transform of the token and one of the state serve all three
         // gates: the six products read x̂ and ĥ through the identity view.
         let GruScratch { circ, h_spec, xg, hg } = scratch;
-        let kernel = self.w[0].kernel();
-        kernel.spectra_of((x, self.in_dim), &mut circ.bufs, &mut circ.x_spec);
-        kernel.spectra_of((h, self.hidden), &mut circ.bufs, h_spec);
+        let kernel = &self.grid().kernel;
+        kernel.spectra_of((x, self.in_dim()), &mut circ.bufs, &mut circ.x_spec);
+        kernel.spectra_of((h, self.hidden()), &mut circ.bufs, h_spec);
         for g in 0..3 {
             let sides = [(&self.w[g], &circ.x_spec, &mut xg[g]), (&self.u[g], &*h_spec, &mut hg[g])];
             for (m, spec, y) in sides {
-                y.resize(self.hidden, 0.0);
+                y.resize(self.hidden(), 0.0);
                 let view = identity_view(m.in_blocks());
                 m.product((spec, view), y, &mut circ.bufs, |_, _, v| v);
             }
@@ -178,7 +183,7 @@ impl CirculantGru {
             self.b[1].as_slice(),
             self.b[2].as_slice(),
         );
-        for k in 0..self.hidden {
+        for k in 0..self.hidden() {
             let z = sigmoid(xg[0][k] + hg[0][k] + bz[k]);
             let r = sigmoid(xg[1][k] + hg[1][k] + br[k]);
             let n = (xg[2][k] + r * hg[2][k] + bn[k]).tanh();
@@ -191,7 +196,7 @@ impl CirculantGru {
     /// `[hidden]` output row per step into `out` (shape
     /// `[seq, hidden]`, already sized by the caller).
     fn scan(&self, input: &Tensor, out: &mut Tensor, scratch: &mut GruScratch) -> Result<(), NnError> {
-        let mut h = vec![0.0f32; self.hidden];
+        let mut h = vec![0.0f32; self.hidden()];
         for s in 0..input.rows() {
             self.step(input.row(s), &mut h, scratch)?;
             out.row_mut(s).copy_from_slice(&h);
@@ -217,8 +222,8 @@ impl Layer for CirculantGru {
         scratch: &mut Scratch,
         _keep: bool,
     ) -> Result<Tensor, NnError> {
-        check_batch_input("circulant_gru", input, self.in_dim)?;
-        let mut out = scratch.take(&[input.rows(), self.hidden]);
+        self.grid().check_input("circulant_gru", input)?;
+        let mut out = scratch.take(&[input.rows(), self.hidden()]);
         let mut sc = std::mem::take(&mut self.infer_scratch);
         let result = self.scan(input, &mut out, &mut sc);
         self.infer_scratch = sc;
@@ -231,9 +236,6 @@ impl Layer for CirculantGru {
 
     fn clone_layer(&self) -> Option<Box<dyn Layer>> {
         Some(Box::new(Self {
-            in_dim: self.in_dim,
-            hidden: self.hidden,
-            block: self.block,
             w: self.w.clone(),
             u: self.u.clone(),
             b: self.b.clone(),
@@ -253,47 +255,34 @@ impl Layer for CirculantGru {
     fn param_count(&self) -> usize {
         self.w.iter().map(|m| m.param_count()).sum::<usize>()
             + self.u.iter().map(|m| m.param_count()).sum::<usize>()
-            + 3 * self.hidden
+            + 3 * self.hidden()
     }
 
     fn logical_param_count(&self) -> usize {
-        3 * self.in_dim * self.hidden + 3 * self.hidden * self.hidden + 3 * self.hidden
+        3 * self.in_dim() * self.hidden() + 3 * self.hidden() * self.hidden() + 3 * self.hidden()
     }
 
     fn op_cost(&self) -> OpCost {
-        // Six circulant products per step (each: input FFTs, spectral
-        // MACs, output IFFTs — weight spectra are cached), plus ~10
-        // elementwise ops and 2 nonlinearity groups per hidden unit.
-        let cost = |m: &BlockCirculantMatrix| -> (u64, u64) {
-            let b = m.block() as u64;
-            let bins = (m.block() / 2 + 1) as u64;
-            let (kb_in, kb_out) = (m.in_blocks() as u64, m.out_blocks() as u64);
-            let log_b = (64 - b.leading_zeros() as u64).max(1);
-            let mults = (kb_in + kb_out) * b * log_b + kb_in * kb_out * bins * 4;
-            (mults, mults)
-        };
-        let (mut mults, mut adds) = (0u64, 0u64);
-        for m in self.w.iter().chain(self.u.iter()) {
-            let (mm, aa) = cost(m);
-            mults += mm;
-            adds += aa;
-        }
-        let h = self.hidden as u64;
+        // Six circulant products per step on cached weight spectra, plus
+        // ~10 elementwise ops and 2 nonlinearity groups per hidden unit.
+        let mults: u64 = self
+            .w
+            .iter()
+            .chain(&self.u)
+            .map(|m| m.grid().row_mults())
+            .sum();
+        let h = self.hidden() as u64;
         OpCost {
             mults: mults + 4 * h,
-            adds: adds + 6 * h,
+            adds: mults + 6 * h,
             nonlin: 3 * h,
             param_reads: self.param_count() as u64,
-            act_traffic: (self.in_dim + 2 * self.hidden) as u64,
+            act_traffic: (self.in_dim() + 2 * self.hidden()) as u64,
         }
     }
 
     fn config_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        for v in [self.in_dim, self.hidden, self.block] {
-            wire::write_u32(&mut buf, v as u32).expect("vec write is infallible");
-        }
-        buf
+        self.grid().config_bytes(&[])
     }
 
     fn param_tensors(&self) -> Vec<&Tensor> {
@@ -318,7 +307,7 @@ impl Layer for CirculantGru {
             }
         }
         for p in &params[6..9] {
-            if p.shape() != [self.hidden] {
+            if p.shape() != [self.hidden()] {
                 return Err(NnError::ModelFormat(
                     "circulant_gru bias tensor shapes do not match".into(),
                 ));
@@ -347,25 +336,11 @@ impl Layer for CirculantGru {
 ///
 /// Returns [`NnError::ModelFormat`]/[`NnError::Io`] on malformed config.
 pub fn circulant_gru_from_config(mut config: &[u8]) -> Result<Box<dyn Layer>, NnError> {
-    let in_dim = wire::read_u32(&mut config)? as usize;
-    let hidden = wire::read_u32(&mut config)? as usize;
-    let block = wire::read_u32(&mut config)? as usize;
-    let zero = |i: usize, o: usize| -> Result<BlockCirculantMatrix, NnError> {
-        BlockCirculantMatrix::zeros(i, o, block).map_err(|e| NnError::ModelFormat(e.to_string()))
-    };
-    Ok(Box::new(CirculantGru {
-        in_dim,
-        hidden,
-        block,
-        w: [zero(in_dim, hidden)?, zero(in_dim, hidden)?, zero(in_dim, hidden)?],
-        u: [zero(hidden, hidden)?, zero(hidden, hidden)?, zero(hidden, hidden)?],
-        b: [
-            Tensor::zeros(&[hidden]),
-            Tensor::zeros(&[hidden]),
-            Tensor::zeros(&[hidden]),
-        ],
-        infer_scratch: GruScratch::new(),
-    }))
+    let g = BlockGrid::read_config(&mut config)?;
+    let zero = |rows| BlockCirculantMatrix::zeros(rows, g.out_dim, g.block);
+    let w = [zero(g.in_dim)?, zero(g.in_dim)?, zero(g.in_dim)?];
+    let u = [zero(g.out_dim)?, zero(g.out_dim)?, zero(g.out_dim)?];
+    Ok(Box::new(CirculantGru::from_matrices(w, u)))
 }
 
 #[cfg(test)]

@@ -5,12 +5,17 @@
 //! gradients on both of its paths. Every value's `to_bits()` is folded
 //! into one FNV-1a word per tensor; inputs are exact in `f32`, so the
 //! words depend on the transforms and the order of accumulation alone.
-//! Last, the model-format bytes of both CONV layers, captured at the
+//! Then the model-format bytes of both CONV layers, captured at the
 //! commit before their geometry and config words moved into one shared
-//! shape.
+//! shape. Last, the bytes, output bits, op counts and parameter counts of
+//! every FC-shaped circulant layer and the GRU, captured at the commit
+//! before their block geometry moved into one grid.
 
-use ffdl_core::{full_registry, BlockCirculantMatrix, CirculantConv2d};
-use ffdl_nn::{load_network, save_network, Conv2d, Layer, MaxPool2d, Network};
+use ffdl_core::{
+    circulant_gru_from_config, full_registry, BlockCirculantMatrix, CirculantConv2d,
+    CirculantDense, QuantBits, QuantizedSpectralDense, SpectralDense,
+};
+use ffdl_nn::{load_network, save_network, Conv2d, Layer, MaxPool2d, Network, OpCost, Scratch};
 use ffdl_rng::StepRng;
 use ffdl_tensor::{ConvGeometry, Tensor};
 
@@ -100,4 +105,60 @@ fn conv_layers_keep_their_wire_format() {
     let mut again = Vec::new();
     save_network(&load_network(&file[..], &full_registry()).unwrap(), &mut again).unwrap();
     assert_eq!(again, file);
+}
+
+fn fnv_counts(cost: OpCost, params: usize) -> u64 {
+    let words = [cost.mults, cost.adds, cost.nonlin, cost.param_reads, cost.act_traffic, params as u64];
+    fnv_bytes(words.iter().flat_map(|w| w.to_le_bytes()))
+}
+
+/// `[file bytes, forward_infer output, op_cost + param_count]` of a
+/// one-layer network; the file must load and save back byte for byte.
+fn deployed(layer: Box<dyn Layer>, input: &Tensor) -> [u64; 3] {
+    let counts = fnv_counts(layer.op_cost(), layer.param_count());
+    let mut net = Network::new();
+    net.push_boxed(layer);
+    let mut file = Vec::new();
+    save_network(&net, &mut file).unwrap();
+    let mut loaded = load_network(&file[..], &full_registry()).unwrap();
+    let mut again = Vec::new();
+    save_network(&loaded, &mut again).unwrap();
+    assert_eq!(again, file, "{}: load + save", net.layers()[0].type_tag());
+    let y = loaded.forward_infer(input, &mut Scratch::new()).unwrap();
+    assert_eq!(y.as_slice(), net.forward_infer(input, &mut Scratch::new()).unwrap().as_slice());
+    [fnv_bytes(file), fnv(&y), counts]
+}
+
+#[test]
+fn circulant_layers_keep_their_bytes_bits_and_counts() {
+    // A padded shape on both sides (121 → 64) at a chirp-transform block.
+    let (in_dim, out_dim, b) = (121usize, 64usize, 11usize);
+    let grid = [out_dim.div_ceil(b), in_dim.div_ceil(b), b];
+    let m = BlockCirculantMatrix::from_weights(in_dim, out_dim, b, exact(&grid, 1)).unwrap();
+    let bias = exact(&[out_dim], 3);
+    let x = exact(&[3, in_dim], 0);
+    let quantized = |bits| Box::new(QuantizedSpectralDense::from_matrix(&m, bias.clone(), bits));
+    let mut gru = circulant_gru_from_config(&[121u32, 64, 11].map(u32::to_le_bytes).concat()).unwrap();
+    let shapes: Vec<Vec<usize>> = gru.param_tensors().iter().map(|t| t.shape().to_vec()).collect();
+    let params: Vec<Tensor> = shapes.iter().enumerate().map(|(i, s)| exact(s, i + 1)).collect();
+    gru.load_params(&params).unwrap();
+    let got = [
+        deployed(Box::new(CirculantDense::from_matrix(m.clone(), bias.clone())), &x),
+        deployed(Box::new(SpectralDense::from_matrix(&m, bias.clone())), &x),
+        deployed(quantized(QuantBits::Eight), &x),
+        deployed(quantized(QuantBits::Sixteen), &x),
+        deployed(gru, &x),
+    ];
+    let want = [
+        [0x9afccb3c70ae7858, 0xed28d0af2cb030fd, 0xa4afa7da310a96e0],
+        [0x1b29c0da676fb155, 0xed28d0af2cb030fd, 0x5b9fba2e8219a0a4],
+        [0x675db8823e71ee7a, 0xdd152f1254a4b2e3, 0xff28d5edfe2dc5e7],
+        [0xc1c9c50b6996f5b2, 0xecd3562c408be7a7, 0x86fc98c0b0e6541e],
+        [0x72628316516220b7, 0x095c004fd237827b, 0x78ef9be4cdf6d0b3],
+    ];
+    assert_eq!(got, want, "[file, output, counts] of circulant_dense, spectral_dense, int8, int16, gru");
+    // The CONV layer's count is the printed lowering's (Tables III / A3).
+    let geom = ConvGeometry { kernel: 3, stride: 1, pad: 1 };
+    let conv = CirculantConv2d::new(8, 6, 7, 7, geom, 11, &mut StepRng::new(1, 1)).unwrap();
+    assert_eq!(fnv_counts(conv.op_cost(), conv.param_count()), 0xdbd306c5417e4d34, "circulant_conv2d counts");
 }

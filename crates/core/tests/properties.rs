@@ -236,6 +236,52 @@ fn every_layer_type_survives_the_wire_and_the_copy() {
     );
 }
 
+/// Writes a `quantized_spectral_dense` record — the tag and a valid
+/// `[in, out, block, bits]` config — but no levels.
+struct LevelsLost;
+
+impl Layer for LevelsLost {
+    fn type_tag(&self) -> &'static str {
+        "quantized_spectral_dense"
+    }
+    fn forward_with(&mut self, x: &Tensor, _: &mut Scratch, _: bool) -> Result<Tensor, NnError> {
+        Ok(x.clone())
+    }
+    fn backward(&mut self, grad: &Tensor) -> Result<Tensor, NnError> {
+        Ok(grad.clone())
+    }
+    fn config_bytes(&self) -> Vec<u8> {
+        [4u32, 4, 2, 16].map(u32::to_le_bytes).concat()
+    }
+}
+
+/// A quantized layer's levels travel in the file's quantization header;
+/// a record the header has no entry for is refused, not served as the
+/// all-zero levels its config builder starts from. Both files that reach
+/// it: a version-2 file (no header), and a version-3 header that skips it.
+#[test]
+fn a_quantized_layer_without_its_levels_is_refused() {
+    let circ = CirculantDense::new(4, 4, 2, &mut SmallRng::seed_from_u64(5)).unwrap();
+    let mut alone = Network::new();
+    alone.push(LevelsLost);
+    let mut skipped = Network::new();
+    let bias = circ.bias().clone();
+    skipped.push(QuantizedSpectralDense::from_matrix(circ.matrix(), bias, QuantBits::Sixteen));
+    skipped.push(LevelsLost);
+    for (version, net, index) in [(2u8, alone, 0), (3, skipped, 1)] {
+        let mut file = Vec::new();
+        save_network(&net, &mut file).unwrap();
+        assert_eq!(file[4], version);
+        match load_network(&file[..], &full_registry()) {
+            Err(NnError::ModelFormat(msg)) => assert!(
+                msg.contains(&format!("layer {index} (quantized_spectral_dense)")),
+                "version {version}: {msg}"
+            ),
+            other => panic!("version {version}: expected ModelFormat, got {:?}", other.map(|_| ())),
+        }
+    }
+}
+
 /// (channels, block, filters, (height, width), geometry, batch, seed):
 /// `channels` is a multiple of `block`, plus one in a quarter of the cases
 /// — which then take the im2col fallback (blocks of 1 always divide).

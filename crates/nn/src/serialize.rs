@@ -179,10 +179,11 @@ pub fn save_network<W: Write>(network: &Network, writer: W) -> Result<(), NnErro
 ///
 /// # Errors
 ///
-/// Returns [`NnError::ModelFormat`] on a bad magic/version/structure or
-/// a checksum-trailer mismatch (naming the expected and actual FNV-1a
-/// digests), [`NnError::UnknownLayerTag`] for unregistered layers, and
-/// [`NnError::Io`] on truncated input.
+/// Returns [`NnError::ModelFormat`] on a bad magic/version/structure, a
+/// quantized layer the quantization header has no entry for (naming its
+/// index and tag), or a checksum-trailer mismatch (naming the expected
+/// and actual FNV-1a digests), [`NnError::UnknownLayerTag`] for
+/// unregistered layers, and [`NnError::Io`] on truncated input.
 pub fn load_network<R: Read>(reader: R, registry: &LayerRegistry) -> Result<Network, NnError> {
     let mut reader = wire::Fnv1aReader::new(reader);
     let mut magic = [0u8; 4];
@@ -253,8 +254,15 @@ pub fn load_network<R: Read>(reader: R, registry: &LayerRegistry) -> Result<Netw
             .ok_or_else(|| NnError::UnknownLayerTag(tag.clone()))?;
         let mut layer = builder(&config)?;
         layer.load_params(&params)?;
-        if let Some((_, payload)) = quant.iter().find(|(i, _)| *i as usize == layer_index) {
-            layer.load_quant_payload(payload)?;
+        match quant.iter().find(|(i, _)| *i as usize == layer_index) {
+            Some((_, payload)) => layer.load_quant_payload(payload)?,
+            // Its config builder's placeholder levels must not be served.
+            None if layer.quant_payload().is_some() => {
+                return Err(NnError::ModelFormat(format!(
+                    "layer {layer_index} ({tag}) is quantized but has no quantization entry"
+                )))
+            }
+            None => {}
         }
         network.push_boxed(layer);
     }

@@ -142,14 +142,7 @@ pub fn quantize_network(network: &Network, bits: QuantBits) -> Result<Network, Q
                 continue;
             }
             if let Some(sd) = any.downcast_ref::<SpectralDense>() {
-                out.push(QuantizedSpectralDense::from_spectra(
-                    sd.spectra(),
-                    sd.in_dim(),
-                    sd.out_dim(),
-                    sd.block(),
-                    sd.bias().clone(),
-                    bits,
-                ));
+                out.push(QuantizedSpectralDense::from_spectral(sd, bits));
                 continue;
             }
         }

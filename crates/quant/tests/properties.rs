@@ -1,6 +1,8 @@
 //! Round-trip property: for every built-in spectral layer's weight
-//! spectra, quantize → dequantize moves no coefficient component by
-//! more than half a quantization step (`scale / 2`). Symmetric scaling
+//! spectra, quantizing them the way the deployed layer does — through
+//! [`QuantizedSpectralDense`], one symmetric scale per output block row —
+//! moves no coefficient component by more than half a quantization step
+//! of its row (`max_error(i) = scales[i] / 2`). Symmetric scaling
 //! guarantees no clamping, so rounding is the only error source — this
 //! pins that guarantee across arbitrary geometry.
 //!
@@ -9,11 +11,11 @@
 //! via `FFDL_PROP_REPLAY=<case seed>`.
 
 use ffdl_core::{
-    CirculantConv2d, CirculantDense, QuantBits, QuantizedSpectrum, SpectralDense, Spectrum,
+    CirculantConv2d, CirculantDense, QuantBits, QuantizedSpectralDense, SpectralDense, Spectrum,
 };
 use ffdl_rng::prop::check;
 use ffdl_rng::{prop_assert, Rng, SeedableRng, SmallRng};
-use ffdl_tensor::ConvGeometry;
+use ffdl_tensor::{ConvGeometry, Tensor};
 
 fn bits_from(rng: &mut SmallRng) -> QuantBits {
     match rng.gen_range(0u32..2) {
@@ -22,26 +24,33 @@ fn bits_from(rng: &mut SmallRng) -> QuantBits {
     }
 }
 
-/// The `scale/2` bound for one layer's spectra: every block row shares
-/// the quantizer, so checking per spectrum with per-spectrum scales is
-/// the *stricter* form of the guarantee (the layer's per-row scale is
-/// at least the per-spectrum one).
-fn assert_roundtrip(spectra: &[Vec<Spectrum>], bits: QuantBits) -> Result<(), String> {
-    for row in spectra {
-        for spec in row {
-            let q = QuantizedSpectrum::quantize(spec, bits);
-            let bound = q.max_error();
+/// Every `level · scales[i]` of `q` against the component of `spectra`
+/// it quantizes: row `i`'s levels are its spectra's re / im components in
+/// order, each within `max_error(i)`, which is at most half a step.
+fn assert_roundtrip(spectra: &[Vec<Spectrum>], q: &QuantizedSpectralDense) -> Result<(), String> {
+    let bits = q.bits();
+    let rows = spectra.len();
+    prop_assert!(q.scales().len() == rows, "{} scales for {rows} rows", q.scales().len());
+    let row_len = q.levels().len() / rows;
+    for (i, (row, levels)) in spectra.iter().zip(q.levels().chunks_exact(row_len)).enumerate() {
+        let (scale, bound) = (q.scales()[i], q.max_error(i));
+        prop_assert!(
+            bound <= scale * 0.5 + f32::EPSILON,
+            "advertised bound {bound} exceeds scale/2 for {bits} row {i}"
+        );
+        let values: Vec<f32> = row.iter().flatten().flat_map(|c| [c.re, c.im]).collect();
+        let (n, m) = (values.len(), levels.len());
+        prop_assert!(n == m, "row {i}: {m} levels for {n} values");
+        // In f64, where `level · scale` is exact. The only slack is the
+        // rounding of `v / scale` to f32 inside the quantizer: half an ulp
+        // below 2¹⁵, i.e. 2⁻¹⁰ of a step.
+        let slack = f64::from(scale) / 1024.0;
+        for (k, (&v, &level)) in values.iter().zip(levels).enumerate() {
+            let err = (f64::from(v) - f64::from(level) * f64::from(scale)).abs();
             prop_assert!(
-                bound <= q.scale() * 0.5 + f32::EPSILON,
-                "advertised bound {bound} exceeds scale/2 for {bits}"
+                err <= f64::from(bound) + slack,
+                "row {i} component {k}: error {err} > scale/2 = {bound} at {bits}"
             );
-            for (orig, rec) in spec.iter().zip(q.dequantize()) {
-                let (dre, dim) = ((orig.re - rec.re).abs(), (orig.im - rec.im).abs());
-                prop_assert!(
-                    dre <= bound && dim <= bound,
-                    "component error ({dre}, {dim}) > scale/2 = {bound} at {bits}"
-                );
-            }
         }
     }
     Ok(())
@@ -64,7 +73,8 @@ fn circulant_dense_spectra_roundtrip_within_half_step() {
         |&(in_dim, out_dim, block, seed, bits)| {
             let mut rng = SmallRng::seed_from_u64(seed);
             let layer = CirculantDense::new(in_dim, out_dim, block, &mut rng).unwrap();
-            assert_roundtrip(&layer.matrix().weight_spectra(), bits)
+            let q = QuantizedSpectralDense::from_matrix(layer.matrix(), layer.bias().clone(), bits);
+            assert_roundtrip(&layer.matrix().weight_spectra(), &q)
         },
     );
 }
@@ -87,7 +97,8 @@ fn spectral_dense_spectra_roundtrip_within_half_step() {
             let mut rng = SmallRng::seed_from_u64(seed);
             let trained = CirculantDense::new(in_dim, out_dim, block, &mut rng).unwrap();
             let frozen = SpectralDense::from_matrix(trained.matrix(), trained.bias().clone());
-            assert_roundtrip(frozen.spectra(), bits)
+            let q = QuantizedSpectralDense::from_spectral(&frozen, bits);
+            assert_roundtrip(frozen.spectra(), &q)
         },
     );
 }
@@ -119,7 +130,10 @@ fn circulant_conv2d_spectra_roundtrip_within_half_step() {
                 &mut rng,
             )
             .unwrap();
-            assert_roundtrip(&layer.matrix().weight_spectra(), bits)
+            // The lowered `[C·r², P]` filter matrix, quantized as a frozen FC.
+            let bias = Tensor::zeros(&[out_ch]);
+            let q = QuantizedSpectralDense::from_matrix(layer.matrix(), bias, bits);
+            assert_roundtrip(&layer.matrix().weight_spectra(), &q)
         },
     );
 }

@@ -164,6 +164,31 @@ if [ -n "${hits}" ]; then
     exit 1
 fi
 echo "CONV tap rule only in crates/tensor/src/image.rs, output tail and gradient gather only in ConvShape"
+# One block grid under every circulant layer (DESIGN.md "Algorithm 1,
+# once"): BlockGrid in crates/core/src/circulant.rs owns the ceil(dim/b)
+# padding, the transform cost of the op count (leading_zeros), the
+# [in, out, block] config words and the [rows, in_dim] input screen. No
+# layer file in core computes any of them itself; spectral.rs pads the
+# rows it transforms.
+core_hits() {
+    non_test_files_matching "$1" | grep '^crates/core/src/' | tr '\n' ' ' || true
+}
+hits="$(core_hits 'leading_zeros')"
+if [ "${hits}" != "crates/core/src/circulant.rs " ]; then
+    echo "one-mechanism guard: 'leading_zeros' (the transform cost) must appear in crates/core/src/circulant.rs only, found: ${hits:-(none)}" >&2
+    exit 1
+fi
+hits="$(core_hits 'div_ceil\(' | tr ' ' '\n' | grep -vE '^crates/core/src/(circulant|spectral)\.rs$' || true)"
+if [ -n "${hits}" ]; then
+    echo "one-mechanism guard: 'div_ceil(' (the block padding) outside crates/core/src/{circulant,spectral}.rs:" >&2
+    echo "${hits}" >&2
+    exit 1
+fi
+if grep -rn 'check_batch_input' crates/ >&2; then
+    echo "one-mechanism guard: 'check_batch_input' is back (the input screen is BlockGrid::check_input)" >&2
+    exit 1
+fi
+echo "block padding, transform cost and input screen only in BlockGrid"
 # Layering: the serving runtime does not link the bench harness.
 if grep -q 'ffdl-bench' crates/serve/Cargo.toml; then
     echo "layering guard: crates/serve/Cargo.toml names ffdl-bench" >&2

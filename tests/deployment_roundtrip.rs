@@ -76,11 +76,10 @@ fn frozen_spectral_network_roundtrips_through_model_format() {
     let (trained, test) = trained_arch2();
     let frozen = paper::freeze_spectral(&trained).unwrap();
 
-    // SpectralDense stores its spectra through param_tensors? It exposes
-    // none, so it must ship via the deploy parameters path instead:
-    // architecture rebuild + explicit spectra loading is covered in
-    // ffdl-core; here we check the frozen net still predicts like the
-    // trained one after the trained one round-trips the model format.
+    // A frozen network ships its spectra through `param_tensors` (held
+    // by ffdl-core's `every_layer_type_survives_the_wire_and_the_copy`);
+    // here the trained network round-trips the model format and, frozen
+    // again, still predicts like the network frozen before the trip.
     let mut file = Vec::new();
     save_network(&trained, &mut file).unwrap();
     let loaded = load_network(&file[..], &full_registry()).unwrap();
