@@ -5,11 +5,11 @@
 //! `O(W·H·r²·C·P)` to `O(W·H·Q·log Q)` with `Q = max(r²C, P)`.
 //!
 //! Everything around the product — validation, config words, the
-//! per-sample loop, the output tail, the gradient gather and the `col2im`
-//! scatter — is `ffdl_nn::ConvShape`'s, shared with the dense `Conv2d`,
-//! and the op count is one product of the filter matrix's block grid
-//! (`circulant::BlockGrid`) per output pixel; this file holds the product
-//! and the weight gradient only.
+//! per-sample loop and its pixel-major staging, the output tail, the
+//! gradient gather and the `col2im` scatter — is `ffdl_nn::ConvShape`'s,
+//! shared with the dense `Conv2d`, and the op count is one product of the
+//! filter matrix's block grid (`circulant::BlockGrid`) per output pixel;
+//! this file holds the product and the weight gradient only.
 
 use crate::circulant::BlockCirculantMatrix;
 use crate::spectral::{identity_view, CirculantScratch};
@@ -130,11 +130,11 @@ impl Layer for CirculantConv2d {
     /// Algorithm 1 on the Fig. 3 lowering, without the lowering: row `p`
     /// of the im2col matrix is output pixel `p`'s taps in Eqn. 6 column
     /// order (`col = c + C·ki + C·r·kj`, channel fastest), so when `b | C`
-    /// every block of it is one channel block of one input pixel. Each
-    /// sample is therefore transposed to pixel-major `[H·W, C]` — plus one
-    /// zero pixel, which padded taps read — and transformed **once** into
-    /// a spectral image, which the product reads through `Self::view`.
-    /// The same floats give the same spectra and the order of
+    /// every block of it is one channel block of one input pixel. The
+    /// driver's pixel-major `[H·W + 1, C]` image of each sample — its last,
+    /// zero pixel is what padded taps read — is therefore transformed
+    /// **once** into a spectral image, which the product reads through
+    /// `Self::view`. The same floats give the same spectra and the order of
     /// accumulation is that of the lowered rows, so every output bit is
     /// too. When `b ∤ C` the rows are lowered with im2col and read in
     /// place. With `keep` each sample's `X̂` is retained for `backward`.
@@ -144,32 +144,27 @@ impl Layer for CirculantConv2d {
         scratch: &mut Scratch,
         keep: bool,
     ) -> Result<Tensor, NnError> {
-        let (shape, channel_blocks, view) = (self.shape, self.channel_blocks(), self.view());
-        let ((c, h, w), in_dim) = (shape.dims(), self.matrix.in_dim());
-        // What `spectra_of` transforms: the sample pixel-major with its
-        // zero pixel, in rows of `C`, or its lowered rows.
-        let (rows_shape, row_len) = match channel_blocks {
-            Some(_) => ([h * w + 1, c], c),
-            None => ([shape.pixels(), in_dim], in_dim),
+        let (shape, view, in_dim) = (self.shape, self.view(), self.matrix.in_dim());
+        let (c, h, w) = shape.dims();
+        // When `b ∤ C`, what `spectra_of` transforms is the sample's
+        // lowered rows instead of the driver's image.
+        let mut lowered = match self.channel_blocks() {
+            Some(_) => None,
+            None => Some(scratch.take(&[shape.pixels(), in_dim])),
         };
-        let mut rows = scratch.take(&rows_shape);
-        let (matrix, kernel) = (&self.matrix, &self.matrix.grid().kernel);
+        let (matrix, kernel, bias) = (&self.matrix, &self.matrix.grid().kernel, &self.bias);
         let (sc, kept) = (&mut self.infer_scratch, &mut self.kept);
         if keep {
             kept.clear();
         }
-        let out = shape.forward("circulant_conv2d", input, scratch, &self.bias, |_, x, y| {
-            if channel_blocks.is_some() {
-                let pixel_major = rows.as_mut_slice();
-                for (ch, plane) in x.chunks_exact(h * w).enumerate() {
-                    for (p, &v) in plane.iter().enumerate() {
-                        pixel_major[p * c + ch] = v;
-                    }
-                }
+        let out = shape.forward("circulant_conv2d", input, scratch, bias, |x, image, y| {
+            let rows = if let Some(cols) = &mut lowered {
+                im2col_into(x, (c, h, w), shape.geometry(), cols)?;
+                (cols.as_slice(), in_dim)
             } else {
-                im2col_into(x, (c, h, w), shape.geometry(), &mut rows)?;
-            }
-            let len = kernel.spectra_of((rows.as_slice(), row_len), &mut sc.bufs, &mut sc.x_spec);
+                (image, c)
+            };
+            let len = kernel.spectra_of(rows, &mut sc.bufs, &mut sc.x_spec);
             if keep {
                 kept.push(sc.x_spec[..len].to_vec());
             }
@@ -177,7 +172,9 @@ impl Layer for CirculantConv2d {
             matrix.product((&sc.x_spec, view), y, &mut sc.bufs, |_, _, v| v);
             Ok(())
         });
-        scratch.recycle(rows);
+        if let Some(cols) = lowered {
+            scratch.recycle(cols);
+        }
         out
     }
 

@@ -10,8 +10,9 @@
 //! for every form the one Algorithm 1 routine is served in — training
 //! layer, frozen `f32` spectra, fixed-point levels, the CONV layer's
 //! spectral image and its im2col fallback — at power-of-two blocks and at
-//! the odd and even chirp-transform blocks of Arch. 2's sizes, and for the
-//! dense product under `Conv2d` (wide and narrow) and a multi-chunk `Dense`.
+//! the odd and even chirp-transform blocks of Arch. 2's sizes, for the
+//! dense product under `Conv2d` (wide and narrow) and a multi-chunk `Dense`,
+//! and for both CONV layers reading the driver's staged image in one stack.
 //!
 //! This lives in an integration test (its own crate) deliberately: the
 //! allocator shim needs `unsafe`, which the library crates forbid.
@@ -149,6 +150,22 @@ fn stacks() -> Vec<(&'static str, Network, Vec<usize>)> {
     dense_conv_narrow.push(Dense::new(5 * 8 * 8, 4, &mut rng));
     dense_conv_narrow.push(Softmax::new());
 
+    // Both CONV layers on the driver's one staged image per sample: the
+    // dense product's tap view over a padded, strided geometry, then the
+    // spectral image with `b | C`.
+    let padded_strided = ConvGeometry {
+        kernel: 3,
+        stride: 2,
+        pad: 1,
+    };
+    let mut conv_stack = Network::new();
+    conv_stack.push(Conv2d::new(4, 8, 9, 9, padded_strided, &mut rng).unwrap());
+    conv_stack.push(Relu::new());
+    let circulant = CirculantConv2d::new(8, 4, 5, 5, ConvGeometry::valid(3), 4, &mut rng);
+    conv_stack.push(circulant.unwrap());
+    conv_stack.push(Flatten::new());
+    conv_stack.push(Dense::new(4 * 3 * 3, 4, &mut rng));
+
     vec![
         ("circulant_dense", training, vec![16]),
         ("frozen_f32_int8", frozen, vec![16]),
@@ -157,6 +174,7 @@ fn stacks() -> Vec<(&'static str, Network, Vec<usize>)> {
         ("chirp_blocks", chirp, vec![121]),
         ("dense_conv2d_multi_chunk", dense_conv, vec![4, 6, 6]),
         ("dense_conv2d_c2_p5", dense_conv_narrow, vec![2, 10, 10]),
+        ("strided_conv2d_circulant", conv_stack, vec![4, 9, 9]),
     ]
 }
 

@@ -5,10 +5,12 @@
 //! `X ∈ ℝ^{H_out·W_out × Cr²}` and `F ∈ ℝ^{Cr² × P}`; the dense layer here
 //! and the block-circulant one of `ffdl-core` differ only in the product of
 //! a lowered row with `F`. Everything around that product is written once,
-//! on [`ConvShape`]: validation, the config words, the per-sample loop, the
-//! `[oh·ow, P] → [P, oh, ow]` + bias tail, and the backward gradient gather
-//! and `col2im` scatter. The tap rule under the lowering is
-//! [`ConvGeometry::for_each_tap`].
+//! on [`ConvShape`]: validation, the config words, the per-sample loop and
+//! its one pixel-major staging of the sample, the bias tail
+//! `[oh·ow, P] → [P, oh, ow]`, and the backward gradient gather and
+//! `col2im` scatter. The tap rule under the lowering is
+//! [`ConvGeometry::for_each_tap`]; in the forward pass both products read
+//! `X` through it, and neither builds it.
 
 use crate::error::NnError;
 use crate::layer::{check_features, Layer, OpCost, ParamRef};
@@ -20,9 +22,11 @@ use ffdl_tensor::{
 };
 use std::sync::OnceLock;
 
-/// Output pixels per tile of the forward tail: the `[pixels, P]` rows of a
-/// tile stay in L1 while each of the `P` output maps gets its run of them.
-const TAIL_TILE: usize = 16;
+/// Pixels per tile of the forward pass's two transposes, the staging
+/// `[C, H·W] → [H·W, C]` and the tail `[oh·ow, P] → [P, oh, ow]`: a
+/// tile's pixel-major rows stay in L1 while each channel or output map
+/// gets its run of them.
+const TILE: usize = 16;
 
 /// The shape of a CONV layer — input `[batch, C, H, W]` → output
 /// `[batch, P, H_out, W_out]` — and the driver both CONV layers run their
@@ -126,12 +130,14 @@ impl ConvShape {
     }
 
     /// The forward pass around a layer's product. Validates that `input`
-    /// is `[batch, C, H, W]`, draws the output and one `[oh·ow, P]`
-    /// product buffer from `scratch`, and per sample `s` calls
-    /// `product(s, x, y)` — `x` the sample's `C·H·W` values, `y` to receive
-    /// its lowered product `X·F` — then writes `y` transposed to
-    /// `[P, oh, ow]`, plus `bias[p]`: one add per output, so the tail's
-    /// blocking does not move a bit.
+    /// is `[batch, C, H, W]`, draws the output, one `[H·W + 1, C]` image
+    /// and one `[oh·ow, P]` product buffer from `scratch`, and per sample
+    /// stages the sample pixel-major into the image — its last pixel stays
+    /// zero, for views that send a padded tap there — and calls
+    /// `product(x, image, y)`: `x` the sample's `C·H·W` values as given,
+    /// `image` the staged ones, `y` to receive its lowered product `X·F`.
+    /// It then writes `y` transposed to `[P, oh, ow]`, plus `bias[p]`: one
+    /// add per output, so the tail's blocking does not move a bit.
     ///
     /// # Errors
     ///
@@ -143,27 +149,39 @@ impl ConvShape {
         input: &Tensor,
         scratch: &mut Scratch,
         bias: &Tensor,
-        mut product: impl FnMut(usize, &[f32], &mut Tensor) -> Result<(), NnError>,
+        mut product: impl FnMut(&[f32], &[f32], &mut Tensor) -> Result<(), NnError>,
     ) -> Result<Tensor, NnError> {
         let (c, h, w) = self.dims();
         check_features(layer, input, 4, &[c, h, w])?;
         let (batch, pixels, filters) = (input.shape()[0], self.pixels(), self.filters);
         let mut out = scratch.take(&[batch, filters, self.out.0, self.out.1]);
+        let mut image = scratch.take(&[h * w + 1, c]);
         let mut y = scratch.take(&[pixels, filters]);
-        let plane = c * h * w;
+        let (plane, hw) = (c * h * w, h * w);
         for s in 0..batch {
-            product(s, &input.as_slice()[s * plane..(s + 1) * plane], &mut y)?;
+            let x = &input.as_slice()[s * plane..(s + 1) * plane];
+            let staged = image.as_mut_slice();
+            for tile in (0..hw).step_by(TILE) {
+                let end = (tile + TILE).min(hw);
+                for ch in 0..c {
+                    for (p, &v) in (tile..end).zip(&x[ch * hw + tile..ch * hw + end]) {
+                        staged[p * c + ch] = v;
+                    }
+                }
+            }
+            product(x, image.as_slice(), &mut y)?;
             let dst = &mut out.as_mut_slice()[s * filters * pixels..];
             let ys = y.as_slice();
-            for tile in (0..pixels).step_by(TAIL_TILE) {
+            for tile in (0..pixels).step_by(TILE) {
                 for (p, &b) in bias.as_slice().iter().enumerate() {
-                    for pix in tile..(tile + TAIL_TILE).min(pixels) {
+                    for pix in tile..(tile + TILE).min(pixels) {
                         dst[p * pixels + pix] = ys[pix * filters + p] + b;
                     }
                 }
             }
         }
         scratch.recycle(y);
+        scratch.recycle(image);
         Ok(out)
     }
 
@@ -225,12 +243,14 @@ impl ConvShape {
 /// output `[batch, P, H_out, W_out]`.
 ///
 /// Filters are stored as `[P, C, r, r]`; the product under the
-/// [`ConvShape`] driver lowers each sample with [`im2col_into`] and
-/// multiplies by the `[Cr², P]` filter matrix, exactly the software
-/// reformulation the paper describes for its OpenCV implementation (§IV-B,
-/// Fig. 3). The filter matrix is built once, like a circulant layer's
-/// weight spectra, and a keeping pass retains the input, not its 9× larger
-/// lowering: `backward` lowers each sample again.
+/// [`ConvShape`] driver multiplies each sample's im2col matrix by the
+/// `[Cr², P]` filter matrix — the software reformulation the paper
+/// describes for its OpenCV implementation (§IV-B, Fig. 3) — with
+/// [`Tensor::taps_matmul_into`], which reads every lowered row as its
+/// output pixel's taps of the driver's pixel-major image instead of
+/// building the `r²`-times larger matrix. The filter matrix is built once,
+/// like a circulant layer's weight spectra, and a keeping pass retains the
+/// input: `backward` lowers each sample with [`im2col_into`].
 #[derive(Clone)]
 pub struct Conv2d {
     shape: ConvShape,
@@ -299,12 +319,10 @@ impl Layer for Conv2d {
     ) -> Result<Tensor, NnError> {
         let (shape, fmat) = (self.shape, self.matrix());
         let (dims, geom) = (shape.dims(), shape.geometry());
-        let mut cols = scratch.take(&[shape.pixels(), fmat.rows()]);
-        let out = shape.forward("conv2d", input, scratch, &self.bias, |_, x, y| {
-            im2col_into(x, dims, geom, &mut cols)?;
-            Ok(cols.matmul_into(fmat, y)?)
+        let out = shape.forward("conv2d", input, scratch, &self.bias, |x, image, y| {
+            let image = &image[..x.len()];
+            Ok(Tensor::taps_matmul_into(image, dims, geom, fmat, y)?)
         });
-        scratch.recycle(cols);
         if keep && out.is_ok() {
             self.kept = Some(input.clone());
         }

@@ -5,11 +5,13 @@
 //! the dense baselines the paper compares against, the training loop, and
 //! the model format consumed by the deployment pipeline.
 //!
-//! - Layers: [`Dense`], [`Conv2d`] (via im2col, Fig. 3), [`Relu`] /
-//!   [`Sigmoid`] / [`Tanh`], [`MaxPool2d`], [`Flatten`], [`Softmax`].
+//! - Layers: [`Dense`], [`Conv2d`] (the Fig. 3 product, its im2col rows
+//!   read as taps of a pixel-major image), [`Relu`] / [`Sigmoid`] /
+//!   [`Tanh`], [`MaxPool2d`], [`Flatten`], [`Softmax`].
 //! - [`ConvShape`]: the one shape and driver under every CONV layer —
 //!   this crate's `Conv2d` and `ffdl-core`'s block-circulant one — which
-//!   differ only in their product.
+//!   stages each sample pixel-major once; the layers differ only in their
+//!   product.
 //! - Loss: [`SoftmaxCrossEntropy`].
 //! - Optimizer: [`Sgd`] with momentum (the paper trains with lr 0.001,
 //!   momentum 0.9).

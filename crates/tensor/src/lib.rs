@@ -11,6 +11,7 @@
 //! - dense [`Tensor::matmul`] / [`Tensor::matvec`] — the `O(n²)` baselines
 //!   the paper's FFT kernel is compared against,
 //! - [`im2col`] / [`col2im`]: the Fig. 3 convolution-as-matmul lowering,
+//!   and [`Tensor::taps_matmul_into`], the same product without building it,
 //! - [`bilinear_resize`]: the MNIST 28×28 → 16×16 / 11×11 preprocessing,
 //! - [`Init`]: weight initializers (Glorot, He, …).
 //!

@@ -7,14 +7,33 @@
 //! [`Tensor::matmul_into`] does not branch on each one: it compacts a
 //! row's non-zero terms first, then streams four rows of `b` per pass over
 //! the output row. Safe scalar Rust, read row-contiguously, with the bits
-//! of the plain `ikj` loop (see the method's docs).
+//! of the plain `ikj` loop (see the method's docs). The same loop reads a
+//! `Conv2d` row in place: [`Tensor::taps_matmul_into`] takes each row of
+//! the Fig. 3 lowering as its output pixel's taps of a pixel-major image,
+//! so no im2col matrix is built.
 
 use crate::error::TensorError;
+use crate::image::ConvGeometry;
 use crate::tensor::Tensor;
 
-/// Terms of one row of `a` that [`Tensor::matmul_into`] compacts per pass
+/// The most terms of a row that [`Tensor::matmul_into`] compacts per pass
 /// over the output row; the buffer lives on the stack.
 const TERMS: usize = 256;
+
+/// Where [`Tensor::matmul_into_rows`] reads row `i` of its left operand `a`.
+#[derive(Clone, Copy)]
+enum Rows {
+    /// `a` is `[m, k]` and row `i` is `a[i·k..(i + 1)·k]`.
+    Contiguous,
+    /// `a` is a pixel-major `[H·W, C]` image and row `i` is output pixel
+    /// `i`'s Fig. 3 lowering: its in-image taps' runs of `C` floats.
+    Taps {
+        channels: usize,
+        extent: (usize, usize),
+        out_w: usize,
+        geom: ConvGeometry,
+    },
+}
 
 impl Tensor {
     /// Elementwise addition.
@@ -88,16 +107,16 @@ impl Tensor {
     /// buffer — the serving hot path's GEMM. `out` is reshaped to
     /// `[m, n]` and fully overwritten.
     ///
-    /// Each row of `self` is cut into chunks of a few hundred terms. A
-    /// chunk's non-zero terms `(p, a[p])` are compacted into a stack buffer
-    /// without a branch, then taken four at a time: one pass over the output
-    /// row adds `((((o + a₀·b₀) + a₁·b₁) + a₂·b₂) + a₃·b₃)`, reading the
-    /// four rows of `other` they name; one to three leftover terms are added
-    /// singly. Every output element is therefore `0 + Σₚ a[p]·b[p]` over
-    /// the `p` with `a[p] != 0`, ascending, one rounding per multiply and
-    /// per add (Rust does not fuse them) — bit for bit the `ikj` loop that
-    /// skips zeros: `-0.0` is skipped like `0.0`, and a NaN or infinite
-    /// `a[p]` is kept and propagates.
+    /// A row's non-zero terms `(p, a[p])` are compacted, a few hundred at
+    /// a time, into a stack buffer without a branch, then taken four at a
+    /// time: one pass over the output row adds
+    /// `((((o + a₀·b₀) + a₁·b₁) + a₂·b₂) + a₃·b₃)`, reading the four rows
+    /// of `other` they name; one to three leftover terms are added singly.
+    /// Every output element is therefore `0 + Σₚ a[p]·b[p]` over the `p`
+    /// with `a[p] != 0`, ascending, one rounding per multiply and per add
+    /// (Rust does not fuse them) — bit for bit the `ikj` loop that skips
+    /// zeros: `-0.0` is skipped like `0.0`, and a NaN or infinite `a[p]` is
+    /// kept and propagates.
     ///
     /// # Errors
     ///
@@ -116,45 +135,111 @@ impl Tensor {
             });
         }
         out.reuse_as(&[m, n]);
-        Self::matmul_into_rows(self.as_slice(), other.as_slice(), out.as_mut_slice(), (k, n));
+        let (a, b) = (self.as_slice(), other.as_slice());
+        Self::matmul_into_rows(a, b, out.as_mut_slice(), (k, n), Rows::Contiguous);
         Ok(())
     }
 
-    /// The loop of [`matmul_into`](Self::matmul_into) on the three
-    /// buffers, `out` zeroed. `#[inline(never)]` is load-bearing: as
+    /// `out = X·f`, with `X` the Fig. 3 lowering `[H_out·W_out, C·r²]` of
+    /// a pixel-major `[H·W, C]` image, without building `X`: row `p` of
+    /// `X` is read where it lies, as output pixel `p`'s taps
+    /// ([`ConvGeometry::for_each_tap`]), each a run of `C` floats of
+    /// `image` at columns `C·t..C·(t + 1)` (`col = c + C·ki + C·r·kj`,
+    /// Eqn. 6). A tap on the zero padding adds no terms. The terms, their
+    /// order and their roundings are those of
+    /// [`matmul_into`](Self::matmul_into) on the lowered matrix, so every
+    /// output bit is too. `out` is reshaped to `[H_out·W_out, P]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeDataMismatch`] unless `image` holds
+    /// `H·W·C` values, [`TensorError::InvalidGeometry`] when the kernel does
+    /// not fit, and [`TensorError::RankMismatch`] /
+    /// [`TensorError::ShapeMismatch`] unless `f` is `[C·r², P]`; `out` is
+    /// only modified on success.
+    pub fn taps_matmul_into(
+        image: &[f32],
+        (c, h, w): (usize, usize, usize),
+        geom: ConvGeometry,
+        f: &Self,
+        out: &mut Self,
+    ) -> Result<(), TensorError> {
+        if image.len() != h * w * c {
+            return Err(TensorError::ShapeDataMismatch {
+                shape: vec![h * w, c],
+                elements: image.len(),
+            });
+        }
+        let (oh, ow) = (geom.output_extent(h)?, geom.output_extent(w)?);
+        require_rank(f, 2, "taps_matmul")?;
+        let (k, n) = (c * geom.kernel * geom.kernel, f.cols());
+        if f.rows() != k {
+            return Err(TensorError::ShapeMismatch {
+                left: vec![oh * ow, k],
+                right: f.shape().to_vec(),
+                op: "taps_matmul",
+            });
+        }
+        out.reuse_as(&[oh * ow, n]);
+        let taps = Rows::Taps {
+            channels: c,
+            extent: (h, w),
+            out_w: ow,
+            geom,
+        };
+        Self::matmul_into_rows(image, f.as_slice(), out.as_mut_slice(), (k, n), taps);
+        Ok(())
+    }
+
+    /// The loop of [`matmul_into`](Self::matmul_into) and
+    /// [`taps_matmul_into`](Self::taps_matmul_into) on the three buffers,
+    /// `out` zeroed and `[m, n]`, with row `i` of the left operand read
+    /// from `a` as `rows` says. `#[inline(never)]` is load-bearing: as
     /// function arguments the slices are known not to overlap, so no
     /// run-time overlap check precedes each four-row pass (≈ 20 % of a
     /// `[32, 4096]·[4096, 10]` product on a 2-core x86-64 host).
+    ///
+    /// A row's runs are compacted into one stack buffer of `(column,
+    /// value)` terms, global columns ascending; whenever the next piece
+    /// might not fit, the buffer is flushed through [`accumulate`] and
+    /// refilled. A flush point moves no bit: the output row takes the
+    /// same terms in the same order, one add at a time.
     #[inline(never)]
-    fn matmul_into_rows(a: &[f32], b: &[f32], out: &mut [f32], (k, n): (usize, usize)) {
+    fn matmul_into_rows(a: &[f32], b: &[f32], out: &mut [f32], (k, n): (usize, usize), rows: Rows) {
         if k == 0 || n == 0 {
             return;
         }
         let mut terms = [(0u32, 0.0f32); TERMS];
-        for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-            for (chunk, b) in arow.chunks(TERMS).zip(b.chunks(TERMS * n)) {
-                let brow = |p: u32| &b[p as usize * n..][..n];
-                // Compact the non-zero terms without a branch: every term
-                // is written, and the cursor only moves past a kept one.
-                let mut len = 0;
-                for (p, &v) in (0..).zip(chunk) {
-                    terms[len] = (p, v);
-                    len += usize::from(v != 0.0);
-                }
-                let mut quads = terms[..len].chunks_exact(4);
-                for q in &mut quads {
-                    let [(p0, a0), (p1, a1), (p2, a2), (p3, a3)] = [q[0], q[1], q[2], q[3]];
-                    let b4 = brow(p0).iter().zip(brow(p1)).zip(brow(p2)).zip(brow(p3));
-                    for (ov, (((&b0, &b1), &b2), &b3)) in orow.iter_mut().zip(b4) {
-                        *ov = (((*ov + a0 * b0) + a1 * b1) + a2 * b2) + a3 * b3;
+        for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+            let mut len = 0;
+            let mut compact = |first: usize, run: &[f32]| {
+                for (col, piece) in (first..).step_by(TERMS).zip(run.chunks(TERMS)) {
+                    if len + piece.len() > TERMS {
+                        accumulate(&terms[..len], b, orow);
+                        len = 0;
+                    }
+                    // Without a branch: every term is written, and the
+                    // cursor only moves past a kept one.
+                    for (p, &v) in (col as u32..).zip(piece) {
+                        terms[len] = (p, v);
+                        len += usize::from(v != 0.0);
                     }
                 }
-                for &(p, a) in quads.remainder() {
-                    for (ov, &bv) in orow.iter_mut().zip(brow(p)) {
-                        *ov += a * bv;
+            };
+            match rows {
+                Rows::Contiguous => compact(0, &a[i * k..][..k]),
+                Rows::Taps {
+                    channels: c,
+                    extent,
+                    out_w,
+                    geom,
+                } => geom.for_each_tap((i / out_w, i % out_w), extent, |t, read| {
+                    if let Some(pixel) = read {
+                        compact(t * c, &a[pixel * c..][..c]);
                     }
-                }
+                }),
             }
+            accumulate(&terms[..len], b, orow);
         }
     }
 
@@ -257,6 +342,29 @@ impl Tensor {
             }
         }
         Tensor::from_vec(out, &[n])
+    }
+}
+
+/// Adds `Σ a·b[p]` over the compacted `(p, a)` terms to the output row,
+/// in order: four rows of `b` per pass —
+/// `((((o + a₀·b₀) + a₁·b₁) + a₂·b₂) + a₃·b₃)` — then one to three
+/// leftover terms singly.
+#[inline]
+fn accumulate(terms: &[(u32, f32)], b: &[f32], orow: &mut [f32]) {
+    let n = orow.len();
+    let brow = |p: u32| &b[p as usize * n..][..n];
+    let mut quads = terms.chunks_exact(4);
+    for q in &mut quads {
+        let [(p0, a0), (p1, a1), (p2, a2), (p3, a3)] = [q[0], q[1], q[2], q[3]];
+        let b4 = brow(p0).iter().zip(brow(p1)).zip(brow(p2)).zip(brow(p3));
+        for (ov, (((&b0, &b1), &b2), &b3)) in orow.iter_mut().zip(b4) {
+            *ov = (((*ov + a0 * b0) + a1 * b1) + a2 * b2) + a3 * b3;
+        }
+    }
+    for &(p, a) in quads.remainder() {
+        for (ov, &bv) in orow.iter_mut().zip(brow(p)) {
+            *ov += a * bv;
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 
 use ffdl_rng::prop::{check, small_f32};
 use ffdl_rng::{prop_assert, prop_assert_eq, Rng, SeedableRng, SmallRng};
-use ffdl_tensor::{bilinear_resize, col2im, im2col, ConvGeometry, Tensor};
+use ffdl_tensor::{bilinear_resize, col2im, im2col, im2col_into, ConvGeometry, Tensor};
 
 fn matrix(rng: &mut SmallRng, max_dim: usize) -> Tensor {
     let r = rng.gen_range(1..=max_dim);
@@ -144,6 +144,84 @@ fn matmul_into_keeps_the_bits_of_the_ikj_loop() {
             prop_assert!(a.matmul_into(&Tensor::zeros(&[k]), &mut out).is_err());
             prop_assert!(
                 same_bits(out.as_slice(), &before) && out.shape() == [m, n],
+                "out changed on a shape error"
+            );
+            Ok(())
+        },
+    );
+}
+
+/// `taps_matmul_into` over a pixel-major image keeps every bit of
+/// `im2col_into` + `matmul_into` — signed zeros, ±∞ and NaN included — at
+/// channel counts from 1 to past one compaction buffer, every kernel side
+/// up to 5, strides 1–3 and padding 0–2 (rows up to 7 500 terms, so the
+/// buffer flushes mid-row and mid-tap), and leaves `out` alone on a shape
+/// error.
+#[test]
+fn taps_matmul_into_keeps_the_bits_of_the_im2col_product() {
+    check(
+        "taps_matmul_into_keeps_the_bits_of_the_im2col_product",
+        64,
+        |rng| {
+            let pick = |rng: &mut SmallRng, from: &[usize]| from[rng.gen_range(0..from.len())];
+            loop {
+                let c = pick(rng, &[1, 3, 5, 64, 300]);
+                let geom = ConvGeometry {
+                    kernel: pick(rng, &[1, 2, 3, 5]),
+                    stride: rng.gen_range(1..=3),
+                    pad: rng.gen_range(0..=2),
+                };
+                let (h, w) = (rng.gen_range(1..=7), rng.gen_range(1..=7));
+                if geom.output_extent(h).is_ok() && geom.output_extent(w).is_ok() {
+                    let p = pick(rng, &[1, 3, 8, 17]);
+                    return (c, h, w, geom, p, rng.next_u64());
+                }
+            }
+        },
+        |&(c, h, w, geom, p, seed)| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let k = c * geom.kernel * geom.kernel;
+            // Off-grid values, so that a term out of order changes a bit.
+            let mut x: Vec<f32> = (0..c * h * w)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.next_f32() * 4.0 - 2.0,
+                })
+                .collect();
+            let mut f: Vec<f32> = (0..k * p).map(|_| rng.next_f32() * 4.0 - 2.0).collect();
+            for (data, specials) in [
+                (&mut x, &[f32::NAN, f32::INFINITY, f32::NEG_INFINITY][..]),
+                (&mut f, &[f32::INFINITY, f32::NEG_INFINITY][..]),
+            ] {
+                for _ in 0..rng.gen_range(0..=2) {
+                    let at = rng.gen_range(0..data.len());
+                    data[at] = specials[rng.gen_range(0..specials.len())];
+                }
+            }
+            let f = Tensor::from_vec(f, &[k, p]).unwrap();
+            let mut cols = Tensor::zeros(&[0]);
+            let mut want = Tensor::zeros(&[0]);
+            im2col_into(&x, (c, h, w), geom, &mut cols).unwrap();
+            cols.matmul_into(&f, &mut want).unwrap();
+
+            let image: Vec<f32> = (0..h * w * c).map(|i| x[(i % c) * h * w + i / c]).collect();
+            let mut out = Tensor::from_fn(&[3, 7], |i| i as f32 - 5.0);
+            Tensor::taps_matmul_into(&image, (c, h, w), geom, &f, &mut out).unwrap();
+            prop_assert_eq!(out.shape(), want.shape());
+            prop_assert!(
+                same_bits(out.as_slice(), want.as_slice()),
+                "tap-view bits differ from im2col + matmul_into"
+            );
+
+            let before = out.as_slice().to_vec();
+            let dims = (c, h, w);
+            let short = &image[1..];
+            prop_assert!(Tensor::taps_matmul_into(short, dims, geom, &f, &mut out).is_err());
+            let wrong_f = Tensor::zeros(&[k + 1, p]);
+            prop_assert!(Tensor::taps_matmul_into(&image, dims, geom, &wrong_f, &mut out).is_err());
+            prop_assert!(
+                same_bits(out.as_slice(), &before) && out.shape() == want.shape(),
                 "out changed on a shape error"
             );
             Ok(())

@@ -131,10 +131,25 @@ echo "row-argmax only in ${hits}"
 # row's non-zero terms instead of branching on each zero (a mispredict on
 # every other post-ReLU term).
 only_in 'fn matmul_into' 'crates/tensor/src/ops.rs'
-if awk '/fn matmul_into(_rows)?\(/,/^    }$/' crates/tensor/src/ops.rs | grep -nE 'continue|== 0\.0' >&2; then
-    echo "one-mechanism guard: a 'continue' or an '== 0.0' is back in Tensor::matmul_into (compact the non-zero terms, do not branch on each)" >&2
+if { awk '/fn (matmul_into(_rows)?|taps_matmul_into)\(/,/^    }$/' crates/tensor/src/ops.rs
+    awk '/^fn accumulate\(/,/^}$/' crates/tensor/src/ops.rs; } | grep -nE 'continue|== 0\.0' >&2; then
+    echo "one-mechanism guard: a 'continue' or an '== 0.0' is back in Tensor::matmul_into or its tap view (compact the non-zero terms, do not branch on each)" >&2
     exit 1
 fi
+# No im2col matrix in the inference pass (DESIGN.md §3): Conv2d's forward
+# product reads its lowered rows as taps of the driver's pixel-major image
+# (Tensor::taps_matmul_into), so crates/nn/src/conv.rs lowers with
+# im2col_into( at most once, in Conv2d::backward; and the pixel-major
+# staging of a sample is ConvShape::forward's, not a layer's.
+total="$(count_non_test 'im2col_into\(' crates/nn/src/conv.rs)"
+in_backward="$(awk '/^impl Layer for Conv2d/,/^}$/' crates/nn/src/conv.rs |
+    awk '/fn backward\(/,/^    }$/' | grep -c 'im2col_into(' || true)"
+if [ "${total}" -gt 1 ] || [ "${total}" -ne "${in_backward}" ]; then
+    echo "one-mechanism guard: crates/nn/src/conv.rs calls im2col_into( ${total} times, ${in_backward} of them in Conv2d::backward (the forward pass reads taps, it builds no im2col matrix)" >&2
+    exit 1
+fi
+only_in '\[[a-z]+ \* c \+ ch\] = ' 'crates/nn/src/conv.rs'
+echo "no im2col matrix in the CONV forward pass; one pixel-major staging, in ConvShape"
 # The deployable CONV layers are the dense and the block-circulant one: the
 # §I FFT-convolution baseline (LeCun et al. [11]) is experiment A3's
 # forward-only fixture in crates/bench/src, in no registry or grammar.
